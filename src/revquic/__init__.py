@@ -10,7 +10,7 @@ benchmark harness that quantifies the difference.
 """
 
 from .crypto import KeySchedule, derive_keys, expand_int, truncate_int
-from .endpoint import Connection, Metrics, Role, connect
+from .endpoint import Connection, Metrics, Role
 from .errors import (
     AuthenticationFailed,
     EncodingOverflow,
@@ -24,14 +24,13 @@ from .harness import (
     BatchResult,
     PipeConfig,
     TransferReport,
-    bench_batch,
-    bench_pair,
+    bench_modes,
     run_transfer,
-    sweep_buffered_lengths,
+    sweep_modes,
 )
 from .header import ShortHeader
 from .mode import WireMode, parse_mode
-from .stream_buf import AppRecvBufMap, OooStash, Plan, PlanKind, StreamRecvBuffer
+from .stream_buf import AppRecvBufMap, OooStash, StreamRecvBuffer
 from .wire import (
     AckFrame,
     ConnectionCloseFrame,
@@ -63,8 +62,6 @@ __all__ = [
     "PaddingFrame",
     "PingFrame",
     "PipeConfig",
-    "Plan",
-    "PlanKind",
     "ProtocolViolation",
     "Role",
     "ShortHeader",
@@ -73,14 +70,12 @@ __all__ = [
     "TransferReport",
     "TransportError",
     "WireMode",
-    "bench_batch",
-    "bench_pair",
-    "connect",
+    "bench_modes",
     "derive_keys",
     "expand_int",
     "parse_mode",
     "run_transfer",
-    "sweep_buffered_lengths",
+    "sweep_modes",
     "truncate_int",
     "__version__",
 ]

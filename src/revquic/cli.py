@@ -109,33 +109,23 @@ def _bootstrap_ratio_ci(base_times, rev_times, lo=0.05, hi=0.95):
     )
 
 
+def _modes(choice: str) -> tuple[WireMode, ...]:
+    return harness.MODES if choice == "both" else (parse_mode(choice),)
+
+
 def cmd_bench(args) -> int:
     writer = csv.writer(sys.stdout)
     writer.writerow(BENCH_COLUMNS)
+    modes = _modes(args.mode)
     if args.sweep:
-        if args.mode == "both":
-            for base, rev in harness.sweep_pair(repetitions=args.reps, seed=args.seed):
-                writer.writerow(_bench_row(base))
-                writer.writerow(_bench_row(rev))
-                writer.writerow(_ratio_row(base, rev))
-        else:
-            for r in harness.sweep_buffered_lengths(
-                parse_mode(args.mode), repetitions=args.reps, seed=args.seed
-            ):
-                writer.writerow(_bench_row(r))
-        return 0
-    if args.mode == "both":
-        base, rev = harness.bench_pair(
-            args.packets, repetitions=args.reps, seed=args.seed
-        )
-        writer.writerow(_bench_row(base))
-        writer.writerow(_bench_row(rev))
-        writer.writerow(_ratio_row(base, rev))
+        runs = harness.sweep_modes(modes=modes, repetitions=args.reps, seed=args.seed)
     else:
-        r = harness.bench_batch(
-            parse_mode(args.mode), args.packets, repetitions=args.reps, seed=args.seed
-        )
-        writer.writerow(_bench_row(r))
+        runs = [harness.bench_modes(args.packets, modes, repetitions=args.reps, seed=args.seed)]
+    for results in runs:
+        for r in results:
+            writer.writerow(_bench_row(r))
+        if len(results) == 2:
+            writer.writerow(_ratio_row(*results))
     return 0
 
 
@@ -161,14 +151,9 @@ def cmd_simulate(args) -> int:
         loss_prob=args.loss,
         duplicate_prob=args.dup,
     )
-    modes = (
-        [WireMode.BASELINE, WireMode.REVERSO]
-        if args.mode == "both"
-        else [parse_mode(args.mode)]
-    )
     writer = csv.writer(sys.stdout)
     writer.writerow(SIMULATE_COLUMNS)
-    for mode in modes:
+    for mode in _modes(args.mode):
         report = harness.run_transfer(mode, args.size, args.streams, pipe)
         writer.writerow(_report_row(report))
     return 0

@@ -1,12 +1,15 @@
 """Connection state machine: send and receive pipelines in both modes.
 
-The receive pipeline is the measured artifact. Reversed mode plans an
-AEAD destination from the unauthenticated header, opens directly into
-stream storage when the packet continues the contiguous tail, and backs
-out cleanly when authentication fails. Baseline mode opens in place in
-the datagram buffer, parses forward, and copies validated stream data
-into storage; that reassembly copy is the cost the reversed layout
-removes.
+The receive pipeline is the measured artifact; each mode has one receive
+function. Reversed mode chooses the AEAD destination from the
+unauthenticated header alone: a packet continuing its stream's
+contiguous tail is opened straight into stream storage and committed
+there without a copy, anything else is opened in place in the datagram.
+A new stream's buffer is bound only once the tag verifies and the
+anchor frame's footer agrees with the header. Baseline mode opens in
+place in the datagram buffer, parses forward, and copies validated
+stream data into storage; that reassembly copy is the cost the reversed
+layout removes.
 
 Reliability is deliberately minimal: fixed retransmission timeout, a
 fixed in-flight window, ack-every-data-packet. Fragment boundaries are
@@ -26,55 +29,18 @@ from dataclasses import dataclass, field, replace
 from cryptography.exceptions import InvalidTag
 
 from . import crypto, header, wire
+from .crypto import TAG_LEN
 from .errors import (
     BufferTooSmall,
-    FinalSizeError,
     MalformedFrame,
-    MalformedHeader,
-    PacketTooShortForSampling,
     ProtocolViolation,
     SendAfterFin,
     StreamIdOverflow,
     StreamNotFound,
 )
 from .mode import WireMode
-from .stream_buf import AppRecvBufMap, PlanKind
+from .stream_buf import AppRecvBufMap
 from .varint import _CLASS_LEN as _VLEN, _CLASS_MAX as _VMAX
-
-# field-window masks by encoded length in bytes
-_WMASK = (0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF)
-
-
-def _hdr_geometry(reverso: bool):
-    """Field arithmetic for each value of the protected flag bits.
-
-    Binding the per-length shifts and masks to one tuple load keeps the
-    receive path free of recomputing them packet by packet.
-    """
-    rows = []
-    for fl in range(32):
-        pn_len = (fl & 0x03) + 1
-        sid_len = ((fl >> 3) & 0x03) + 1
-        lead = pn_len + sid_len
-        win = 1 << (pn_len << 3)
-        if reverso:
-            sh_sid = (12 - lead) << 3  # shift placing the wire stream id at bit 0
-            # keyed by the offset-length bits of the wire stream id:
-            # header length, length of the fields after the dcid, shift
-            # placing the offset at bit 0, offset mask, shift placing the
-            # pn at bit 0
-            by_off = tuple(
-                (9 + lead + n, lead + n, sh_sid - (n << 3), _WMASK[n], (sid_len + n) << 3)
-                for n in (1, 2, 3, 4)
-            )
-            rows.append((sh_sid, _WMASK[sid_len], win, win >> 1, ~(win - 1), by_off))
-        else:
-            rows.append((pn_len, 9 + pn_len, 1 + pn_len, win, win >> 1, ~(win - 1)))
-    return tuple(rows)
-
-
-_RV_HDR = _hdr_geometry(True)
-_BL_HDR = _hdr_geometry(False)
 
 MAX_DATAGRAM = 1350
 SEND_WINDOW = 64  # packets in flight
@@ -86,7 +52,11 @@ DEFAULT_RTO = 0.25
 _PN_RESERVE = 4
 _OFF_RESERVE = 4
 
-_MAX62 = 1 << 62
+
+def _footer_mismatch(f_sid: int, f_off: int, sid: int, offset: int) -> ProtocolViolation:
+    """The header's stream fields restate the anchor frame's footer; both
+    are authenticated, so disagreement is the peer's violation."""
+    return ProtocolViolation(f"footer ({f_sid}, {f_off}) disagrees with header ({sid}, {offset})")
 
 
 class Role(enum.Enum):
@@ -247,7 +217,8 @@ class Connection:
             gap = cursor - top
             ranges.append((gap, top - bottom + 1))
             cursor = bottom - 1
-        self.ack_pending.clear()
+        # numbers past the range cap stay pending for the next ack
+        self.ack_pending = set(pns[i:])
         return wire.AckFrame(largest_acked=largest, ack_delay=0, ranges=ranges)
 
     def build_packet(self, out, now: float | None = None) -> int | None:
@@ -364,14 +335,14 @@ class Connection:
 
     # --- receiving ---
     #
-    # Two code paths share the receive semantics. The modular one
-    # (decryption_plan, crypto.open, the wire parsers, _deliver) handles
-    # every packet shape; the flat per-mode paths below decode the
-    # common shape, a single stream frame continuing a known stream,
-    # with no intermediate objects, because per-object interpreter cost
-    # dominates the per-packet budget. Anything the flat code does not
-    # recognize falls through to the modular code with identical
-    # observable effects.
+    # One receive function per mode. Each unprotects the header with
+    # header.unprotect, opens the AEAD with decrypt_into, and decodes the
+    # common shape, a single stream frame owning the plaintext, without
+    # building frame objects, because per-object interpreter cost
+    # dominates the per-packet budget; a fragment continuing its stream's
+    # contiguous tail is committed on the spot. A plaintext holding more
+    # than that frame goes through a wire parser and _process_plaintext,
+    # and every other fragment through _deliver.
 
     def recv(self, datagram, appbuf: AppRecvBufMap) -> int:
         """Process one datagram; returns bytes consumed from it.
@@ -388,100 +359,71 @@ class Connection:
         buf = memoryview(datagram) if not isinstance(datagram, memoryview) else datagram
         blen = len(buf)
         self._metrics.bytes_received += blen
-        if blen < header.SAMPLE_OFFSET + header.SAMPLE_LEN:
-            raise PacketTooShortForSampling(
-                f"packet of {blen} bytes cannot reach the sample window"
-            )
         if self.mode is WireMode.REVERSO:
             return self._recv_reverso(buf, blen, appbuf)
         return self._recv_baseline(buf, blen, appbuf)
 
     def _recv_reverso(self, buf, blen: int, appbuf: AppRecvBufMap) -> int:
+        """The header alone picks the AEAD destination: a packet that
+        continues its stream's contiguous tail (or opens the stream at
+        offset 0) is opened straight onto that tail and committed there
+        without a copy; any other packet is opened in place in the
+        datagram and handed to _deliver."""
         ks = self.recv_keys
-        mask = ks._hp.update(buf[21:37])
-        flags = buf[0] ^ (mask[0] & 0x7F)
-        if flags & 0x80 or not flags & 0x40:
-            raise MalformedHeader(f"bad form/fixed bits in flags 0x{flags:02x}")
-        sh_sid, wm_sid, win, hwin, pnmask, by_off = _RV_HDR[flags & 0x1F]
-        # unmask the maximal field window in one pass; the header fields
-        # are its top lead+off_len bytes, the rest is ciphertext short of
-        # the sample and stays untouched
-        w = int.from_bytes(buf[9:21], "big") ^ int.from_bytes(mask[1:13], "big")
-        wire_sid = (w >> sh_sid) & wm_sid
-        hdr_len, fields_len, sh_off, wm_off, sh_pn = by_off[wire_sid & 0x03]
-        fields = w >> sh_off  # pn, wire stream id, truncated offset
-        # the unprotected header is the AEAD's associated data
-        buf[0] = flags
-        buf[9:hdr_len] = fields.to_bytes(fields_len, "big")
-        # packet number: the candidate congruent to the truncated bytes
-        # nearest one past the largest seen (crypto.expand_int, inlined)
-        expected = self.largest_received_pn + 1
-        pn = (expected & pnmask) | (fields >> sh_pn)
-        if pn <= expected - hwin and pn < _MAX62 - win:
-            pn += win
-        elif pn > expected + hwin and pn >= win:
-            pn -= win
-        if pn >= _MAX62:
-            pn -= win
-
-        sid = wire_sid >> 2
+        hdr_len, pn, sid, off_t, off_mask = header.unprotect(
+            buf, ks, self.largest_received_pn, True
+        )
+        pt_len = blen - hdr_len - TAG_LEN
         sbuf = appbuf.buffers.get(sid)  # never holds stream 0
-        bind = False
-        if sbuf is None:
-            # a zero truncated offset expands to offset 0 against a zero
-            # reference, so this is first contact at the stream start;
-            # stage the spare and bind only if the packet authenticates
-            # (mirrors decryption_plan + take_or_recycle)
-            if sid == 0 or fields & wm_off:
-                return self._recv_reverso_slow(
-                    buf, blen, appbuf, pn, sid, hdr_len - 1 - (wire_sid & 0x03), hdr_len
-                )
-            sbuf = appbuf._materialize_spare()
-            oref = 0
-            bind = True
-        else:
+        if sbuf is not None:
             oref = sbuf.contiguous_offset
             # truncation match decides continuation exactly: expanding
             # the truncated offset against oref yields oref iff it is
             # oref's truncation
-            if (fields ^ oref) & wm_off:
-                return self._recv_reverso_slow(
-                    buf, blen, appbuf, pn, sid, hdr_len - 1 - (wire_sid & 0x03), hdr_len
-                )
-
-        # zero-copy: open straight onto the stream's contiguous tail;
-        # a failed tag leaves garbage only past contiguous_offset
-        m = self._metrics
-        pt_len = blen - hdr_len - 16
-        dest = oref - sbuf.base_offset
-        end = dest + pt_len
-        storage = sbuf.storage
-        if end > len(storage):
-            appbuf.allocations += sbuf.ensure_room(end)
-            storage = sbuf.storage
+            tail = (oref & off_mask) == off_t
+        else:
+            # a zero truncated offset expands to 0 against a zero
+            # reference: first contact at the stream start
+            oref = 0
+            tail = sid != 0 and off_t == 0
+            if tail:
+                # staged; bound only once the packet checks out
+                sbuf = appbuf._materialize_spare()
+        if tail:
+            # a failed tag leaves garbage only past contiguous_offset
+            lo = oref - sbuf.base_offset
+            hi = lo + pt_len
+            store = sbuf.storage
+            if hi > len(store):
+                sbuf.ensure_room(hi)
+                store = sbuf.storage
+            pt = sbuf.storage_view[lo:hi]
+        else:
+            # in place over the ciphertext, aliased exactly
+            store = pt = buf[hdr_len : hdr_len + pt_len]
+            lo, hi = 0, pt_len
         try:
             ks._aead.decrypt_into(
-                (ks._iv_int ^ pn).to_bytes(12, "big"), buf[hdr_len:], buf[:hdr_len],
-                sbuf.storage_view[dest:end],
+                (ks._iv_int ^ pn).to_bytes(12, "big"), buf[hdr_len:], buf[:hdr_len], pt
             )
         except InvalidTag:
-            m.decrypt_failures += 1
+            self._metrics.decrypt_failures += 1
             return blen
-        if bind:
-            appbuf.spare = None
-            appbuf.buffers[sid] = sbuf
         if pn > self.largest_received_pn:
             self.largest_received_pn = pn
 
-        t = storage[end - 1] if pt_len else 0
+        # the anchor is the LEN-absent stream frame owning the start of
+        # the plaintext; its footer (offset, stream id, type) must restate
+        # the header's routing fields
+        frames = None
+        t = store[hi - 1] if pt_len else 0
         if 0x08 <= t <= 0x0F and not t & 0x02:
-            # the whole plaintext is one LEN-absent stream frame; its
-            # footer must restate the header's routing fields (the walk
-            # mirrors wire.parse_reversed: stream id, then offset)
-            cur = end - 1
-            if cur <= dest:
+            # the anchor is the whole plaintext: walk its footer back,
+            # stream id first, then offset
+            cur = hi - 1
+            if cur <= lo:
                 raise MalformedFrame("truncated reversed varint")
-            b = storage[cur - 1]
+            b = store[cur - 1]
             if b == sid << 2:
                 # the header's stream id in its one-byte encoding: the
                 # header already decoded it, so comparing verifies it
@@ -489,152 +431,82 @@ class Connection:
                 cur -= 1
             else:
                 n = _VLEN[b & 0x03]
-                if n > cur - dest:
+                if n > cur - lo:
                     raise MalformedFrame("truncated reversed varint")
-                f_sid = int.from_bytes(storage[cur - n : cur], "big") >> 2
+                f_sid = int.from_bytes(store[cur - n : cur], "big") >> 2
                 cur -= n
             if t & 0x04:
-                if cur <= dest:
+                if cur <= lo:
                     raise MalformedFrame("truncated reversed varint")
-                b = storage[cur - 1]
+                b = store[cur - 1]
                 n = _VLEN[b & 0x03]
-                if n > cur - dest:
+                if n > cur - lo:
                     raise MalformedFrame("truncated reversed varint")
                 f_off = (
                     b >> 2 if n == 1
-                    else storage[cur - 2] << 6 | b >> 2 if n == 2
-                    else int.from_bytes(storage[cur - n : cur], "big") >> 2
+                    else store[cur - 2] << 6 | b >> 2 if n == 2
+                    else int.from_bytes(store[cur - n : cur], "big") >> 2
                 )
                 cur -= n
             else:
                 f_off = 0
-            if f_sid != sid or f_off != oref:
-                raise ProtocolViolation(
-                    f"footer ({f_sid}, {f_off}) disagrees with "
-                    f"header ({sid}, {oref})"
-                )
-            # commit: advance the watermark over the data, leave the
-            # footer past it as scratch (mirrors commit_zero_copy)
-            data_len = cur - dest
-            if t & 0x01:
-                sbuf.set_fin(oref + data_len)
-            elif sbuf.fin_offset is not None and oref + data_len > sbuf.fin_offset:
-                raise FinalSizeError("data past final size")
-            sbuf.contiguous_offset = oref + data_len
-            if sbuf.scratch_end < end:
-                sbuf.scratch_end = end
-            m.payload_bytes_zero_copy += data_len
-            if sbuf.stash._offsets:
-                m.payload_bytes_copied += sbuf._drain_stash()
-            m.packets_in_order += 1
-            self.ack_pending.add(pn)
-            return blen
-
-        frames = wire.parse_reversed(sbuf.storage_view[dest:end])
-        return self._process_plaintext(
-            appbuf, blen, pn, sid, oref, PlanKind.ZERO_COPY, frames, pt_len
-        )
-
-    def _recv_reverso_slow(
-        self, buf, blen: int, appbuf: AppRecvBufMap, pn: int, sid: int, off_pos: int, hdr_len: int
-    ) -> int:
-        """Control packets, first contact on a stream, and offsets away
-        from the contiguous tail: plan a destination against the stream
-        map, open, then hand the frames to the shared delivery code."""
-        m = self._metrics
-        ks = self.recv_keys
-        b = appbuf.buffers.get(sid)
-        offset = crypto.expand_int(
-            bytes(buf[off_pos:hdr_len]), b.contiguous_offset if b is not None else 0
-        )
-        pt_len = blen - hdr_len - crypto.TAG_LEN
-        plan = appbuf.decryption_plan(sid, offset, blen - hdr_len)
-        kind = plan.kind
-        if kind is PlanKind.ZERO_COPY:
-            # past the contiguous tail: scratch until the tag verifies
-            dest = plan.dest_position
-            plaintext = appbuf.buffers[sid].storage_view[dest : dest + pt_len]
+            fin = t & 0x01
         else:
-            # in place over the ciphertext, aliased exactly
-            plaintext = buf[hdr_len : hdr_len + pt_len]
-        try:
-            ks._aead.decrypt_into(
-                (ks._iv_int ^ pn).to_bytes(12, "big"), buf[hdr_len:], buf[:hdr_len], plaintext
-            )
-        except InvalidTag:
-            if sid:
-                appbuf.take_or_recycle(sid, False)
-            m.decrypt_failures += 1
-            return blen
-        if sid:
-            appbuf.take_or_recycle(sid, True)
-        if pn > self.largest_received_pn:
-            self.largest_received_pn = pn
-
-        t = plaintext[-1] if pt_len else 0
-        if 0x08 <= t <= 0x0F and not t & 0x02:
-            # single LEN-absent stream frame owning the plaintext; read
-            # its footer directly (mirrors wire.parse_reversed)
-            cur = pt_len - 1
-            if cur <= 0:
-                raise MalformedFrame("truncated reversed varint")
-            n = _VLEN[plaintext[cur - 1] & 0x03]
-            if n > cur:
-                raise MalformedFrame("truncated reversed varint")
-            f_sid = int.from_bytes(plaintext[cur - n : cur], "big") >> 2
-            cur -= n
-            if t & 0x04:
-                if cur <= 0:
-                    raise MalformedFrame("truncated reversed varint")
-                n = _VLEN[plaintext[cur - 1] & 0x03]
-                if n > cur:
-                    raise MalformedFrame("truncated reversed varint")
-                f_off = int.from_bytes(plaintext[cur - n : cur], "big") >> 2
-                cur -= n
+            # control frames follow the anchor, if there is one
+            frames = wire.parse_reversed(pt)
+            last = frames[-1] if frames else None
+            if isinstance(last, wire.StreamFrame) and last.explicit_len is False:
+                f_sid, f_off, fin = last.stream_id, last.offset, last.fin
+                cur = lo + len(last.data)
+            elif sid:
+                raise ProtocolViolation("header names a stream but no anchor frame found")
             else:
-                f_off = 0
-            frame = wire.StreamFrame(
-                stream_id=f_sid,
-                offset=f_off,
-                data=plaintext[:cur],
-                fin=bool(t & 0x01),
-                explicit_len=False,
-            )
-            return self._process_plaintext(
-                appbuf, blen, pn, sid, offset, kind, [frame], pt_len
-            )
+                if any(isinstance(f, wire.StreamFrame) for f in frames):
+                    raise ProtocolViolation("stream frame in a control-only packet")
+                self._process_plaintext(appbuf, pn, frames)
+                return blen
 
-        frames = wire.parse_reversed(plaintext)
-        return self._process_plaintext(
-            appbuf, blen, pn, sid, offset, kind, frames, pt_len
-        )
+        if tail:
+            if f_sid != sid or f_off != oref:
+                raise _footer_mismatch(f_sid, f_off, sid, oref)
+            if sbuf is appbuf.spare:
+                appbuf.spare = None
+                appbuf.buffers[sid] = sbuf
+            data_len = cur - lo
+            m = self._metrics
+            copied = sbuf.commit_zero_copy(oref + data_len, fin, hi)
+            if copied:
+                m.payload_bytes_copied += copied
+            m.payload_bytes_zero_copy += data_len
+            m.packets_in_order += 1
+            if frames is None:
+                self.ack_pending.add(pn)
+            else:
+                frames.pop()
+                self._process_plaintext(appbuf, pn, frames, anchored=True)
+            return blen
+
+        if sid == 0:
+            raise ProtocolViolation("stream frame in a control-only packet")
+        # the header's offset, expanded as the sender truncated it
+        offset = crypto.expand_int(off_t.to_bytes(off_mask.bit_length() >> 3, "big"), oref)
+        if f_sid != sid or f_off != offset:
+            raise _footer_mismatch(f_sid, f_off, sid, offset)
+        if frames is None:
+            if not self._deliver(appbuf, sid, offset, pt[:cur], fin):
+                self.ack_pending.add(pn)
+        else:
+            self._process_plaintext(appbuf, pn, frames)
+        return blen
 
     def _recv_baseline(self, buf, blen: int, appbuf: AppRecvBufMap) -> int:
+        """Opens in place in the datagram, decodes forward, and copies
+        the stream data into storage: the reassembly copy the reversed
+        layout removes."""
         ks = self.recv_keys
-        mask = ks._hp.update(buf[21:37])
-        flags = buf[0] ^ (mask[0] & 0x1F)
-        if flags & 0x80 or not flags & 0x40:
-            raise MalformedHeader(f"bad form/fixed bits in flags 0x{flags:02x}")
-        if (flags >> 3) & 0x03:
-            raise MalformedHeader("reserved sid_length bits set in baseline mode")
-        pn_len, hdr_len, mask_end, win, hwin, pnmask = _BL_HDR[flags & 0x03]
-        pn_t = int.from_bytes(buf[9:hdr_len], "big") ^ int.from_bytes(
-            mask[1:mask_end], "big"
-        )
-        buf[0] = flags
-        buf[9:hdr_len] = pn_t.to_bytes(pn_len, "big")
-        expected = self.largest_received_pn + 1
-        pn = (expected & pnmask) | pn_t
-        if pn <= expected - hwin and pn < _MAX62 - win:
-            pn += win
-        elif pn > expected + hwin and pn >= win:
-            pn -= win
-        if pn >= _MAX62:
-            pn -= win
-
+        hdr_len, pn, _, _, _ = header.unprotect(buf, ks, self.largest_received_pn, False)
         m = self._metrics
-        pt_len = blen - hdr_len - 16
-        end = hdr_len + pt_len
+        end = blen - TAG_LEN
         try:
             # in place over the ciphertext, aliased exactly
             ks._aead.decrypt_into(
@@ -647,93 +519,60 @@ class Connection:
         if pn > self.largest_received_pn:
             self.largest_received_pn = pn
 
-        t = buf[hdr_len] if pt_len else 0
-        if 0x08 <= t <= 0x0F and not t & 0x02:
-            # single stream frame owning the whole plaintext (the walk
-            # mirrors wire.parse_forward)
-            pos = hdr_len + 1
+        t = buf[hdr_len] if end > hdr_len else 0
+        if not (0x08 <= t <= 0x0F and not t & 0x02):
+            self._process_plaintext(appbuf, pn, wire.parse_forward(buf[hdr_len:end]))
+            return blen
+        # a single stream frame owns the whole plaintext: stream id,
+        # then offset, then its data
+        pos = hdr_len + 1
+        if pos >= end:
+            raise MalformedFrame("truncated varint")
+        b = buf[pos]
+        n = _VLEN[b >> 6]
+        if pos + n > end:
+            raise MalformedFrame("truncated varint")
+        sid = (
+            b & 0x3F if n == 1
+            else int.from_bytes(buf[pos : pos + n], "big") & (_VMAX[b >> 6] - 1)
+        )
+        pos += n
+        if t & 0x04:
             if pos >= end:
                 raise MalformedFrame("truncated varint")
             b = buf[pos]
             n = _VLEN[b >> 6]
             if pos + n > end:
                 raise MalformedFrame("truncated varint")
-            sid = (
+            offset = (
                 b & 0x3F if n == 1
+                else (b & 0x3F) << 8 | buf[pos + 1] if n == 2
                 else int.from_bytes(buf[pos : pos + n], "big") & (_VMAX[b >> 6] - 1)
             )
             pos += n
-            if t & 0x04:
-                if pos >= end:
-                    raise MalformedFrame("truncated varint")
-                b = buf[pos]
-                n = _VLEN[b >> 6]
-                if pos + n > end:
-                    raise MalformedFrame("truncated varint")
-                offset = (
-                    b & 0x3F if n == 1
-                    else (b & 0x3F) << 8 | buf[pos + 1] if n == 2
-                    else int.from_bytes(buf[pos : pos + n], "big") & (_VMAX[b >> 6] - 1)
-                )
-                pos += n
-            else:
-                offset = 0
-            sbuf = appbuf.buffers.get(sid)  # never holds stream 0
-            if sbuf is None and sid and offset == 0:
-                # first contact at the stream start; delivery is already
-                # authenticated, so bind unconditionally (mirrors adopt)
-                sbuf = appbuf._materialize_spare()
-                appbuf.spare = None
-                appbuf.buffers[sid] = sbuf
-            if sbuf is not None and offset == sbuf.contiguous_offset:
-                # reassembly copy into stream storage (mirrors
-                # append_in_order)
-                data_len = end - pos
-                if t & 0x01:
-                    sbuf.set_fin(offset + data_len)
-                elif sbuf.fin_offset is not None and offset + data_len > sbuf.fin_offset:
-                    raise FinalSizeError("data past final size")
-                dest = offset - sbuf.base_offset
-                se = dest + data_len
-                if se > len(sbuf.storage):
-                    sbuf.ensure_room(se)
-                sbuf.storage[dest:se] = buf[pos:end]
-                sbuf.contiguous_offset = offset + data_len
-                if sbuf.scratch_end < se:
-                    sbuf.scratch_end = se
-                m.payload_bytes_copied += data_len
-                if sbuf.stash._offsets:
-                    m.payload_bytes_copied += sbuf._drain_stash()
-                m.packets_in_order += 1
-                self.ack_pending.add(pn)
-                return blen
-            frame = wire.StreamFrame(
-                stream_id=sid,
-                offset=offset,
-                data=buf[pos:end],
-                fin=bool(t & 0x01),
-                explicit_len=False,
-            )
-            return self._process_plaintext(appbuf, blen, pn, 0, 0, None, [frame], pt_len)
-
-        frames = wire.parse_forward(buf[hdr_len:end])
-        return self._process_plaintext(appbuf, blen, pn, 0, 0, None, frames, pt_len)
+        else:
+            offset = 0
+        sbuf = appbuf.buffers.get(sid)  # never holds stream 0
+        if sbuf is not None and offset == sbuf.contiguous_offset:
+            m.payload_bytes_copied += sbuf.append_in_order(buf[pos:end], t & 0x01)
+            m.packets_in_order += 1
+            self.ack_pending.add(pn)
+        elif not self._deliver(appbuf, sid, offset, buf[pos:end], t & 0x01):
+            self.ack_pending.add(pn)
+        return blen
 
     def _process_plaintext(
-        self, appbuf: AppRecvBufMap, blen: int, pn: int, hdr_sid: int,
-        hdr_offset: int, plan_kind, frames: list[wire.Frame], pt_len: int,
-    ) -> int:
-        """Validate and apply a parsed frame list; shared packet tail."""
-        if plan_kind is not None:
-            self._check_footer(hdr_sid, hdr_offset, frames)
-        ack_eliciting = False
+        self, appbuf: AppRecvBufMap, pn: int, frames: list[wire.Frame], anchored: bool = False,
+    ) -> None:
+        """Apply an authenticated frame list and decide the ack;
+        anchored means the packet's anchor frame was already committed."""
+        ack_eliciting = saw_stream = anchored
         suppress_ack = False
-        saw_stream = False
         for frame in frames:
             if isinstance(frame, wire.StreamFrame):
                 ack_eliciting = True
                 saw_stream = True
-                if self._deliver(hdr_sid, plan_kind, frame, appbuf, pt_len):
+                if self._deliver(appbuf, frame.stream_id, frame.offset, frame.data, frame.fin):
                     suppress_ack = True
             elif isinstance(frame, wire.AckFrame):
                 self._on_ack(frame)
@@ -749,77 +588,31 @@ class Connection:
             self._metrics.packets_control_only += 1
         if ack_eliciting and not suppress_ack:
             self.ack_pending.add(pn)
-        return blen
 
-    def _check_footer(self, hdr_sid: int, hdr_offset: int, frames: list[wire.Frame]) -> None:
-        """The header's stream fields are copies of the anchor frame's
-        footer; a mismatch means tampering the AEAD cannot see (both are
-        authenticated, but they must agree with each other). Only the
-        last parsed frame can be the anchor: a LEN-absent stream frame
-        terminates the backward walk."""
-        last = frames[-1] if frames else None
-        anchor = (
-            last
-            if isinstance(last, wire.StreamFrame) and last.explicit_len is False
-            else None
-        )
-        if hdr_sid == 0:
-            if any(isinstance(f, wire.StreamFrame) for f in frames):
-                raise ProtocolViolation("stream frame in a control-only packet")
-            return
-        if anchor is None:
-            raise ProtocolViolation("header names a stream but no anchor frame found")
-        if anchor.stream_id != hdr_sid or anchor.offset != hdr_offset:
-            raise ProtocolViolation(
-                f"footer ({anchor.stream_id}, {anchor.offset}) disagrees with "
-                f"header ({hdr_sid}, {hdr_offset})"
-            )
-
-    def _deliver(
-        self, hdr_sid: int, plan_kind, frame: wire.StreamFrame,
-        appbuf: AppRecvBufMap, pt_len: int,
-    ) -> bool:
-        """Commit one validated stream fragment; returns True when the
-        ack for this packet must be suppressed (stash overflow: the
-        fragment was dropped and needs retransmission)."""
+    def _deliver(self, appbuf: AppRecvBufMap, sid: int, offset: int, data, fin) -> bool:
+        """Copy, stash or drop one authenticated stream fragment; returns
+        True when the ack for its packet must be suppressed (stash
+        overflow: the fragment was dropped and needs retransmission)."""
         m = self._metrics
-        sid = frame.stream_id
         if sid == 0 or sid > header.MAX_STREAM_ID:
             raise ProtocolViolation(f"bad stream id {sid} in stream frame")
-        if (
-            plan_kind is PlanKind.ZERO_COPY
-            and frame.explicit_len is False
-            and sid == hdr_sid
-        ):
-            sbuf = appbuf.buffers[sid]
-            data_len = len(frame.data)
-            copied = sbuf.commit_zero_copy(data_len, frame.fin, pt_len)
-            m.payload_bytes_zero_copy += data_len
-            m.payload_bytes_copied += copied
-            m.packets_in_order += 1
-            return False
-
         sbuf = appbuf.adopt(sid)
-        end = frame.offset + len(frame.data)
-        if frame.offset == sbuf.contiguous_offset:
-            copied = sbuf.append_in_order(frame.data, frame.fin)
-            m.payload_bytes_copied += copied
+        contiguous = sbuf.contiguous_offset
+        if offset == contiguous:
+            m.payload_bytes_copied += sbuf.append_in_order(data, fin)
             m.packets_in_order += 1
-        elif frame.offset > sbuf.contiguous_offset:
-            stashed = sbuf.stash_out_of_order(frame.offset, frame.data, frame.fin)
-            m.payload_bytes_stashed += stashed
+        elif offset > contiguous:
+            m.payload_bytes_stashed += sbuf.stash_out_of_order(offset, data, fin)
             m.packets_out_of_order += 1
-            if sbuf.stash.take_overflow():
-                return True
+            return sbuf.stash.take_overflow()
         else:
             m.packets_spurious += 1
-            if end > sbuf.contiguous_offset:
+            if offset + len(data) > contiguous:
                 # partial overlap cannot occur while fragment boundaries
                 # are preserved across retransmissions; commit the tail
                 # anyway so integrity never depends on that invariant
-                tail = memoryview(frame.data)[sbuf.contiguous_offset - frame.offset :]
-                copied = sbuf.append_in_order(tail, frame.fin)
-                m.payload_bytes_copied += copied
+                tail = memoryview(data)[contiguous - offset :]
+                m.payload_bytes_copied += sbuf.append_in_order(tail, fin)
             # entirely old data: acknowledged and dropped
         return False
 
@@ -875,7 +668,3 @@ class Connection:
             and all(not s.queue and (s.fin_sent or not s.fin_queued) for s in self.send_streams.values())
         )
 
-
-def connect(mode: WireMode, role: Role, shared_secret: bytes) -> Connection:
-    """Derive both directions' keys and start a connection at packet 0."""
-    return Connection(mode, role, shared_secret)

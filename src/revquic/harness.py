@@ -326,89 +326,49 @@ def _finish(prep: _PreparedBatch, scenario: str, times: list[int], cal: int) -> 
     )
 
 
-def bench_batch(
-    mode: WireMode,
+MODES = (WireMode.BASELINE, WireMode.REVERSO)
+
+
+def bench_modes(
     n_packets: int,
-    datagram_size: int = MAX_DATAGRAM,
+    modes: tuple[WireMode, ...] = MODES,
     repetitions: int = 1000,
     scenario: str | None = None,
     seed: int = 0,
-) -> BatchResult:
-    """Time the receive loop over a pre-built batch of datagrams."""
-    if datagram_size != MAX_DATAGRAM:
-        raise ValueError(f"datagram size is fixed at {MAX_DATAGRAM}")
-    prep = _PreparedBatch(mode, n_packets, seed)
-    cal = prep.calibrate()
-    times = []
-    for _ in range(repetitions):
-        conn, appbuf = prep.fresh_receiver()
-        prep.restore()
-        times.append(prep.run_once(conn, appbuf))
-    return _finish(prep, scenario or f"batch-{n_packets}", times, cal)
-
-
-def bench_pair(
-    n_packets: int,
-    repetitions: int = 1000,
-    scenario: str | None = None,
-    seed: int = 0,
-) -> tuple[BatchResult, BatchResult]:
-    """Benchmark both modes with interleaved repetitions.
+) -> tuple[BatchResult, ...]:
+    """Time the receive loop over a pre-built batch of datagrams, once
+    per mode, with interleaved repetitions.
 
     Alternating single repetitions keeps slow drifts of a busy machine
-    from loading one mode's samples more than the other's.
+    from loading one mode's samples more than another's.
     """
     scen = scenario or f"batch-{n_packets}"
-    preps = [
-        _PreparedBatch(WireMode.BASELINE, n_packets, seed),
-        _PreparedBatch(WireMode.REVERSO, n_packets, seed),
-    ]
+    preps = [_PreparedBatch(mode, n_packets, seed) for mode in modes]
     cals = [p.calibrate() for p in preps]
-    times: list[list[int]] = [[], []]
+    times: list[list[int]] = [[] for _ in preps]
     for _ in range(repetitions):
         for i, prep in enumerate(preps):
             conn, appbuf = prep.fresh_receiver()
             prep.restore()
             times[i].append(prep.run_once(conn, appbuf))
-    return (
-        _finish(preps[0], scen, times[0], cals[0]),
-        _finish(preps[1], scen, times[1], cals[1]),
-    )
+    return tuple(_finish(p, scen, t, c) for p, t, c in zip(preps, times, cals))
 
 
 SWEEP_LENGTHS = (1350, 13500, 67500, 135000, 212950)
 
 
-def sweep_buffered_lengths(
-    mode: WireMode,
+def sweep_modes(
     lengths: tuple[int, ...] = SWEEP_LENGTHS,
+    modes: tuple[WireMode, ...] = MODES,
     repetitions: int = 300,
     seed: int = 0,
-) -> list[BatchResult]:
-    """Per-length receive timing; lengths are floored to whole packets."""
-    out = []
-    for length in lengths:
-        n_packets = max(1, length // MAX_DATAGRAM)
-        out.append(
-            bench_batch(
-                mode,
-                n_packets,
-                repetitions=repetitions,
-                scenario=f"sweep-{length}",
-                seed=seed,
-            )
-        )
-    return out
-
-
-def sweep_pair(
-    lengths: tuple[int, ...] = SWEEP_LENGTHS,
-    repetitions: int = 300,
-    seed: int = 0,
-) -> list[tuple[BatchResult, BatchResult]]:
+) -> list[tuple[BatchResult, ...]]:
+    """bench_modes per buffered length; lengths are floored to whole
+    packets."""
     return [
-        bench_pair(
+        bench_modes(
             max(1, length // MAX_DATAGRAM),
+            modes,
             repetitions=repetitions,
             scenario=f"sweep-{length}",
             seed=seed,

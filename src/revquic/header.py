@@ -105,49 +105,14 @@ def encode_header(mode: WireMode, h: ShortHeader, reference_pn: int = 0, referen
     return bytes(out)
 
 
-def _apply_mask(mode: WireMode, packet, ks: crypto.KeySchedule) -> None:
-    if len(packet) < SAMPLE_OFFSET + SAMPLE_LEN:
-        raise PacketTooShortForSampling(
-            f"packet of {len(packet)} bytes cannot reach the sample window"
-        )
-    mask = crypto.hp_mask(ks, bytes(packet[SAMPLE_OFFSET : SAMPLE_OFFSET + SAMPLE_LEN]))
-    if mode is WireMode.REVERSO:
-        packet[0] ^= mask[0] & _REVERSO_FLAG_MASK
-    else:
-        packet[0] ^= mask[0] & _BASELINE_FLAG_MASK
-    # field lengths are protected inside flags, so masking walks the
-    # fields in order, reading each length after unmasking it
-    flags = packet[0]
-    pn_len = (flags & 0x03) + 1
-    pos = PN_OFFSET
-    m = 1
-    for i in range(pn_len):
-        packet[pos + i] ^= mask[m + i]
-    pos += pn_len
-    m += pn_len
-    if mode is WireMode.REVERSO:
-        sid_len = ((flags >> 3) & 0x03) + 1
-        for i in range(sid_len):
-            packet[pos + i] ^= mask[m + i]
-        wire_sid = int.from_bytes(packet[pos : pos + sid_len], "big")
-        off_len = (wire_sid & 0x03) + 1
-        pos += sid_len
-        m += sid_len
-        for i in range(off_len):
-            packet[pos + i] ^= mask[m + i]
-
-
 def protect_header(mode: WireMode, packet, ks: crypto.KeySchedule) -> None:
     """Mask the protected header fields in place (sender side).
 
     The packet must already hold header plus sealed payload: the mask is
     sampled from the ciphertext. XOR makes this its own inverse, but the
-    receive side must use unprotect_and_decode, which reads lengths in
-    unmasked order.
+    receive side must use unprotect, which reads lengths in unmasked
+    order.
     """
-    # On an unprotected header the flags byte is readable before masking,
-    # but _apply_mask reads lengths after the XOR, which only works in
-    # the unprotect direction. Masking from cleartext walks fields first.
     if len(packet) < SAMPLE_OFFSET + SAMPLE_LEN:
         raise PacketTooShortForSampling(
             f"packet of {len(packet)} bytes cannot reach the sample window"
@@ -174,6 +139,104 @@ def protect_header(mode: WireMode, packet, ks: crypto.KeySchedule) -> None:
         packet[0] ^= mask[0] & _REVERSO_FLAG_MASK
     else:
         packet[0] ^= mask[0] & _BASELINE_FLAG_MASK
+
+
+# field-window masks by encoded length in bytes
+_WMASK = (0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF)
+_MAX62 = 1 << 62
+
+
+def _hdr_geometry(reverso: bool):
+    """Field arithmetic for each value of the protected flag bits.
+
+    Binding the per-length shifts and masks to one tuple load keeps the
+    receive path free of recomputing them packet by packet.
+    """
+    rows = []
+    for fl in range(32):
+        pn_len = (fl & 0x03) + 1
+        sid_len = ((fl >> 3) & 0x03) + 1
+        lead = pn_len + sid_len
+        win = 1 << (pn_len << 3)
+        if reverso:
+            sh_sid = (12 - lead) << 3  # shift placing the wire stream id at bit 0
+            # keyed by the offset-length bits of the wire stream id:
+            # header length, length of the fields after the dcid, shift
+            # placing the offset at bit 0, offset mask, shift placing the
+            # pn at bit 0
+            by_off = tuple(
+                (PN_OFFSET + lead + n, lead + n, sh_sid - (n << 3), _WMASK[n], (sid_len + n) << 3)
+                for n in (1, 2, 3, 4)
+            )
+            rows.append((sh_sid, _WMASK[sid_len], win, win >> 1, ~(win - 1), by_off))
+        else:
+            rows.append((pn_len, PN_OFFSET + pn_len, 1 + pn_len, win, win >> 1, ~(win - 1)))
+    return tuple(rows)
+
+
+_RV_HDR = _hdr_geometry(True)
+_BL_HDR = _hdr_geometry(False)
+
+
+def unprotect(packet, ks: crypto.KeySchedule, largest_pn: int, reverso: bool):
+    """Remove protection in place and decode what the receiver routes on.
+
+    Returns (header_length, packet_number, stream_id, truncated_offset,
+    offset_mask); baseline headers carry no stream fields and report
+    zeros for them. The packet number is expanded against largest_pn;
+    the offset stays truncated, because its reference is the stream's
+    contiguous offset, which only the caller can look up: it continues
+    that stream exactly when contiguous & offset_mask == truncated_offset.
+    Nothing here is authenticated yet: every field is attacker-controlled
+    until the AEAD open over the unprotected header succeeds.
+    """
+    if len(packet) < SAMPLE_OFFSET + SAMPLE_LEN:
+        raise PacketTooShortForSampling(
+            f"packet of {len(packet)} bytes cannot reach the sample window"
+        )
+    mask = ks._hp.update(packet[SAMPLE_OFFSET : SAMPLE_OFFSET + SAMPLE_LEN])
+    if reverso:
+        flags = packet[0] ^ (mask[0] & _REVERSO_FLAG_MASK)
+        if flags & 0x80 or not flags & _FIXED_BIT:
+            raise MalformedHeader(f"bad form/fixed bits in flags 0x{flags:02x}")
+        sh_sid, wm_sid, win, hwin, pnmask, by_off = _RV_HDR[flags & 0x1F]
+        # unmask the maximal field window in one pass; the header fields
+        # are its top bytes, the rest is ciphertext short of the sample
+        # and stays untouched
+        w = int.from_bytes(packet[PN_OFFSET:SAMPLE_OFFSET], "big") ^ int.from_bytes(
+            mask[1:13], "big"
+        )
+        wire_sid = (w >> sh_sid) & wm_sid
+        hdr_len, fields_len, sh_off, off_mask, sh_pn = by_off[wire_sid & 0x03]
+        fields = w >> sh_off  # pn, wire stream id, truncated offset
+        pn_t = fields >> sh_pn
+        sid = wire_sid >> 2
+        off_t = fields & off_mask
+    else:
+        flags = packet[0] ^ (mask[0] & _BASELINE_FLAG_MASK)
+        if flags & 0x80 or not flags & _FIXED_BIT:
+            raise MalformedHeader(f"bad form/fixed bits in flags 0x{flags:02x}")
+        if (flags >> 3) & 0x03:
+            raise MalformedHeader("reserved sid_length bits set in baseline mode")
+        fields_len, hdr_len, mask_end, win, hwin, pnmask = _BL_HDR[flags & 0x03]
+        fields = pn_t = int.from_bytes(packet[PN_OFFSET:hdr_len], "big") ^ int.from_bytes(
+            mask[1:mask_end], "big"
+        )
+        sid = off_t = off_mask = 0
+    # the unprotected header is the AEAD's associated data
+    packet[0] = flags
+    packet[PN_OFFSET:hdr_len] = fields.to_bytes(fields_len, "big")
+    # the candidate congruent to the truncated bytes nearest one past
+    # the largest seen (crypto.expand_int on integers)
+    expected = largest_pn + 1
+    pn = (expected & pnmask) | pn_t
+    if pn <= expected - hwin and pn < _MAX62 - win:
+        pn += win
+    elif pn > expected + hwin and pn >= win:
+        pn -= win
+    if pn >= _MAX62:
+        pn -= win
+    return hdr_len, pn, sid, off_t, off_mask
 
 
 def unprotect_and_decode(
@@ -183,43 +246,26 @@ def unprotect_and_decode(
     reference_pn: int,
     reference_offset_lookup: Callable[[int], int],
 ) -> tuple[ShortHeader, int]:
-    """Remove protection in place and decode the header.
+    """Remove protection in place and decode the whole header.
 
-    Returns (header, header_length). Nothing here is authenticated yet:
-    the caller must treat every field as attacker-controlled until the
-    AEAD open over the full unprotected header succeeds.
+    Returns (header, header_length); the offset is expanded against
+    reference_offset_lookup(stream_id). Like unprotect, nothing here is
+    authenticated yet.
     """
-    if len(packet) < SAMPLE_OFFSET + SAMPLE_LEN:
-        raise PacketTooShortForSampling(
-            f"packet of {len(packet)} bytes cannot reach the sample window"
-        )
-    _apply_mask(mode, packet, ks)
+    reverso = mode is WireMode.REVERSO
+    hdr_len, pn, sid, off_t, off_mask = unprotect(packet, ks, reference_pn, reverso)
     flags = packet[0]
-    if flags & 0x80 or not flags & _FIXED_BIT:
-        raise MalformedHeader(f"bad form/fixed bits in flags 0x{flags:02x}")
-    pn_len = (flags & 0x03) + 1
-    pos = PN_OFFSET
-    pn = crypto.expand_int(bytes(packet[pos : pos + pn_len]), reference_pn)
-    pos += pn_len
     h = ShortHeader(
         packet_number=pn,
         dcid=bytes(packet[1:PN_OFFSET]),
         key_phase=(flags >> 2) & 1,
-        pn_length=pn_len,
+        pn_length=(flags & 0x03) + 1,
     )
-    if mode is WireMode.REVERSO:
-        sid_len = ((flags >> 3) & 0x03) + 1
-        wire_sid = int.from_bytes(packet[pos : pos + sid_len], "big")
-        pos += sid_len
-        off_len = (wire_sid & 0x03) + 1
-        h.stream_id = wire_sid >> 2
+    if reverso:
+        off_len = off_mask.bit_length() >> 3
+        h.stream_id = sid
         h.off_length = off_len
         h.offset = crypto.expand_int(
-            bytes(packet[pos : pos + off_len]),
-            reference_offset_lookup(h.stream_id),
+            off_t.to_bytes(off_len, "big"), reference_offset_lookup(sid)
         )
-        pos += off_len
-    else:
-        if (flags >> 3) & 0x03:
-            raise MalformedHeader("reserved sid_length bits set in baseline mode")
-    return h, pos
+    return h, hdr_len

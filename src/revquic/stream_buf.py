@@ -1,52 +1,26 @@
-"""Application-owned contiguous receive buffers and destination planning.
+"""Application-owned contiguous receive buffers.
 
 The receive path's goal is that in-order stream data is written exactly
 once: the AEAD open targets the stream's contiguous tail directly, and
 the footer bytes that follow the data are treated as scratch to be
 overwritten by the next packet. Everything here exists to make that
-safe: planning happens before authentication, so a plan may only target
-bytes past the committed region; commitment happens after.
+safe: before authentication the receiver may only write past the
+committed region; commitment happens after.
 
-Buffer recycling: the map keeps one spare buffer that is bound to a new
-stream id before decryption and unbound again if authentication fails,
-so a flood of forged first-packets costs zero allocations after the
-first spare exists.
+Buffer recycling: the map keeps one spare buffer. The receiver opens a
+new stream's first packet into it and binds it to the stream id only
+once the packet authenticates, so a flood of forged first-packets costs
+zero allocations after the first spare exists.
 """
 
 from __future__ import annotations
 
-import enum
 from bisect import bisect_right
-from dataclasses import dataclass
 
-from .crypto import TAG_LEN
-from .errors import (
-    ConsumeOutOfRange,
-    FinalSizeError,
-    ProtocolViolation,
-)
-from .header import MAX_STREAM_ID
+from .errors import ConsumeOutOfRange, FinalSizeError
 
 DEFAULT_CAPACITY = 1 << 20
 STASH_CAP = 16 << 20  # per stream; beyond this fragments are dropped
-
-
-class PlanKind(enum.Enum):
-    ZERO_COPY = "zero_copy"
-    IN_PLACE_SUSPICIOUS = "in_place_suspicious"
-    IN_PLACE_OUT_OF_ORDER = "in_place_out_of_order"
-    CONTROL_ONLY = "control_only"
-
-
-@dataclass(frozen=True)
-class Plan:
-    kind: PlanKind
-    dest_position: int = 0  # storage index, ZERO_COPY only
-
-
-_PLAN_CONTROL = Plan(PlanKind.CONTROL_ONLY)
-_PLAN_SUSPICIOUS = Plan(PlanKind.IN_PLACE_SUSPICIOUS)
-_PLAN_OUT_OF_ORDER = Plan(PlanKind.IN_PLACE_OUT_OF_ORDER)
 
 
 class StreamRecvBuffer:
@@ -69,6 +43,7 @@ class StreamRecvBuffer:
         self.scratch_end = 0  # storage index past the last decrypt footprint
         self.fin_offset: int | None = None
         self.stash = OooStash()
+        self.grows = 0  # storage reallocations, summed by AppRecvBufMap
 
     @property
     def capacity(self) -> int:
@@ -89,6 +64,7 @@ class StreamRecvBuffer:
         fresh[:live] = self.storage[:live]
         self.storage = fresh
         self.storage_view = memoryview(fresh)
+        self.grows += 1
         return 1
 
     def set_fin(self, final_offset: int) -> None:
@@ -102,26 +78,27 @@ class StreamRecvBuffer:
             )
         self.fin_offset = final_offset
 
-    def commit_zero_copy(self, data_len: int, fin: bool, decrypted_len: int) -> int:
-        """Advance past data decrypted at the contiguous tail.
+    def commit_zero_copy(self, end: int, fin: bool, scratch_end: int) -> int:
+        """Advance the watermark to stream offset end over data decrypted
+        at the contiguous tail.
 
         The data was written by the AEAD open itself; no copy happens
-        for it. decrypted_len is the full plaintext footprint starting
-        at the tail (data, footer, any trailing frames), all of which
-        becomes scratch past the new watermark. Returns bytes copied by
-        draining newly contiguous stash entries.
+        for it. scratch_end is the storage index past the full plaintext
+        footprint (data, footer, any trailing frames), all of which
+        becomes scratch past the new watermark. The caller has both
+        values at hand, which keeps this per-packet call short. Returns
+        bytes copied by draining newly contiguous stash entries.
         """
-        dest = self.contiguous_offset - self.base_offset
         if fin:
-            self.set_fin(self.contiguous_offset + data_len)
-        elif self.fin_offset is not None and self.contiguous_offset + data_len > self.fin_offset:
+            self.set_fin(end)
+        elif self.fin_offset is not None and end > self.fin_offset:
             raise FinalSizeError("data past final size")
-        self.contiguous_offset += data_len
-        if self.scratch_end < dest + decrypted_len:
-            self.scratch_end = dest + decrypted_len
-        if not self.stash._offsets:
-            return 0
-        return self._drain_stash()
+        self.contiguous_offset = end
+        if self.scratch_end < scratch_end:
+            self.scratch_end = scratch_end
+        if self.stash._offsets:
+            return self._drain_stash()
+        return 0
 
     def append_in_order(self, data, fin: bool) -> int:
         """Copy data to the contiguous tail (reassembly path).
@@ -134,7 +111,8 @@ class StreamRecvBuffer:
         elif self.fin_offset is not None and self.contiguous_offset + n > self.fin_offset:
             raise FinalSizeError("data past final size")
         dest = self.contiguous_offset - self.base_offset
-        self.ensure_room(dest + n)
+        if dest + n > len(self.storage):
+            self.ensure_room(dest + n)
         self.storage[dest : dest + n] = data
         self.contiguous_offset += n
         if self.scratch_end < dest + n:
@@ -284,67 +262,40 @@ class OooStash:
 class AppRecvBufMap:
     """Per-stream receive buffers plus the recycling spare.
 
-    The spare exists before any packet is examined and is rebound or
-    rolled back around each decryption of a fresh stream's first packet,
-    keeping the allocation count flat under forged-packet floods.
+    The spare exists before any packet is examined; the receiver opens a
+    fresh stream's first packet into it and binds it only after the tag
+    verifies, keeping the allocation count flat under forged-packet
+    floods.
     """
 
     def __init__(self, default_capacity: int = DEFAULT_CAPACITY) -> None:
         self.default_capacity = default_capacity
         self.buffers: dict[int, StreamRecvBuffer] = {}
         self.spare: StreamRecvBuffer | None = StreamRecvBuffer(default_capacity)
-        self.allocations = 1
-        self._pending_fresh: int | None = None
+        self._created = 1
+
+    @property
+    def allocations(self) -> int:
+        """Buffers created plus every storage growth among them.
+
+        Growth is counted where it happens, in ensure_room, so every
+        receive lane of both modes reports it alike.
+        """
+        held = list(self.buffers.values())
+        if self.spare is not None:
+            held.append(self.spare)
+        return self._created + sum(b.grows for b in held)
 
     def _materialize_spare(self) -> StreamRecvBuffer:
         spare = self.spare
         if spare is None:
             spare = self.spare = StreamRecvBuffer(self.default_capacity)
-            self.allocations += 1
+            self._created += 1
         return spare
 
-    def decryption_plan(self, stream_id: int, header_offset: int, ciphertext_len: int) -> Plan:
-        """Choose the AEAD destination before authentication.
-
-        Only the contiguous tail may be targeted directly; any other
-        offset decrypts where the ciphertext sits and is sorted out
-        after the tag verifies.
-        """
-        if stream_id > MAX_STREAM_ID:
-            raise ProtocolViolation(f"stream id {stream_id} out of range")
-        if stream_id == 0:
-            return _PLAN_CONTROL
-        buf = self.buffers.get(stream_id)
-        if buf is None:
-            buf = self._materialize_spare()
-            self.buffers[stream_id] = buf
-            self._pending_fresh = stream_id
-        if header_offset == buf.contiguous_offset:
-            dest = buf.contiguous_offset - buf.base_offset
-            self.allocations += buf.ensure_room(dest + max(ciphertext_len - TAG_LEN, 0))
-            return Plan(PlanKind.ZERO_COPY, dest_position=dest)
-        if header_offset < buf.contiguous_offset:
-            return _PLAN_SUSPICIOUS
-        return _PLAN_OUT_OF_ORDER
-
-    def take_or_recycle(self, stream_id: int, success: bool) -> None:
-        """Confirm or roll back the spare binding made by the last plan.
-
-        Failure keeps the very same spare for the next packet, so a
-        flood of forged first-packets allocates nothing; success
-        promotes it, and the next fresh stream materializes a new one.
-        """
-        if self._pending_fresh != stream_id:
-            return
-        self._pending_fresh = None
-        if success:
-            self.spare = None
-        else:
-            del self.buffers[stream_id]
-
     def adopt(self, stream_id: int) -> StreamRecvBuffer:
-        """Buffer for a stream first seen after authentication (a parsed
-        frame rather than a header), consuming the spare if one exists."""
+        """Buffer for a stream, binding the spare (or a fresh one) on
+        first sight; callers bind only authenticated stream ids."""
         buf = self.buffers.get(stream_id)
         if buf is None:
             buf = self._materialize_spare()

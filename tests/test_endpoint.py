@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from revquic import crypto, header, wire
-from revquic.endpoint import MAX_DATAGRAM, SEND_WINDOW, Connection, Role, connect
+from revquic.endpoint import MAX_DATAGRAM, SEND_WINDOW, Connection, Role
 from revquic.errors import (
     BufferTooSmall,
     MalformedFrame,
@@ -28,7 +28,7 @@ C2S = crypto.derive_keys(SECRET, "c2s")
 
 
 def pair(mode):
-    return connect(mode, Role.CLIENT, SECRET), connect(mode, Role.SERVER, SECRET)
+    return Connection(mode, Role.CLIENT, SECRET), Connection(mode, Role.SERVER, SECRET)
 
 
 def pump(a, b, abuf, bbuf, rounds=200):
@@ -54,7 +54,7 @@ def drain(conn, appbuf) -> dict[int, bytes]:
     return got
 
 
-def craft(mode, keys, pn, frames, hdr_sid=0, hdr_off=0, pn_len=1):
+def craft(mode, keys, pn, frames, hdr_sid=0, hdr_off=0, pn_len=1, off_len=None):
     """Seal an arbitrary frame list under full header protection."""
     scratch = bytearray(2 * MAX_DATAGRAM)
     if mode is WireMode.REVERSO:
@@ -67,7 +67,9 @@ def craft(mode, keys, pn, frames, hdr_sid=0, hdr_off=0, pn_len=1):
         while pt_len < header.MIN_PLAINTEXT:
             frames = [PaddingFrame()] + frames
             pt_len = wire.serialize_forward(frames, scratch)
-    h = ShortHeader(packet_number=pn, pn_length=pn_len, stream_id=hdr_sid, offset=hdr_off)
+    h = ShortHeader(
+        packet_number=pn, pn_length=pn_len, stream_id=hdr_sid, offset=hdr_off, off_length=off_len
+    )
     hb = header.encode_header(mode, h)
     out = bytearray(len(hb) + pt_len + crypto.TAG_LEN)
     out[: len(hb)] = hb
@@ -131,6 +133,22 @@ class TestSending:
         assert client.metrics().packets_control_only == 1
         assert not client.unacked
         assert client.send_done()
+
+    def test_acks_past_range_cap_stay_pending(self):
+        _, server = pair(WireMode.REVERSO)
+        pending = set(range(0, 80, 2))  # 40 disjoint packet numbers
+        server.ack_pending = set(pending)
+        acked = set()
+        for expect in (wire.MAX_ACK_RANGES, 40 - wire.MAX_ACK_RANGES):
+            ack = server._build_ack()
+            assert len(ack.ranges) == expect
+            top = ack.largest_acked
+            for gap, length in ack.ranges:
+                top -= gap
+                acked.update(range(top - length + 1, top + 1))
+                top -= length
+        assert acked == pending
+        assert server._build_ack() is None
 
     def test_send_window_caps_inflight(self):
         client, _ = pair(WireMode.BASELINE)
@@ -203,6 +221,18 @@ class TestTransfer:
         assert m.packets_out_of_order == 0
         view, fin = server.stream_recv(1, sbuf)
         assert (len(view), fin) == (size, True)
+
+    def test_storage_growth_counted_alike(self):
+        allocations = {}
+        for mode in WireMode:
+            client, server = pair(mode)
+            sbuf = AppRecvBufMap(default_capacity=1024)
+            client.stream_send(1, b"g" * 20_000, fin=True)
+            pump(client, server, AppRecvBufMap(), sbuf)
+            assert sbuf.get(1).capacity == 32 * 1024
+            allocations[mode] = sbuf.allocations
+        # one buffer, grown five times from 1 KiB to 32 KiB
+        assert allocations[WireMode.BASELINE] == allocations[WireMode.REVERSO] == 6
 
     def test_baseline_copy_floor(self):
         client, server = pair(WireMode.BASELINE)
@@ -379,15 +409,16 @@ class TestAdversarial:
         assert zlib.crc32(bytes(server.stream_recv(1, sbuf)[0])) == committed
         assert server.metrics().decrypt_failures == 1
 
-    @pytest.mark.parametrize("lane", ["fast", "slow", "first_contact", "slow_first_contact"])
+    @pytest.mark.parametrize(
+        "lane", ["fast", "first_contact", "off_tail", "off_tail_first_contact"]
+    )
     def test_failed_open_never_writes_below_watermark(self, lane):
         """decrypt_into leaves unauthenticated bytes in its destination
-        when the tag fails, so every zero-copy lane must aim it past the
-        contiguous watermark and bind nothing until the tag verifies.
-
-        recv never routes a tail-continuing packet to the slow path (the
-        fast path's truncation match is exact), so the slow lanes are
-        driven through _recv_reverso_slow on an unprotected header."""
+        when the tag fails. The tail lanes (stream 1 continuing, stream 2
+        opened at offset 0) must aim it past the contiguous watermark and
+        bind nothing until the tag verifies; the off-tail lanes (stream 1
+        past a gap, stream 2 first seen past offset 0) open in place in
+        the datagram and touch no storage at all."""
         client, server = pair(WireMode.REVERSO)
         appbuf = AppRecvBufMap()
         out = bytearray(MAX_DATAGRAM)
@@ -397,40 +428,46 @@ class TestAdversarial:
             server.recv(bytearray(out[:n]), appbuf)
         sbuf = appbuf.get(1)
         watermark = sbuf.contiguous_offset
-        committed = bytes(sbuf.storage[: watermark - sbuf.base_offset])
+        storage = bytes(sbuf.storage)
+        committed = storage[: watermark - sbuf.base_offset]
         spare = appbuf.spare
         allocations = appbuf.allocations
         target = 2 if lane.endswith("first_contact") else 1
         if target == 2:
-            client.send_streams[1].queue.clear()  # next packet opens stream 2
-            client.stream_send(2, b"y" * 1000)
+            client.send_streams[1].queue.clear()  # next packets open stream 2
+            client.stream_send(2, b"y" * 3000)
+        off_tail = lane.startswith("off_tail")
+        if off_tail:
+            client.build_packet(out)  # lost: the next one lands past a gap
         n = client.build_packet(out)
         assert n is not None
         gram = bytearray(out[:n])
         gram[-1] ^= 0x01  # corrupt the tag, leaving the header sample alone
-        if lane.startswith("slow"):
-            hdr, hdr_len = header.unprotect_and_decode(
-                WireMode.REVERSO, gram, server.recv_keys, server.largest_received_pn,
-                lambda sid: appbuf.get(sid).contiguous_offset if appbuf.get(sid) else 0,
-            )
-            assert hdr.stream_id == target
-            assert hdr.offset == (watermark if target == 1 else 0)
-            server._recv_reverso_slow(
-                memoryview(gram), n, appbuf, hdr.packet_number, hdr.stream_id,
-                hdr_len - hdr.off_length, hdr_len,
-            )
-        else:
-            server.recv(gram, appbuf)
+        hdr, _ = header.unprotect_and_decode(
+            WireMode.REVERSO, bytearray(gram), server.recv_keys, server.largest_received_pn,
+            lambda sid: appbuf.get(sid).contiguous_offset if appbuf.get(sid) else 0,
+        )
+        assert hdr.stream_id == target
+        assert (hdr.offset == (watermark if target == 1 else 0)) is not off_tail
+        pristine = bytes(gram)
+        server.recv(gram, appbuf)
         assert server.metrics().decrypt_failures == 1
         assert sbuf.contiguous_offset == watermark
         assert bytes(sbuf.storage[: watermark - sbuf.base_offset]) == committed
         assert set(appbuf.buffers) == {1}
-        if target == 1:
+        if off_tail:
+            assert bytes(sbuf.storage) == storage
             assert appbuf.spare is spare and appbuf.allocations == allocations
         else:
-            # the spare staged for stream 2 stays unbound, for reuse
-            assert spare is None and appbuf.spare is not None
-            assert appbuf.allocations == allocations + 1
+            # opened into storage, not over the ciphertext
+            tail = header.SAMPLE_OFFSET  # past the longest header
+            assert bytes(gram[tail:]) == pristine[tail:]
+            if target == 1:
+                assert appbuf.spare is spare and appbuf.allocations == allocations
+            else:
+                # the spare staged for stream 2 stays unbound, for reuse
+                assert spare is None and appbuf.spare is not None
+                assert appbuf.allocations == allocations + 1
 
     def test_mutation_storm_keeps_committed_region(self):
         rng = random.Random(77)
@@ -456,10 +493,15 @@ class TestAdversarial:
 
     def test_footer_stream_id_mismatch(self):
         _, server = pair(WireMode.REVERSO)
+        appbuf = AppRecvBufMap()
+        spare = appbuf.spare
         frame = StreamFrame(stream_id=2, offset=0, data=b"x" * 40, explicit_len=False)
         gram = craft(WireMode.REVERSO, C2S, 0, [frame], hdr_sid=1, hdr_off=0)
         with pytest.raises(ProtocolViolation):
-            server.recv(gram, AppRecvBufMap())
+            server.recv(gram, appbuf)
+        # authenticated but inconsistent: the first contact binds nothing
+        assert not appbuf.buffers
+        assert appbuf.spare is spare
 
     def test_footer_offset_mismatch(self):
         client, server = pair(WireMode.REVERSO)
@@ -502,7 +544,7 @@ class TestLaneConsistency:
         chunks = [rng.randbytes(rng.randint(1, 600)) for _ in range(50)]
         results = []
         for trailing in ([], [PingFrame()], [wire.MaxStreamDataFrame(1, 1 << 20)]):
-            server = connect(WireMode.REVERSO, Role.SERVER, SECRET)
+            server = Connection(WireMode.REVERSO, Role.SERVER, SECRET)
             sbuf = AppRecvBufMap()
             offset = 0
             for pn, chunk in enumerate(chunks):

@@ -10,10 +10,9 @@ from revquic.harness import (
     _Pipe,
     _PreparedBatch,
     _bootstrap_median_ci,
-    bench_batch,
-    bench_pair,
+    bench_modes,
     run_transfer,
-    sweep_buffered_lengths,
+    sweep_modes,
 )
 from revquic.mode import WireMode
 
@@ -165,7 +164,7 @@ class TestBench:
             assert conn.readable() == []
 
     def test_batch_result_shape(self):
-        res = bench_batch(WireMode.REVERSO, 2, repetitions=6, scenario="smoke")
+        (res,) = bench_modes(2, (WireMode.REVERSO,), repetitions=6, scenario="smoke")
         assert res.mode == "reverso"
         assert res.scenario == "smoke"
         assert res.reps == 6 and len(res.times_ns) == 6
@@ -176,15 +175,11 @@ class TestBench:
         assert 0 <= res.calibration_ns < res.median_ns
 
     def test_baseline_batch_counts_copies(self):
-        res = bench_batch(WireMode.BASELINE, 2, repetitions=4)
+        (res,) = bench_modes(2, (WireMode.BASELINE,), repetitions=4)
         assert res.copied_bytes > 0 and res.zero_copy_bytes == 0
 
-    def test_datagram_size_is_fixed(self):
-        with pytest.raises(ValueError):
-            bench_batch(WireMode.REVERSO, 2, datagram_size=1200, repetitions=2)
-
     def test_bench_pair_interleaves_modes(self):
-        base, rev = bench_pair(2, repetitions=3, scenario="pairsmoke")
+        base, rev = bench_modes(2, repetitions=3, scenario="pairsmoke")
         assert (base.mode, rev.mode) == ("baseline", "reverso")
         assert base.scenario == rev.scenario == "pairsmoke"
         # header geometry differs slightly between modes; sizes stay close
@@ -192,7 +187,9 @@ class TestBench:
         assert len(base.times_ns) == len(rev.times_ns) == 3
 
     def test_sweep_lengths_floor_to_packets(self):
-        results = sweep_buffered_lengths(WireMode.REVERSO, lengths=(1350, 13500), repetitions=2)
+        results = [
+            r for (r,) in sweep_modes((1350, 13500), (WireMode.REVERSO,), repetitions=2)
+        ]
         assert [r.scenario for r in results] == ["sweep-1350", "sweep-13500"]
         assert results[1].bytes_per_rep == 10 * results[0].bytes_per_rep
 

@@ -1,18 +1,24 @@
-"""Receive-buffer planning, commits, stashing, and recycling."""
+"""Receive buffers: commits, stashing, recycling, and the receive-side
+destination choice that feeds them."""
 
 import random
 import zlib
 
 import pytest
 
+from revquic import header
+from revquic.endpoint import Connection, Role
 from revquic.errors import ConsumeOutOfRange, FinalSizeError, ProtocolViolation
+from revquic.mode import WireMode
 from revquic.stream_buf import (
     AppRecvBufMap,
     OooStash,
-    PlanKind,
     StreamRecvBuffer,
     STASH_CAP,
 )
+from revquic.wire import PingFrame, StreamFrame
+
+from test_endpoint import C2S, SECRET, craft
 
 
 def pour(buf: StreamRecvBuffer, data: bytes, fin: bool = False) -> int:
@@ -22,50 +28,110 @@ def pour(buf: StreamRecvBuffer, data: bytes, fin: bool = False) -> int:
     buf.ensure_room(dest + len(data) + 8)
     buf.storage[dest : dest + len(data)] = data
     buf.storage[dest + len(data) : dest + len(data) + 8] = b"\xee" * 8
-    return buf.commit_zero_copy(len(data), fin, len(data) + 8)
+    return buf.commit_zero_copy(buf.contiguous_offset + len(data), fin, dest + len(data) + 8)
+
+
+class Receiver:
+    """A server connection and its buffers, fed with crafted packets."""
+
+    def __init__(self, mode=WireMode.REVERSO, **appbuf) -> None:
+        self.conn = Connection(mode, Role.SERVER, SECRET)
+        self.appbuf = AppRecvBufMap(**appbuf)
+        self.mode = mode
+        self.pn = 0
+
+    def packet(self, sid, offset, data, trailing=()):
+        frame = StreamFrame(stream_id=sid, offset=offset, data=data, explicit_len=False)
+        if self.mode is WireMode.REVERSO:
+            frames = [frame, *trailing]
+        else:
+            frames = [*trailing, frame]
+        self.pn += 1
+        # a full-width offset expands right against any contiguous offset
+        return craft(self.mode, C2S, self.pn, frames, hdr_sid=sid, hdr_off=offset, off_len=4)
+
+    def recv(self, gram):
+        self.conn.recv(gram, self.appbuf)
+        return self.conn.metrics()
+
+    def send(self, sid, offset, data):
+        return self.recv(self.packet(sid, offset, data))
+
+    def forge(self, sid, offset=0):
+        """A packet whose tag fails; returns the metrics and whether its
+        ciphertext stayed untouched (that is, whether the open aimed at
+        stream storage rather than at the datagram)."""
+        gram = self.packet(sid, offset, b"f" * 100)
+        gram[-1] ^= 0x01
+        pristine = bytes(gram)
+        m = self.recv(gram)
+        tail = header.SAMPLE_OFFSET  # past the longest header
+        return m, bytes(gram[tail:]) == pristine[tail:]
 
 
 class TestDecryptionPlan:
+    """The header alone chooses where the AEAD opens: the contiguous
+    tail of the stream it names, or in place in the datagram."""
+
     def test_tail_offset_is_zero_copy(self):
-        m = AppRecvBufMap()
-        m.adopt(4).append_in_order(b"x" * 100, False)
-        plan = m.decryption_plan(4, 100, 500)
-        assert plan.kind is PlanKind.ZERO_COPY
-        assert plan.dest_position == 100
+        r = Receiver()
+        r.send(4, 0, b"x" * 100)
+        m = r.send(4, 100, b"y" * 500)
+        assert (m.payload_bytes_zero_copy, m.payload_bytes_copied) == (600, 0)
+        assert bytes(r.appbuf.get(4).storage[100:600]) == b"y" * 500
 
     def test_future_offset_is_out_of_order(self):
-        m = AppRecvBufMap()
-        m.adopt(4).append_in_order(b"x" * 1300, False)
-        assert m.decryption_plan(4, 2400, 500).kind is PlanKind.IN_PLACE_OUT_OF_ORDER
+        r = Receiver()
+        r.send(4, 0, b"x" * 1300)
+        m = r.send(4, 2400, b"z" * 500)
+        assert m.packets_out_of_order == 1
+        assert m.payload_bytes_stashed == 500
+        assert r.appbuf.get(4).contiguous_offset == 1300
 
     def test_past_offset_is_suspicious(self):
-        m = AppRecvBufMap()
-        m.adopt(4).append_in_order(b"x" * 1300, False)
-        assert m.decryption_plan(4, 0, 500).kind is PlanKind.IN_PLACE_SUSPICIOUS
+        r = Receiver()
+        r.send(4, 0, b"x" * 1300)
+        committed = bytes(r.appbuf.get(4).storage[:1300])
+        m = r.send(4, 0, b"w" * 500)
+        assert m.packets_spurious == 1
+        assert bytes(r.appbuf.get(4).storage[:1300]) == committed
 
     def test_stream_zero_is_control_only(self):
-        m = AppRecvBufMap()
-        assert m.decryption_plan(0, 0, 500).kind is PlanKind.CONTROL_ONLY
-        assert not m.buffers
+        r = Receiver()
+        spare = r.appbuf.spare
+        r.pn += 1
+        m = r.recv(craft(WireMode.REVERSO, C2S, r.pn, [PingFrame()], hdr_sid=0))
+        assert m.packets_control_only == 1
+        assert not r.appbuf.buffers
+        assert r.appbuf.spare is spare
 
     def test_stream_id_out_of_range(self):
-        m = AppRecvBufMap()
-        with pytest.raises(ProtocolViolation):
-            m.decryption_plan(1 << 30, 0, 500)
+        for mode in WireMode:
+            r = Receiver(mode)
+            if mode is WireMode.REVERSO:
+                # the header cannot name it; a carried frame can
+                extra = StreamFrame(stream_id=1 << 30, offset=0, data=b"o", explicit_len=True)
+                gram = r.packet(1, 0, b"x" * 40, trailing=[extra])
+            else:
+                gram = r.packet(1 << 30, 0, b"x" * 40)
+            with pytest.raises(ProtocolViolation):
+                r.recv(gram)
+            assert (1 << 30) not in r.appbuf.buffers
 
     def test_zero_copy_plan_grows_storage(self):
-        m = AppRecvBufMap(default_capacity=1024)
-        before = m.allocations
-        plan = m.decryption_plan(4, 0, 5000)
-        assert plan.kind is PlanKind.ZERO_COPY
-        assert m.allocations == before + 1
-        assert m.buffers[4].capacity >= 5000 - 16
+        r = Receiver(default_capacity=1024)
+        before = r.appbuf.allocations
+        m = r.send(4, 0, b"g" * 1300)
+        assert m.payload_bytes_zero_copy == 1300
+        assert r.appbuf.allocations == before + 1
+        assert r.appbuf.get(4).capacity >= 1300
 
     def test_fresh_stream_binds_spare(self):
-        m = AppRecvBufMap()
-        spare = m.spare
-        m.decryption_plan(9, 0, 100)
-        assert m.buffers[9] is spare
+        r = Receiver()
+        spare = r.appbuf.spare
+        r.send(9, 0, b"x" * 100)
+        assert r.appbuf.get(9) is spare
+        assert r.appbuf.spare is None
 
 
 class TestCommitZeroCopy:
@@ -87,17 +153,15 @@ class TestCommitZeroCopy:
         assert bytes(view[1300:1800]) == b"s" * 500
 
     def test_next_data_overwrites_previous_footer(self):
-        m = AppRecvBufMap()
-        plan1 = m.decryption_plan(4, 0, 116)
-        buf = m.buffers[4]
-        m.take_or_recycle(4, True)
-        pour(buf, b"a" * 100)
-        footer_pos = plan1.dest_position + 100
-        assert buf.storage[footer_pos] == 0xEE  # scratch footer in place
-        plan2 = m.decryption_plan(4, 100, 216)
-        assert plan2.dest_position == footer_pos
-        pour(buf, b"b" * 200)
-        assert buf.storage[footer_pos] == ord("b")
+        r = Receiver()
+        r.send(4, 0, b"a" * 100)
+        buf = r.appbuf.get(4)
+        # scratch footer past the watermark: offset 0, stream id 4, type
+        assert bytes(buf.storage[100:103]) == bytes([0x00, 4 << 2, 0x0C])
+        assert (buf.contiguous_offset, buf.scratch_end) == (100, 103)
+        r.send(4, 100, b"b" * 200)
+        assert buf.storage[100] == ord("b")
+        assert bytes(buf.storage[:300]) == b"a" * 100 + b"b" * 200
 
     def test_commit_past_fin_rejected(self):
         buf = StreamRecvBuffer()
@@ -261,45 +325,44 @@ class TestSpanAndConsume:
 
 class TestRecycling:
     def test_failure_rolls_back(self):
-        m = AppRecvBufMap()
-        spare = m.spare
-        m.decryption_plan(7, 0, 100)
-        m.take_or_recycle(7, False)
-        assert m.get(7) is None
-        assert m.spare is spare
+        r = Receiver()
+        spare = r.appbuf.spare
+        m, into_storage = r.forge(7)
+        assert into_storage and m.decrypt_failures == 1
+        assert r.appbuf.get(7) is None
+        assert r.appbuf.spare is spare
 
     def test_success_promotes_and_replenishes(self):
-        m = AppRecvBufMap()
-        spare = m.spare
-        m.decryption_plan(7, 0, 100)
-        m.take_or_recycle(7, True)
-        assert m.get(7) is spare
-        assert m.spare is None
-        before = m.allocations
-        m.decryption_plan(9, 0, 100)  # next fresh stream materializes one
-        assert m.allocations == before + 1
+        r = Receiver()
+        spare = r.appbuf.spare
+        r.send(7, 0, b"x" * 100)
+        assert r.appbuf.get(7) is spare
+        assert r.appbuf.spare is None
+        before = r.appbuf.allocations
+        r.send(9, 0, b"x" * 100)  # next fresh stream materializes one
+        assert r.appbuf.allocations == before + 1
 
     def test_known_stream_is_not_pending(self):
-        m = AppRecvBufMap()
-        m.decryption_plan(7, 0, 100)
-        m.take_or_recycle(7, True)
-        m.decryption_plan(7, 0, 100)
-        m.take_or_recycle(7, False)  # failure on a known stream: no unbind
-        assert m.get(7) is not None
+        r = Receiver()
+        r.send(7, 0, b"x" * 100)
+        buf = r.appbuf.get(7)
+        m, into_storage = r.forge(7, 100)  # failure on a known stream: no unbind
+        assert into_storage and m.decrypt_failures == 1
+        assert r.appbuf.get(7) is buf
+        assert bytes(buf.readable_span()[0]) == b"x" * 100
 
     def test_forged_flood_allocates_nothing(self):
-        m = AppRecvBufMap()
-        m.decryption_plan(1, 0, 100)
-        m.take_or_recycle(1, False)
-        baseline = m.allocations
-        spare = m.spare
+        r = Receiver()
+        r.forge(1)
+        baseline = r.appbuf.allocations
+        spare = r.appbuf.spare
         for sid in range(2, 102):
-            plan = m.decryption_plan(sid, 0, 100)
-            assert plan.kind is PlanKind.ZERO_COPY
-            m.take_or_recycle(sid, False)
-        assert m.allocations == baseline
-        assert m.spare is spare
-        assert not m.buffers
+            _, into_storage = r.forge(sid)
+            assert into_storage  # each opened into the staged spare
+        assert r.conn.metrics().decrypt_failures == 101
+        assert r.appbuf.allocations == baseline
+        assert r.appbuf.spare is spare
+        assert not r.appbuf.buffers
 
     def test_adopt_uses_spare_once(self):
         m = AppRecvBufMap()
