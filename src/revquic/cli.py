@@ -197,6 +197,10 @@ def _transfer_send(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
     sock.connect(_parse_hostport(args.peer))
     sock.settimeout(_RECV_TIMEOUT)
     out = bytearray(MAX_DATAGRAM)
+    # datagrams go out of a view of out and come into one reused buffer,
+    # so the socket calls copy nothing
+    outv = memoryview(out)
+    inv = memoryview(bytearray(2048))
     start = time.monotonic()
     try:
         while not (conn.send_done() or conn.closed):
@@ -204,10 +208,9 @@ def _transfer_send(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
                 print("error: transfer did not complete before the deadline", file=sys.stderr)
                 return 1
             while (n := conn.build_packet(out)) is not None:
-                sock.send(out[:n])
+                sock.send(outv[:n])
             try:
-                pkt = sock.recv(2048)
-                conn.recv(bytearray(pkt), appbuf)
+                conn.recv(inv[: sock.recv_into(inv)], appbuf)
             except (TimeoutError, ConnectionRefusedError):
                 conn.on_timeout(time.monotonic())
             except TransportError:
@@ -215,7 +218,7 @@ def _transfer_send(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
         # courtesy close, fire and forget
         conn.queue_close(0, b"done")
         if (n := conn.build_packet(out)) is not None:
-            sock.send(out[:n])
+            sock.send(outv[:n])
     finally:
         sock.close()
     wall = time.monotonic() - start
@@ -232,6 +235,7 @@ def _transfer_recv(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
     sock.bind(_parse_hostport(args.listen))
     sock.settimeout(_RECV_TIMEOUT)
     out = bytearray(MAX_DATAGRAM)
+    outv = memoryview(out)
     hasher = hashlib.sha256()
     carry = b""  # last 32 bytes seen so far: checksum candidate
     total = 0
@@ -243,7 +247,7 @@ def _transfer_recv(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
         if peer is None:
             return
         while (n := conn.build_packet(out)) is not None:
-            sock.sendto(out[:n], peer)
+            sock.sendto(outv[:n], peer)
 
     try:
         with open(args.out, "wb") as f:
@@ -252,6 +256,8 @@ def _transfer_recv(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
                     print("error: transfer did not complete before the deadline", file=sys.stderr)
                     return 1
                 try:
+                    # recvfrom, not recvfrom_into: perfbench's traced socket
+                    # times recvfrom; its bytes are immutable, so recv gets a copy
                     pkt, addr = sock.recvfrom(2048)
                     peer = addr
                     if start is None:

@@ -134,23 +134,21 @@ def truncate_int(full: int, reference: int) -> bytes:
     """
     if full < 0:
         raise TruncationRangeError("value must be non-negative")
-    span = full - reference
-    if span < 1:
-        span = 1
-    for n in (1, 2, 3, 4):
-        if span < (1 << (8 * n - 1)):
-            return (full & ((1 << (8 * n)) - 1)).to_bytes(n, "big")
-    raise TruncationRangeError(f"{full} is more than 2**31 ahead of {reference}")
+    return encode_truncated(full, truncated_len(full, reference))
 
 
 def truncated_len(full: int, reference: int) -> int:
     """Length truncate_int would emit, for header budget planning."""
+    # unrolled: the sender sizes two fields of every packet with this
     span = full - reference
-    if span < 1:
-        span = 1
-    for n in (1, 2, 3, 4):
-        if span < (1 << (8 * n - 1)):
-            return n
+    if span < 0x80:
+        return 1
+    if span < 0x8000:
+        return 2
+    if span < 0x800000:
+        return 3
+    if span < 0x80000000:
+        return 4
     raise TruncationRangeError(f"{full} is more than 2**31 ahead of {reference}")
 
 

@@ -86,6 +86,7 @@ class _SendStream:
     next_offset: int = 0  # stream offset of queue[0]
     fin_queued: bool = False
     fin_sent: bool = False
+    frame_cost: int = 0  # fragment budget spent on the stream id, fixed per stream
 
 
 @dataclass
@@ -139,7 +140,12 @@ class Connection:
             raise StreamIdOverflow(f"stream id {stream_id} outside [1, 2^30)")
         ss = self.send_streams.get(stream_id)
         if ss is None:
-            ss = _SendStream(stream_id)
+            # the type byte, the stream id's varint and, in reverso, the
+            # wire stream id and the offset reserve in the header
+            cost = 1 + wire.forward_length(stream_id)
+            if self.mode is WireMode.REVERSO:
+                cost += _OFF_RESERVE + header.wire_sid_length(stream_id)
+            ss = _SendStream(stream_id, frame_cost=cost)
             self.send_streams[stream_id] = ss
             self._rr.append(stream_id)
         if ss.fin_queued:
@@ -158,38 +164,21 @@ class Connection:
         retransmission of it can never overflow a datagram."""
         if len(self.unacked) >= SEND_WINDOW:
             return None
+        room = MAX_DATAGRAM - (1 + header.DCID_LEN + _PN_RESERVE) - TAG_LEN - overhead
         for _ in range(len(self._rr)):
             sid = self._rr[0]
             self._rr.rotate(-1)
             ss = self.send_streams[sid]
             if not ss.queue and not (ss.fin_queued and not ss.fin_sent):
                 continue
-            budget = (
-                MAX_DATAGRAM
-                - (1 + header.DCID_LEN + _PN_RESERVE)
-                - crypto.TAG_LEN
-                - overhead
-            )
-            if self.mode is WireMode.REVERSO:
-                budget -= (
-                    _OFF_RESERVE
-                    + header.wire_sid_length(sid)
-                    + 1  # frame type byte
-                    + wire.reversed_length(ss.next_offset)
-                    + wire.reversed_length(sid)
-                )
-            else:
-                budget -= (
-                    1
-                    + wire.forward_length(sid)
-                    + wire.forward_length(ss.next_offset)
-                )
+            # the offset's varint is the one part that grows
+            budget = room - ss.frame_cost - wire.forward_length(ss.next_offset)
             if budget <= 0:
                 continue
+            # an empty queue here has a fin to send: a zero-length fragment
             n = min(len(ss.queue), budget)
-            if n == 0 and not (ss.fin_queued and not ss.fin_sent):
-                continue
-            data = bytes(ss.queue[:n])
+            with memoryview(ss.queue) as queued:
+                data = bytes(queued[:n])
             del ss.queue[:n]
             fin = ss.fin_queued and not ss.queue
             offset = ss.next_offset
@@ -222,103 +211,88 @@ class Connection:
         return wire.AckFrame(largest_acked=largest, ack_delay=0, ranges=ranges)
 
     def build_packet(self, out, now: float | None = None) -> int | None:
-        """Assemble, seal and protect one datagram into out.
+        """Assemble, seal and protect one datagram into out in one pass.
 
         Returns the datagram length, or None when there is nothing to
         send. At most one stream frame per packet; pending acks and a
-        queued close ride along.
+        queued close ride along. No frame or header objects are built
+        for the stream data: header.pack_header writes the header as one
+        integer, wire.stream_fields gives the stream frame's fields and
+        the data is copied once, straight from the fragment into out;
+        only control frames go through wire.serialize_*. The plaintext
+        is sealed in place with encrypt_into and header.protect masks
+        the header as one integer window.
+
+        Reverso plaintext: stream data, its footer, control frames,
+        padding. Baseline: control frames, padding, then the stream
+        frame, which owns the remainder.
         """
         if len(out) < MAX_DATAGRAM:
             raise BufferTooSmall(f"need {MAX_DATAGRAM}, got {len(out)}")
         if now is None:
             now = time.monotonic()
+        reverso = self.mode is WireMode.REVERSO
 
-        ack = close = None
+        ctrl: list[wire.Frame] = []
         if self._retransmit:
             # a retransmitted fragment was budgeted without companions;
             # acks and close wait for the next packet so it always fits
             frag = self._retransmit.popleft()
+            ctrl_len = 0
         else:
             ack = self._build_ack()
+            if ack is not None:
+                ctrl.append(ack)
             if self._close_queued is not None:
                 code, reason = self._close_queued
-                close = wire.ConnectionCloseFrame(error_code=code, reason=reason)
+                ctrl.append(wire.ConnectionCloseFrame(error_code=code, reason=reason))
                 self._close_queued = None
-            overhead = 0
-            if ack is not None:
-                overhead += wire.frame_wire_size(ack, self.mode)
-            if close is not None:
-                overhead += wire.frame_wire_size(close, self.mode)
-            frag = self._next_fragment(overhead)
-        if frag is None and ack is None and close is None:
-            return None
-
-        frames: list[wire.Frame] = []
-        stream_frame = None
-        if frag is not None:
-            stream_frame = wire.StreamFrame(
-                stream_id=frag.stream_id,
-                offset=frag.offset,
-                data=frag.data,
-                fin=frag.fin,
-                explicit_len=False,
-            )
-        if self.mode is WireMode.REVERSO:
-            if stream_frame is not None:
-                frames.append(stream_frame)
-            if ack is not None:
-                frames.append(ack)
-            if close is not None:
-                frames.append(close)
-        else:
-            if ack is not None:
-                frames.append(ack)
-            if close is not None:
-                frames.append(close)
-        pt_len = sum(wire.frame_wire_size(f, self.mode) for f in frames)
-        if self.mode is not WireMode.REVERSO and stream_frame is not None:
-            pt_len += wire.frame_wire_size(stream_frame, self.mode)
-        if pt_len < header.MIN_PLAINTEXT:
-            pad = header.MIN_PLAINTEXT - pt_len
-            frames.extend(wire.PaddingFrame() for _ in range(pad))
-            pt_len += pad
-        if self.mode is not WireMode.REVERSO and stream_frame is not None:
-            frames.append(stream_frame)  # owns the remainder, so last
+            ctrl_len = sum(wire.frame_wire_size(f, self.mode) for f in ctrl) if ctrl else 0
+            frag = self._next_fragment(ctrl_len)
+            if frag is None and not ctrl:
+                return None
 
         pn = self.next_pn
-        self.next_pn += 1
-        hdr = header.ShortHeader(packet_number=pn)
-        hdr.pn_length = crypto.truncated_len(
-            max(pn - self.largest_peer_acked, 0) + 1, 0
-        )
-        if self.mode is WireMode.REVERSO:
-            if frag is not None:
-                ss = self.send_streams.get(frag.stream_id)
-                ahead = (ss.next_offset - frag.offset) if ss else len(frag.data)
-                hdr.stream_id = frag.stream_id
-                hdr.offset = frag.offset
-                hdr.off_length = crypto.truncated_len(
-                    max(frag.offset, ahead) + 1, 0
-                )
-            else:
-                hdr.stream_id = 0
-                hdr.offset = 0
-                hdr.off_length = 1
-        hdr_bytes = header.encode_header(self.mode, hdr)
-        hdr_len = len(hdr_bytes)
+        self.next_pn = pn + 1
+        pn_len = crypto.truncated_len(max(pn - self.largest_peer_acked, 0) + 1, 0)
+        if frag is not None:
+            sid, offset, data = frag.stream_id, frag.offset, frag.data
+            fields = wire.stream_fields(sid, offset, len(data), frag.fin, False, reverso)
+            stream_len = len(fields) + len(data)
+            ahead = self.send_streams[sid].next_offset - offset
+            off_len = crypto.truncated_len(max(offset, ahead) + 1, 0)
+        else:
+            sid = offset = stream_len = 0
+            off_len = 1
+        hdr = header.pack_header(reverso, pn, pn_len, sid, offset, off_len)
+        hdr_len = len(hdr)
+        pad = header.MIN_PLAINTEXT - ctrl_len - stream_len
+        end = hdr_len + ctrl_len + stream_len + max(pad, 0)
+        total = end + TAG_LEN
+        assert total <= MAX_DATAGRAM
 
         view = memoryview(out)
-        view[:hdr_len] = hdr_bytes
-        pt = view[hdr_len : hdr_len + pt_len]
-        if self.mode is WireMode.REVERSO:
-            n = wire.serialize_reversed(frames, pt)
-        else:
-            n = wire.serialize_forward(frames, pt)
-        assert n == pt_len
-        ct_len = crypto.seal(self.send_keys, pn, view[:hdr_len], pt, view[hdr_len:])
-        total = hdr_len + ct_len
-        assert total <= MAX_DATAGRAM
-        header.protect_header(self.mode, view[:total], self.send_keys)
+        view[:hdr_len] = hdr
+        pos = hdr_len
+        if reverso and frag is not None:
+            pos += len(data)
+            view[hdr_len:pos] = data
+            view[pos : pos + len(fields)] = fields
+            pos += len(fields)
+        if ctrl:
+            serialize = wire.serialize_reversed if reverso else wire.serialize_forward
+            pos += serialize(ctrl, view[pos:end])
+        if pad > 0:
+            view[pos : pos + pad] = bytes(pad)
+            pos += pad
+        if not reverso and frag is not None:
+            view[pos : pos + len(fields)] = fields
+            view[pos + len(fields) : end] = data
+        ks = self.send_keys
+        ks._aead.encrypt_into(
+            (ks._iv_int ^ pn).to_bytes(12, "big"), view[hdr_len:end], hdr, view[hdr_len:total]
+        )
+        header.protect(view[:total], ks, hdr_len, reverso)
 
         if frag is not None:
             self.unacked[pn] = (now, [frag])

@@ -95,9 +95,11 @@ class _Pipe:
         self.rng = rng
         self.seq = 0
         self._tie = 0
-        self._heap: list[tuple[int, int, bytes]] = []
+        self._heap: list[tuple[int, int, bytearray]] = []
 
-    def send(self, datagram: bytes) -> None:
+    def send(self, datagram: bytearray) -> None:
+        """Take ownership of datagram; a duplicate gets its own copy,
+        because the receiver overwrites each datagram in place."""
         self.seq += 1
         if self.rng.random() < self.cfg.loss_prob:
             return
@@ -106,13 +108,13 @@ class _Pipe:
             due += self.rng.randint(1, self.cfg.reorder_depth)
         self._push(due, datagram)
         if self.rng.random() < self.cfg.duplicate_prob:
-            self._push(due + self.rng.randint(1, self.cfg.reorder_depth), datagram)
+            self._push(due + self.rng.randint(1, self.cfg.reorder_depth), bytearray(datagram))
 
-    def _push(self, due: int, datagram: bytes) -> None:
+    def _push(self, due: int, datagram: bytearray) -> None:
         self._tie += 1
         heappush(self._heap, (due, self._tie, datagram))
 
-    def ready(self, flush: bool = False) -> list[bytes]:
+    def ready(self, flush: bool = False) -> list[bytearray]:
         """Datagrams whose release point has passed; flush releases all
         held datagrams (used when the sender goes idle so nothing
         strands in the pipe)."""
@@ -176,18 +178,19 @@ def run_transfer(
         sender.on_timeout(t)
         receiver.on_timeout(t)
         active = False
+        # one copy per datagram handed over: the slice of out
         while (n := sender.build_packet(out, now=t)) is not None:
-            data_pipe.send(bytes(out[:n]))
+            data_pipe.send(out[:n])
             active = True
         sender_idle = not active
         for dgram in data_pipe.ready(flush=sender_idle):
-            receiver.recv(bytearray(dgram), appbuf)
+            receiver.recv(dgram, appbuf)
             active = True
         while (n := receiver.build_packet(out, now=t)) is not None:
-            ack_pipe.send(bytes(out[:n]))
+            ack_pipe.send(out[:n])
             active = True
         for dgram in ack_pipe.ready(flush=True):
-            sender.recv(bytearray(dgram), sender_appbuf)
+            sender.recv(dgram, sender_appbuf)
             active = True
         for sid in receiver.readable():
             view, _fin = receiver.stream_recv(sid, appbuf)

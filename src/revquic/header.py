@@ -21,6 +21,13 @@ ciphertext sample. The sample starts at pn_offset + 12, past the largest
 possible protected region (4+4+4), so both modes share one code path and
 the mask never covers its own sample. Builders must pad plaintexts so
 ciphertexts reach the sample window.
+
+Both directions treat the fields after the dcid as one big-endian integer
+and XOR it with the mask bytes as another: protect on the sender, which
+knows the header length, and unprotect on the receiver, which unmasks
+the maximal window because it learns the lengths only from the unmasked
+flags. pack_header writes the unprotected header the same way, as one
+integer through int.to_bytes.
 """
 
 from __future__ import annotations
@@ -43,6 +50,9 @@ MAX_STREAM_ID = (1 << 30) - 1
 _FIXED_BIT = 0x40
 _BASELINE_FLAG_MASK = 0x1F
 _REVERSO_FLAG_MASK = 0x7F
+# field-window masks by encoded length in bytes
+_WMASK = (0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF)
+_MAX62 = 1 << 62
 
 
 @dataclass
@@ -65,10 +75,7 @@ def wire_sid_length(stream_id: int) -> int:
     """Bytes needed for (stream_id << 2) | tag, always minimal."""
     if stream_id < 0 or stream_id > MAX_STREAM_ID:
         raise StreamIdOverflow(f"stream id {stream_id} outside [0, 2**30)")
-    for n in (1, 2, 3, 4):
-        if stream_id < 1 << (8 * n - 2):
-            return n
-    raise StreamIdOverflow(f"stream id {stream_id} outside [0, 2**30)")
+    return 1 if stream_id < 1 << 6 else 2 if stream_id < 1 << 14 else 3 if stream_id < 1 << 22 else 4
 
 
 def header_length(mode: WireMode, h: ShortHeader, reference_pn: int = 0, reference_offset: int = 0) -> int:
@@ -91,59 +98,64 @@ def encode_header(mode: WireMode, h: ShortHeader, reference_pn: int = 0, referen
     if len(h.dcid) != DCID_LEN:
         raise MalformedHeader(f"dcid must be {DCID_LEN} bytes")
     pn_len = h.pn_length or crypto.truncated_len(h.packet_number, reference_pn)
-    out = bytearray(1)
-    out += h.dcid
-    out += crypto.encode_truncated(h.packet_number, pn_len)
-    flags = _FIXED_BIT | ((h.key_phase & 1) << 2) | (pn_len - 1)
-    if mode is WireMode.REVERSO:
-        sid_len = wire_sid_length(h.stream_id)
-        off_len = h.off_length or crypto.truncated_len(h.offset, reference_offset)
+    reverso = mode is WireMode.REVERSO
+    off_len = (h.off_length or crypto.truncated_len(h.offset, reference_offset)) if reverso else 1
+    return pack_header(
+        reverso, h.packet_number, pn_len, h.stream_id, h.offset, off_len,
+        int.from_bytes(h.dcid, "big"), h.key_phase,
+    )
+
+
+def pack_header(
+    reverso: bool, pn: int, pn_len: int, stream_id: int = 0, offset: int = 0,
+    off_len: int = 1, dcid: int = 0, key_phase: int = 0,
+) -> bytes:
+    """The unprotected header, built as one integer: flags, dcid, the
+    packet number's low pn_len bytes and, in reverso, the wire stream id
+    and the offset's low off_len bytes."""
+    flags = _FIXED_BIT | (key_phase & 1) << 2 | (pn_len - 1)
+    if reverso:
+        sid_len = wire_sid_length(stream_id)
         flags |= (sid_len - 1) << 3
-        out += ((h.stream_id << 2) | (off_len - 1)).to_bytes(sid_len, "big")
-        out += crypto.encode_truncated(h.offset, off_len)
-    out[0] = flags
-    return bytes(out)
+        tail_len = sid_len + off_len
+        tail = (stream_id << 2 | (off_len - 1)) << (off_len << 3) | (offset & _WMASK[off_len])
+    else:
+        tail_len = tail = 0
+    v = ((flags << (DCID_LEN << 3) | dcid) << (pn_len << 3) | (pn & _WMASK[pn_len])) << (tail_len << 3) | tail
+    return v.to_bytes(PN_OFFSET + pn_len + tail_len, "big")
 
 
-def protect_header(mode: WireMode, packet, ks: crypto.KeySchedule) -> None:
-    """Mask the protected header fields in place (sender side).
+def protect(packet, ks: crypto.KeySchedule, hdr_len: int, reverso: bool) -> None:
+    """Mask the header of a sealed packet in place (sender side).
 
-    The packet must already hold header plus sealed payload: the mask is
-    sampled from the ciphertext. XOR makes this its own inverse, but the
-    receive side must use unprotect, which reads lengths in unmasked
-    order.
+    The fields after the dcid, hdr_len - PN_OFFSET bytes, are XORed with
+    the mask as one integer window; the flags' low bits take mask[0].
+    The mask is sampled from the ciphertext, so the packet must already
+    hold header plus sealed payload.
     """
     if len(packet) < SAMPLE_OFFSET + SAMPLE_LEN:
         raise PacketTooShortForSampling(
             f"packet of {len(packet)} bytes cannot reach the sample window"
         )
-    mask = crypto.hp_mask(ks, bytes(packet[SAMPLE_OFFSET : SAMPLE_OFFSET + SAMPLE_LEN]))
+    mask = ks._hp.update(packet[SAMPLE_OFFSET : SAMPLE_OFFSET + SAMPLE_LEN])
+    n = hdr_len - PN_OFFSET
+    w = int.from_bytes(packet[PN_OFFSET:hdr_len], "big") ^ int.from_bytes(mask[1 : n + 1], "big")
+    packet[PN_OFFSET:hdr_len] = w.to_bytes(n, "big")
+    packet[0] ^= mask[0] & (_REVERSO_FLAG_MASK if reverso else _BASELINE_FLAG_MASK)
+
+
+def protect_header(mode: WireMode, packet, ks: crypto.KeySchedule) -> None:
+    """protect for a packet whose header length is read from its own
+    unprotected fields. XOR makes this its own inverse, but the receive
+    side must use unprotect, which reads lengths in unmasked order.
+    """
     flags = packet[0]
-    pn_len = (flags & 0x03) + 1
-    pos = PN_OFFSET
-    m = 1
-    for i in range(pn_len):
-        packet[pos + i] ^= mask[m + i]
-    pos += pn_len
-    m += pn_len
-    if mode is WireMode.REVERSO:
+    hdr_len = PN_OFFSET + (flags & 0x03) + 1
+    reverso = mode is WireMode.REVERSO
+    if reverso and len(packet) >= SAMPLE_OFFSET:  # shorter: protect raises
         sid_len = ((flags >> 3) & 0x03) + 1
-        wire_sid = int.from_bytes(packet[pos : pos + sid_len], "big")
-        off_len = (wire_sid & 0x03) + 1
-        for i in range(sid_len):
-            packet[pos + i] ^= mask[m + i]
-        pos += sid_len
-        m += sid_len
-        for i in range(off_len):
-            packet[pos + i] ^= mask[m + i]
-        packet[0] ^= mask[0] & _REVERSO_FLAG_MASK
-    else:
-        packet[0] ^= mask[0] & _BASELINE_FLAG_MASK
-
-
-# field-window masks by encoded length in bytes
-_WMASK = (0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF)
-_MAX62 = 1 << 62
+        hdr_len += sid_len + (packet[hdr_len + sid_len - 1] & 0x03) + 1
+    protect(packet, ks, hdr_len, reverso)
 
 
 def _hdr_geometry(reverso: bool):

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 from .errors import (
     BufferTooSmall,
+    EncodingOverflow,
     FrameOrderViolation,
     MalformedFrame,
     TruncatedVarInt,
@@ -34,6 +35,8 @@ from .errors import (
 )
 from .mode import WireMode
 from .varint import (
+    _CLASS_LEN,
+    _length_class,
     decode_forward,
     decode_reversed_backward,
     encode_forward,
@@ -113,13 +116,28 @@ Frame = (
 )
 
 
-def _stream_type_byte(f: StreamFrame, explicit_len: bool) -> int:
-    t = TYPE_STREAM | STREAM_OFF  # offset always written, both layouts
-    if explicit_len:
-        t |= STREAM_LEN
-    if f.fin:
-        t |= STREAM_FIN
-    return t
+def stream_fields(
+    stream_id: int, offset: int, data_len: int, fin, explicit: bool, reverso: bool
+) -> bytes:
+    """A stream frame's bytes other than its data, the one stream-frame
+    encoder. Forward: type, stream id, offset, [length]; the data
+    follows. Reversed: [length], offset, stream id, type; the data
+    precedes them, so a LEN-absent frame's data starts the plaintext.
+    The offset is always written, in both layouts. The varints are
+    packed into one integer and written with a single to_bytes."""
+    t = TYPE_STREAM | STREAM_OFF | (STREAM_LEN if explicit else 0) | (STREAM_FIN if fin else 0)
+    acc, n = (0, 0) if reverso else (t, 1)
+    values = (stream_id, offset, data_len) if explicit else (stream_id, offset)
+    for v in reversed(values) if reverso else values:
+        if v < 0:
+            raise EncodingOverflow(f"{v} exceeds 62-bit varint range")
+        tag = _length_class(v)
+        k = _CLASS_LEN[tag]
+        acc = acc << (k << 3) | (v << 2 | tag if reverso else tag << ((k << 3) - 2) | v)
+        n += k
+    if reverso:
+        acc, n = acc << 8 | t, n + 1
+    return acc.to_bytes(n, "big")
 
 
 def _stream_size(f: StreamFrame, mode: WireMode, explicit: bool) -> int:
@@ -200,15 +218,10 @@ def serialize_forward(frames: list[Frame], out) -> int:
                 pos = _put(out, pos, encode_forward(gap))
                 pos = _put(out, pos, encode_forward(length))
         elif isinstance(f, StreamFrame):
-            explicit = explicit_flags[i]
-            out[pos] = _stream_type_byte(f, explicit)
-            pos += 1
-            pos = _put(out, pos, encode_forward(f.stream_id))
-            pos = _put(out, pos, encode_forward(f.offset))
-            if explicit:
-                pos = _put(out, pos, encode_forward(len(f.data)))
-            out[pos : pos + len(f.data)] = f.data
-            pos += len(f.data)
+            pos = _put(out, pos, stream_fields(
+                f.stream_id, f.offset, len(f.data), f.fin, explicit_flags[i], False
+            ))
+            pos = _put(out, pos, f.data)
         elif isinstance(f, MaxStreamDataFrame):
             pos = _put(out, pos, bytes([TYPE_MAX_STREAM_DATA]))
             pos = _put(out, pos, encode_forward(f.stream_id))
@@ -337,17 +350,10 @@ def serialize_reversed(frames: list[Frame], out) -> int:
     pos = 0
     for i, f in enumerate(frames):
         if isinstance(f, StreamFrame):
-            explicit = explicit_flags[i]
-            parts = []
-            if explicit:
-                parts.append(encode_reversed(len(f.data)))
-            parts.append(encode_reversed(f.offset))
-            parts.append(encode_reversed(f.stream_id))
-            parts.append(bytes([_stream_type_byte(f, explicit)]))
-            out[pos : pos + len(f.data)] = f.data
-            pos += len(f.data)
-            for p in parts:
-                pos = _put(out, pos, p)
+            pos = _put(out, pos, f.data)
+            pos = _put(out, pos, stream_fields(
+                f.stream_id, f.offset, len(f.data), f.fin, explicit_flags[i], True
+            ))
         elif isinstance(f, PaddingFrame):
             out[pos] = TYPE_PADDING
             pos += 1

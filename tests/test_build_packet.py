@@ -1,0 +1,233 @@
+"""Connection.build_packet: every packet shape it emits, in both modes.
+
+The golden file pins the exact datagram bytes (SHA-256 per datagram) of
+the scenarios below, so a rewrite of the builder must reproduce them bit
+for bit. To regenerate it from the current builder:
+
+    PYTHONPATH=src python tests/test_build_packet.py > tests/data/build_packet_golden.txt
+"""
+
+import hashlib
+import pathlib
+import random
+from contextlib import contextmanager
+
+import pytest
+
+from revquic import crypto, header, harness, wire
+from revquic.endpoint import MAX_DATAGRAM, Connection, Role
+from revquic.harness import PipeConfig
+from revquic.mode import WireMode
+
+GOLDEN = pathlib.Path(__file__).parent / "data" / "build_packet_golden.txt"
+SECRET = b"\x5a" * 32
+MODES = (WireMode.BASELINE, WireMode.REVERSO)
+
+
+@contextmanager
+def recording(sink: list):
+    """Append a copy of every datagram any Connection builds to sink."""
+    real = Connection.build_packet
+
+    def build_packet(conn, out, now=None):
+        n = real(conn, out, now)
+        if n is not None:
+            sink.append(bytes(out[:n]))
+        return n
+
+    Connection.build_packet = build_packet
+    try:
+        yield sink
+    finally:
+        Connection.build_packet = real
+
+
+# Each direct case: stream sends as (stream_id, first_offset, size, fin),
+# pending ack numbers, a queued close, the first packet number, and
+# whether the sent packets time out once and are retransmitted.
+CASES = {
+    "data-small": dict(sends=[(1, 0, 700, False)]),
+    "data-multi": dict(sends=[(1, 0, 3000, True)]),
+    "sid-2^6": dict(sends=[(1 << 6, 0, 3000, True)]),
+    "sid-2^14": dict(sends=[(1 << 14, 0, 3000, True)]),
+    "sid-2^22": dict(sends=[(1 << 22, 0, 3000, True)]),
+    "sid-max": dict(sends=[(header.MAX_STREAM_ID, 0, 100, True)]),
+    "off-2^7": dict(sends=[(1, (1 << 7) + 1, 100, False)]),
+    "off-2^14": dict(sends=[(1, (1 << 14) + 2, 2000, False)]),
+    "off-2^16": dict(sends=[(1, (1 << 16) + 3, 3000, True)]),
+    "off-2^24": dict(sends=[(3, (1 << 24) + 5, 3000, True)]),
+    "pad-1": dict(sends=[(1, 0, 1, False)]),
+    "pad-0-fin": dict(sends=[(1, 0, 0, True)]),
+    "pad-1-fin-off": dict(sends=[(2, 300, 1, True)]),
+    "pad-ack": dict(sends=[(1, 0, 2, False)], acks=[0]),
+    "ack-only": dict(acks=[3]),
+    "ack-ranges": dict(acks=[0, 1, 2, 5, 9, 10, 11, 40, 300, 301, 70000]),
+    "ack-cap": dict(acks=[2 * i for i in range(40)]),
+    "ack-data": dict(sends=[(5, 0, 2500, True)], acks=[1, 2, 4]),
+    "close-only": dict(close=(0, b"")),
+    "close-reason": dict(close=(0x1234, b"going away")),
+    "close-ack-data": dict(sends=[(1, 0, 1500, True)], acks=[7, 9], close=(70000, b"done")),
+    "streams": dict(sends=[(1, 0, 1400, True), (2, 0, 30, False), (1 << 14, 1 << 20, 2000, True)]),
+    "pn-2": dict(sends=[(1, 0, 500, False)], pn=200),
+    "pn-3": dict(sends=[(1, 0, 500, False)], pn=40000),
+    "pn-4": dict(sends=[(1, 0, 500, False)], pn=(1 << 23) + 7),
+    "retransmit": dict(sends=[(1, 0, 4000, True), (9, 70, 10, False)], acks=[0, 5], retransmit=True),
+}
+
+
+def payload(name: str, sid: int, size: int) -> bytes:
+    return random.Random(f"{name}/{sid}").randbytes(size)
+
+
+def run_case(mode: WireMode, name: str) -> tuple[Connection, list[bytes]]:
+    case = CASES[name]
+    conn = Connection(mode, Role.CLIENT, SECRET)
+    conn.next_pn = case.get("pn", 0)
+    for sid, first, size, fin in case.get("sends", []):
+        conn.stream_send(sid, payload(name, sid, size), fin=fin)
+        conn.send_streams[sid].next_offset = first
+    conn.ack_pending = set(case.get("acks", []))
+    if "close" in case:
+        conn.queue_close(*case["close"])
+    out = bytearray(MAX_DATAGRAM)
+    dgrams = []
+    while (n := conn.build_packet(out, now=0.0)) is not None:
+        dgrams.append(bytes(out[:n]))
+    if case.get("retransmit"):
+        conn.on_timeout(1.0)
+        conn.ack_pending = {50}
+        while (n := conn.build_packet(out, now=1.0)) is not None:
+            dgrams.append(bytes(out[:n]))
+    return conn, dgrams
+
+
+LOSSY = PipeConfig(reorder_prob=0.2, loss_prob=0.1, duplicate_prob=0.05)
+
+
+def scenarios():
+    """(mode, scenario, datagrams) for every recorded run, in file order."""
+    for mode in MODES:
+        runs = [("transfer-clean", 20_000, 1, PipeConfig())]
+        for seed in (1, 2, 3):
+            pipe = PipeConfig(seed, LOSSY.reorder_prob, LOSSY.reorder_depth,
+                              LOSSY.loss_prob, LOSSY.duplicate_prob)
+            runs.append((f"transfer-lossy-s{seed}", 24_000, 8, pipe))
+        for name, size, streams, pipe in runs:
+            with recording([]) as sink:
+                harness.run_transfer(mode, size, streams, pipe)
+            yield mode, name, sink
+        for name in CASES:
+            yield mode, name, run_case(mode, name)[1]
+
+
+def golden_lines():
+    for mode, name, dgrams in scenarios():
+        for i, d in enumerate(dgrams):
+            yield f"{mode.value} {name} {i} {len(d)} {hashlib.sha256(d).hexdigest()}"
+
+
+def test_golden_datagrams():
+    want = [ln for ln in GOLDEN.read_text().splitlines() if ln and not ln.startswith("#")]
+    got = list(golden_lines())
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g == w
+
+
+def _acked(frame: wire.AckFrame) -> set[int]:
+    pns, cursor = set(), frame.largest_acked
+    for gap, length in frame.ranges:
+        cursor -= gap
+        pns.update(range(cursor - length + 1, cursor + 1))
+        cursor -= length
+    return pns
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("name", list(CASES))
+def test_every_shape_opens(mode, name):
+    """Each datagram unprotects, opens and parses; together they carry
+    exactly the queued stream bytes, acks and close."""
+    case = CASES[name]
+    conn, dgrams = run_case(mode, name)
+    ks = crypto.derive_keys(SECRET, "c2s")
+    reverso = mode is WireMode.REVERSO
+    sends = {sid: (first, payload(name, sid, size), fin)
+             for sid, first, size, fin in case.get("sends", [])}
+    last_off = {sid: first for sid, (first, _, _) in sends.items()}
+    covered = {sid: set() for sid in sends}
+    fins, acked, closes = set(), set(), []
+    pn = case.get("pn", 0)
+    for d in dgrams:
+        assert header.SAMPLE_OFFSET + header.SAMPLE_LEN <= len(d) <= MAX_DATAGRAM
+        packet = bytearray(d)
+        hdr, hdr_len = header.unprotect_and_decode(
+            mode, packet, ks, pn - 1, lambda sid: last_off.get(sid, 0)
+        )
+        assert hdr.packet_number == pn
+        pn += 1
+        ct = memoryview(packet)[hdr_len:]
+        pt_len = crypto.open(ks, hdr.packet_number, packet[:hdr_len], ct, ct)
+        assert pt_len >= header.MIN_PLAINTEXT
+        pt = ct[:pt_len]
+        frames = wire.parse_reversed(pt) if reverso else wire.parse_forward(pt)
+        streams = [f for f in frames if isinstance(f, wire.StreamFrame)]
+        assert len(streams) <= 1
+        for f in frames:
+            if isinstance(f, wire.AckFrame):
+                acked |= _acked(f)
+            elif isinstance(f, wire.ConnectionCloseFrame):
+                closes.append((f.error_code, f.reason))
+            else:
+                assert isinstance(f, (wire.StreamFrame, wire.PaddingFrame))
+        if reverso:
+            anchor = (streams[0].stream_id, streams[0].offset) if streams else (0, 0)
+            assert (hdr.stream_id, hdr.offset) == anchor
+        for f in streams:
+            assert f.explicit_len is False
+            first, data, fin = sends[f.stream_id]
+            lo = f.offset - first
+            assert bytes(f.data) == data[lo : lo + len(f.data)]
+            covered[f.stream_id].update(range(lo, lo + len(f.data)))
+            last_off[f.stream_id] = f.offset
+            if f.fin:
+                assert lo + len(f.data) == len(data)
+                fins.add(f.stream_id)
+    for sid, (_, data, fin) in sends.items():
+        assert covered[sid] == set(range(len(data)))
+        assert (sid in fins) == fin
+    want_acks = set(case.get("acks", []))
+    if case.get("retransmit"):
+        want_acks.add(50)
+    assert acked == want_acks
+    assert closes == ([case["close"]] if "close" in case else [])
+    assert conn.next_pn == pn
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_packet_number_and_in_flight_record(mode):
+    """After build_packet returns, next_pn - 1 is the packet's number and
+    unacked maps it to the fragment it carried; an ack-only packet is
+    not in flight."""
+    conn = Connection(mode, Role.CLIENT, SECRET)
+    conn.stream_send(3, b"x" * 2000, fin=True)
+    out = bytearray(MAX_DATAGRAM)
+    offset = 0
+    while (n := conn.build_packet(out, now=2.0)) is not None:
+        sent, frags = conn.unacked[conn.next_pn - 1]
+        assert sent == 2.0 and len(frags) == 1
+        assert (frags[0].stream_id, frags[0].offset) == (3, offset)
+        offset += len(frags[0].data)
+    assert offset == 2000 and frags[0].fin
+    conn.ack_pending = {0}
+    assert conn.build_packet(out, now=3.0) is not None
+    assert conn.next_pn - 1 not in conn.unacked
+
+
+if __name__ == "__main__":
+    print("# SHA-256 of every datagram Connection.build_packet emits in the")
+    print("# scenarios of tests/test_build_packet.py. Regenerate with:")
+    print("#   PYTHONPATH=src python tests/test_build_packet.py > tests/data/build_packet_golden.txt")
+    print("# columns: mode scenario index length sha256")
+    for line in golden_lines():
+        print(line)

@@ -53,6 +53,15 @@ class TestPipe:
         pipe.send(b"a")
         assert pipe.ready(flush=True) == [b"a", b"a"]
 
+    def test_duplicate_is_a_private_copy(self):
+        # the receiver overwrites a datagram in place, which must not
+        # reach its duplicate
+        pipe = _Pipe(PipeConfig(duplicate_prob=1.0), random.Random(0))
+        pipe.send(bytearray(b"ab"))
+        first, second = pipe.ready(flush=True)
+        first[0] = 0
+        assert second == b"ab"
+
 
 class TestRunTransfer:
     def test_perfect_pipe_reverso(self):

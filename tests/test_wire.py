@@ -7,6 +7,7 @@ import pytest
 from revquic import wire
 from revquic.errors import (
     BufferTooSmall,
+    EncodingOverflow,
     FrameOrderViolation,
     MalformedFrame,
     UnknownFrameType,
@@ -51,6 +52,17 @@ class TestGoldenVectors:
         f = StreamFrame(stream_id=1, offset=0, data=b"AB", fin=False, explicit_len=False)
         n = wire.serialize_reversed([f], out)
         assert bytes(out[:n]) == bytes([0x41, 0x42, 0x00, 0x04, 0x0C])
+
+    def test_stream_fields_both_layouts(self):
+        # stream id 64 and offset 2**14 need two- and four-byte varints
+        fwd = wire.stream_fields(64, 1 << 14, 3, True, True, False)
+        assert fwd == bytes.fromhex("0f" "4040" "80004000" "03")
+        rev = wire.stream_fields(64, 1 << 14, 3, True, True, True)
+        assert rev == bytes.fromhex("0c" "00010002" "0101" "0f")
+        for bad in (-1, 1 << 62):
+            for reverso in (False, True):
+                with pytest.raises(EncodingOverflow):
+                    wire.stream_fields(1, bad, 0, False, False, reverso)
 
     def test_ping_identical_in_both_modes(self):
         out = bytearray(4)
