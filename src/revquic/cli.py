@@ -228,6 +228,18 @@ def _transfer_send(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
     return 0
 
 
+def _split_checksum(carry: bytes, view) -> tuple[tuple, bytes]:
+    """Split the bytes read so far, carry then view, into file data and
+    the last 32 bytes, which may be the checksum. Returns (data parts,
+    new carry); the data is view itself where it can be, so only the
+    carry, at most 32 bytes, is copied."""
+    n = len(view)
+    if n >= 32:
+        return (carry, view[: n - 32]), bytes(view[n - 32 :])
+    joined = carry + bytes(view)
+    return (joined[:-32],), joined[-32:]
+
+
 def _transfer_recv(mode: WireMode, secret: bytes, args, deadline: float = 120.0) -> int:
     conn = Connection(mode, Role.SERVER, secret)
     appbuf = AppRecvBufMap()
@@ -269,12 +281,12 @@ def _transfer_recv(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
                     pass
                 for sid in conn.readable():
                     view, fin = conn.stream_recv(sid, appbuf)
-                    blob = carry + bytes(view)
+                    body, carry = _split_checksum(carry, view)
+                    for part in body:
+                        f.write(part)
+                        hasher.update(part)
+                        total += len(part)
                     conn.stream_consumed(sid, len(view), appbuf)
-                    body, carry = blob[:-32], blob[-32:]
-                    f.write(body)
-                    hasher.update(body)
-                    total += len(body)
                     if fin:
                         fin_seen = True
                 flush_sends()

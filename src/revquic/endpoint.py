@@ -7,9 +7,10 @@ contiguous tail is opened straight into stream storage and committed
 there without a copy, anything else is opened in place in the datagram.
 A new stream's buffer is bound only once the tag verifies and the
 anchor frame's footer agrees with the header. Baseline mode opens in
-place in the datagram buffer, parses forward, and copies validated
+place in the datagram buffer, decodes forward, and copies validated
 stream data into storage; that reassembly copy is the cost the reversed
-layout removes.
+layout removes. In both modes the ack and padding that ride with the
+stream data are read where they lie, without frame objects.
 
 Reliability is deliberately minimal: fixed retransmission timeout, a
 fixed in-flight window, ack-every-data-packet. Fragment boundaries are
@@ -188,7 +189,9 @@ class Connection:
             return _Fragment(sid, offset, data, fin)
         return None
 
-    def _build_ack(self) -> wire.AckFrame | None:
+    def _build_ack(self) -> tuple[int, list[tuple[int, int]]] | None:
+        """The pending packet numbers as (largest, ranges) for
+        wire.ack_fields, or None when nothing awaits an ack."""
         if not self.ack_pending:
             return None
         pns = sorted(self.ack_pending, reverse=True)
@@ -208,7 +211,7 @@ class Connection:
             cursor = bottom - 1
         # numbers past the range cap stay pending for the next ack
         self.ack_pending = set(pns[i:])
-        return wire.AckFrame(largest_acked=largest, ack_delay=0, ranges=ranges)
+        return largest, ranges
 
     def build_packet(self, out, now: float | None = None) -> int | None:
         """Assemble, seal and protect one datagram into out in one pass.
@@ -216,12 +219,13 @@ class Connection:
         Returns the datagram length, or None when there is nothing to
         send. At most one stream frame per packet; pending acks and a
         queued close ride along. No frame or header objects are built
-        for the stream data: header.pack_header writes the header as one
-        integer, wire.stream_fields gives the stream frame's fields and
-        the data is copied once, straight from the fragment into out;
-        only control frames go through wire.serialize_*. The plaintext
-        is sealed in place with encrypt_into and header.protect masks
-        the header as one integer window.
+        for the stream data or the ack: header.pack_header writes the
+        header as one integer, wire.stream_fields and wire.ack_fields
+        give the frames' fields and the data is copied once, straight
+        from the fragment into out; only a close goes through
+        wire.serialize_*. The plaintext is sealed in place with
+        encrypt_into and header.protect masks the header as one integer
+        window.
 
         Reverso plaintext: stream data, its footer, control frames,
         padding. Baseline: control frames, padding, then the stream
@@ -233,23 +237,24 @@ class Connection:
             now = time.monotonic()
         reverso = self.mode is WireMode.REVERSO
 
-        ctrl: list[wire.Frame] = []
+        ack = close = None
+        ctrl_len = 0
         if self._retransmit:
             # a retransmitted fragment was budgeted without companions;
             # acks and close wait for the next packet so it always fits
             frag = self._retransmit.popleft()
-            ctrl_len = 0
         else:
-            ack = self._build_ack()
-            if ack is not None:
-                ctrl.append(ack)
+            pending = self._build_ack()
+            if pending is not None:
+                ack = wire.ack_fields(pending[0], 0, pending[1], reverso)
+                ctrl_len = len(ack)
             if self._close_queued is not None:
                 code, reason = self._close_queued
-                ctrl.append(wire.ConnectionCloseFrame(error_code=code, reason=reason))
+                close = wire.ConnectionCloseFrame(error_code=code, reason=reason)
+                ctrl_len += wire.frame_wire_size(close, self.mode)
                 self._close_queued = None
-            ctrl_len = sum(wire.frame_wire_size(f, self.mode) for f in ctrl) if ctrl else 0
             frag = self._next_fragment(ctrl_len)
-            if frag is None and not ctrl:
+            if frag is None and not ctrl_len:
                 return None
 
         pn = self.next_pn
@@ -279,9 +284,12 @@ class Connection:
             view[hdr_len:pos] = data
             view[pos : pos + len(fields)] = fields
             pos += len(fields)
-        if ctrl:
+        if ack is not None:
+            view[pos : pos + len(ack)] = ack
+            pos += len(ack)
+        if close is not None:
             serialize = wire.serialize_reversed if reverso else wire.serialize_forward
-            pos += serialize(ctrl, view[pos:end])
+            pos += serialize([close], view[pos:end])
         if pad > 0:
             view[pos : pos + pad] = bytes(pad)
             pos += pad
@@ -311,12 +319,14 @@ class Connection:
     #
     # One receive function per mode. Each unprotects the header with
     # header.unprotect, opens the AEAD with decrypt_into, and decodes the
-    # common shape, a single stream frame owning the plaintext, without
-    # building frame objects, because per-object interpreter cost
-    # dominates the per-packet budget; a fragment continuing its stream's
-    # contiguous tail is committed on the spot. A plaintext holding more
-    # than that frame goes through a wire parser and _process_plaintext,
-    # and every other fragment through _deliver.
+    # shapes build_packet emits, a stream frame owning the plaintext with
+    # at most an ack and padding beside it, or an ack and padding alone,
+    # without building frame objects, because per-object interpreter cost
+    # dominates the per-packet budget. A fragment continuing its stream's
+    # contiguous tail is committed on the spot, any other through
+    # _deliver; an ack passes _check_ack before anything of its packet is
+    # applied and reaches _on_ack as plain ints. Any other frame sends the
+    # rest of the plaintext through a wire parser and _process_plaintext.
 
     def recv(self, datagram, appbuf: AppRecvBufMap) -> int:
         """Process one datagram; returns bytes consumed from it.
@@ -386,15 +396,24 @@ class Connection:
         if pn > self.largest_received_pn:
             self.largest_received_pn = pn
 
-        # the anchor is the LEN-absent stream frame owning the start of
-        # the plaintext; its footer (offset, stream id, type) must restate
-        # the header's routing fields
+        # Walk back from the end: a padding run, an ack, then the anchor,
+        # the LEN-absent stream frame owning the start of the plaintext,
+        # whose footer (offset, stream id, type) must restate the header's
+        # routing fields. Any other frame hands what is left to the parser.
+        cur = hi
+        t = store[cur - 1] if cur > lo else -1
+        if not t:
+            cur = wire.padding_start(store, lo, cur)
+            t = store[cur - 1] if cur > lo else -1
+        acked = False  # an ack decoded here that passed _check_ack
+        if t == 0x02:  # ack
+            largest, delay, ranges, cur = wire.take_ack_reversed(store, lo, cur - 1)
+            acked = self._check_ack(largest, ranges)
+            t = store[cur - 1] if cur > lo else -1
         frames = None
-        t = store[hi - 1] if pt_len else 0
         if 0x08 <= t <= 0x0F and not t & 0x02:
-            # the anchor is the whole plaintext: walk its footer back,
-            # stream id first, then offset
-            cur = hi - 1
+            # walk the anchor's footer back, stream id first, then offset
+            cur -= 1
             if cur <= lo:
                 raise MalformedFrame("truncated reversed varint")
             b = store[cur - 1]
@@ -425,9 +444,20 @@ class Connection:
             else:
                 f_off = 0
             fin = t & 0x01
+        elif t < 0:
+            # padding and at most an ack: a control-only packet
+            if sid:
+                raise ProtocolViolation("header names a stream but no anchor frame found")
+            if acked:
+                self._on_ack(largest, ranges)
+            self._metrics.packets_control_only += 1
+            return blen
         else:
-            # control frames follow the anchor, if there is one
-            frames = wire.parse_reversed(pt)
+            # a close, or a frame the builder never emits: the parser
+            # takes over where the walk stopped, so nothing is decoded twice
+            frames = wire.parse_reversed(pt[: cur - lo])
+            if acked:
+                frames.insert(0, wire.AckFrame(largest, delay, ranges))
             last = frames[-1] if frames else None
             if isinstance(last, wire.StreamFrame) and last.explicit_len is False:
                 f_sid, f_off, fin = last.stream_id, last.offset, last.fin
@@ -443,6 +473,9 @@ class Connection:
         if tail:
             if f_sid != sid or f_off != oref:
                 raise _footer_mismatch(f_sid, f_off, sid, oref)
+            if frames is not None:
+                frames.pop()
+                self._check_acks(frames)
             if sbuf is appbuf.spare:
                 appbuf.spare = None
                 appbuf.buffers[sid] = sbuf
@@ -455,8 +488,9 @@ class Connection:
             m.packets_in_order += 1
             if frames is None:
                 self.ack_pending.add(pn)
+                if acked:
+                    self._on_ack(largest, ranges)
             else:
-                frames.pop()
                 self._process_plaintext(appbuf, pn, frames, anchored=True)
             return blen
 
@@ -467,8 +501,10 @@ class Connection:
         if f_sid != sid or f_off != offset:
             raise _footer_mismatch(f_sid, f_off, sid, offset)
         if frames is None:
-            if not self._deliver(appbuf, sid, offset, pt[:cur], fin):
+            if not self._deliver(appbuf, sid, offset, pt[: cur - lo], fin):
                 self.ack_pending.add(pn)
+            if acked:
+                self._on_ack(largest, ranges)
         else:
             self._process_plaintext(appbuf, pn, frames)
         return blen
@@ -493,13 +529,34 @@ class Connection:
         if pn > self.largest_received_pn:
             self.largest_received_pn = pn
 
-        t = buf[hdr_len] if end > hdr_len else 0
+        # walk forward: an ack, a padding run, then a stream frame that
+        # owns the rest; any other frame hands what is left to the parser
+        pos = hdr_len
+        t = buf[pos] if end > pos else -1
+        acked = False  # an ack decoded here that passed _check_ack
+        if t == 0x02:  # ack
+            largest, delay, ranges, pos = wire.take_ack_forward(buf, pos + 1, end)
+            acked = self._check_ack(largest, ranges)
+            t = buf[pos] if end > pos else -1
+        if not t:
+            pos = wire.padding_end(buf, pos, end)
+            t = buf[pos] if end > pos else -1
         if not (0x08 <= t <= 0x0F and not t & 0x02):
-            self._process_plaintext(appbuf, pn, wire.parse_forward(buf[hdr_len:end]))
+            if t < 0:
+                # padding and at most an ack: a control-only packet
+                if acked:
+                    self._on_ack(largest, ranges)
+                m.packets_control_only += 1
+            else:
+                # a close, or a frame the builder never emits: the parser
+                # takes over where the walk stopped, so nothing is decoded twice
+                frames = wire.parse_forward(buf[pos:end])
+                if acked:
+                    frames.insert(0, wire.AckFrame(largest, delay, ranges))
+                self._process_plaintext(appbuf, pn, frames)
             return blen
-        # a single stream frame owns the whole plaintext: stream id,
-        # then offset, then its data
-        pos = hdr_len + 1
+        # the stream frame: stream id, then offset, then its data
+        pos += 1
         if pos >= end:
             raise MalformedFrame("truncated varint")
         b = buf[pos]
@@ -533,13 +590,18 @@ class Connection:
             self.ack_pending.add(pn)
         elif not self._deliver(appbuf, sid, offset, buf[pos:end], t & 0x01):
             self.ack_pending.add(pn)
+        if acked:
+            self._on_ack(largest, ranges)
         return blen
 
     def _process_plaintext(
         self, appbuf: AppRecvBufMap, pn: int, frames: list[wire.Frame], anchored: bool = False,
     ) -> None:
-        """Apply an authenticated frame list and decide the ack;
-        anchored means the packet's anchor frame was already committed."""
+        """Apply an authenticated frame list and decide the ack. Its acks
+        are checked before any frame is applied; anchored means the
+        caller checked them and then committed the packet's anchor."""
+        if not anchored:
+            self._check_acks(frames)
         ack_eliciting = saw_stream = anchored
         suppress_ack = False
         for frame in frames:
@@ -549,7 +611,7 @@ class Connection:
                 if self._deliver(appbuf, frame.stream_id, frame.offset, frame.data, frame.fin):
                     suppress_ack = True
             elif isinstance(frame, wire.AckFrame):
-                self._on_ack(frame)
+                self._on_ack(frame.largest_acked, frame.ranges)
             elif isinstance(frame, wire.PingFrame):
                 ack_eliciting = True
             elif isinstance(frame, wire.MaxStreamDataFrame):
@@ -590,11 +652,36 @@ class Connection:
             # entirely old data: acknowledged and dropped
         return False
 
-    def _on_ack(self, frame: wire.AckFrame) -> None:
-        if frame.largest_acked > self.largest_peer_acked:
-            self.largest_peer_acked = frame.largest_acked
-        cursor = frame.largest_acked
-        for gap, length in frame.ranges:
+    def _check_ack(self, largest: int, ranges) -> bool:
+        """The one ack validator, run before anything of its packet is
+        applied. Ranges reaching below packet number 0 are malformed
+        (RFC 9000 §19.3.1) and raise. An ack naming a packet never sent
+        (largest >= next_pn, RFC 9000 §13.1) returns False: the ack is
+        dropped and the rest of the packet applies. Dropping rather
+        than closing keeps perfbench's replays working, which feed a
+        capture's datagrams, acks included, to a fresh receiver that has
+        sent nothing."""
+        span = 0
+        for gap, length in ranges:
+            span += gap + length
+        if span > largest + 1:
+            raise MalformedFrame(f"ack ranges reach {largest + 1 - span}, below packet number 0")
+        return largest < self.next_pn
+
+    def _check_acks(self, frames: list[wire.Frame]) -> None:
+        """_check_ack for every ack in frames; drops those it rejects."""
+        frames[:] = [
+            f for f in frames
+            if not isinstance(f, wire.AckFrame) or self._check_ack(f.largest_acked, f.ranges)
+        ]
+
+    def _on_ack(self, largest: int, ranges) -> None:
+        """Apply an ack that passed _check_ack: ranges of (gap, length)
+        descending from largest, as in wire.AckFrame."""
+        if largest > self.largest_peer_acked:
+            self.largest_peer_acked = largest
+        cursor = largest
+        for gap, length in ranges:
             cursor -= gap
             lo = cursor - length + 1
             if length > 2 * SEND_WINDOW:

@@ -19,10 +19,17 @@ Frame type values follow the conventional registrations: padding 0x00,
 ping 0x01, ack 0x02, stream 0x08 with OFF 0x04 / LEN 0x02 / FIN 0x01,
 max-stream-data 0x11, connection-close 0x1c. The type is always a single
 byte in both layouts.
+
+The frames a sender writes in every packet have one encoder each, which
+the serializers call too: stream_fields for a stream frame's fields and
+ack_fields for an ack. The receive paths read an ack in place with
+take_ack_forward or take_ack_reversed, the decoders the parsers call,
+and skip a padding run with padding_end or padding_start.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -36,6 +43,7 @@ from .errors import (
 from .mode import WireMode
 from .varint import (
     _CLASS_LEN,
+    _CLASS_MAX,
     _length_class,
     decode_forward,
     decode_reversed_backward,
@@ -116,18 +124,12 @@ Frame = (
 )
 
 
-def stream_fields(
-    stream_id: int, offset: int, data_len: int, fin, explicit: bool, reverso: bool
-) -> bytes:
-    """A stream frame's bytes other than its data, the one stream-frame
-    encoder. Forward: type, stream id, offset, [length]; the data
-    follows. Reversed: [length], offset, stream id, type; the data
-    precedes them, so a LEN-absent frame's data starts the plaintext.
-    The offset is always written, in both layouts. The varints are
-    packed into one integer and written with a single to_bytes."""
-    t = TYPE_STREAM | STREAM_OFF | (STREAM_LEN if explicit else 0) | (STREAM_FIN if fin else 0)
+def _pack(t: int, values, reverso: bool) -> bytes:
+    """Frame type t and its varint fields as one integer, written with a
+    single to_bytes. Forward: the type, then the values in order.
+    Reversed: the values in the opposite order as reversed varints, then
+    the type, so a backward parser meets them in forward order."""
     acc, n = (0, 0) if reverso else (t, 1)
-    values = (stream_id, offset, data_len) if explicit else (stream_id, offset)
     for v in reversed(values) if reverso else values:
         if v < 0:
             raise EncodingOverflow(f"{v} exceeds 62-bit varint range")
@@ -138,6 +140,92 @@ def stream_fields(
     if reverso:
         acc, n = acc << 8 | t, n + 1
     return acc.to_bytes(n, "big")
+
+
+def stream_fields(
+    stream_id: int, offset: int, data_len: int, fin, explicit: bool, reverso: bool
+) -> bytes:
+    """A stream frame's bytes other than its data, the one stream-frame
+    encoder. Forward: type, stream id, offset, [length]; the data
+    follows. Reversed: [length], offset, stream id, type; the data
+    precedes them, so a LEN-absent frame's data starts the plaintext.
+    The offset is always written, in both layouts."""
+    t = TYPE_STREAM | STREAM_OFF | (STREAM_LEN if explicit else 0) | (STREAM_FIN if fin else 0)
+    return _pack(t, (stream_id, offset, data_len) if explicit else (stream_id, offset), reverso)
+
+
+def ack_fields(largest: int, delay: int, ranges, reverso: bool) -> bytes:
+    """An ack frame's bytes, the one ack encoder. Forward: type, largest
+    acknowledged, ack delay, range count, then each range's gap and
+    length. Reversed: the same fields as reversed varints in the
+    opposite order, type last."""
+    values = [largest, delay, len(ranges)]
+    for gap, length in ranges:
+        values += gap, length
+    return _pack(TYPE_ACK, values, reverso)
+
+
+def take_ack_forward(buf, pos: int, end: int) -> tuple[int, int, list[tuple[int, int]], int]:
+    """Decode the forward ack whose fields start at pos, just past its
+    type byte, reading nothing at or past end; the one forward ack
+    decoder. Returns (largest, delay, ranges, position past the frame)."""
+    vals: list[int] = []
+    need = 3
+    while len(vals) < need:
+        if pos >= end:
+            raise MalformedFrame("truncated varint")
+        b = buf[pos]
+        n = _CLASS_LEN[b >> 6]
+        if pos + n > end:
+            raise MalformedFrame("truncated varint")
+        vals.append(
+            b & 0x3F if n == 1 else int.from_bytes(buf[pos : pos + n], "big") & (_CLASS_MAX[b >> 6] - 1)
+        )
+        pos += n
+        if len(vals) == 3:
+            if vals[2] > MAX_ACK_RANGES:
+                raise MalformedFrame(f"{vals[2]} ack ranges exceeds cap {MAX_ACK_RANGES}")
+            need = 3 + 2 * vals[2]
+    return vals[0], vals[1], list(zip(vals[3::2], vals[4::2])), pos
+
+
+def take_ack_reversed(buf, lo: int, end: int) -> tuple[int, int, list[tuple[int, int]], int]:
+    """Decode the reversed ack whose fields end at end, just below its
+    type byte, reading nothing below lo; the one reversed ack decoder.
+    Returns (largest, delay, ranges, position where the frame starts)."""
+    vals: list[int] = []
+    need = 3
+    while len(vals) < need:
+        if end <= lo:
+            raise MalformedFrame("truncated reversed varint")
+        b = buf[end - 1]
+        n = _CLASS_LEN[b & 0x03]
+        if end - n < lo:
+            raise MalformedFrame("truncated reversed varint")
+        vals.append(b >> 2 if n == 1 else int.from_bytes(buf[end - n : end], "big") >> 2)
+        end -= n
+        if len(vals) == 3:
+            if vals[2] > MAX_ACK_RANGES:
+                raise MalformedFrame(f"{vals[2]} ack ranges exceeds cap {MAX_ACK_RANGES}")
+            need = 3 + 2 * vals[2]
+    return vals[0], vals[1], list(zip(vals[3::2], vals[4::2])), end
+
+
+_NOT_PADDING = re.compile(rb"[^\x00]")
+
+
+def padding_end(buf, pos: int, end: int) -> int:
+    """Where the padding run starting at pos stops: the first non-zero
+    byte before end, or end. One regex search, no per-byte frames."""
+    m = _NOT_PADDING.search(buf, pos, end)
+    return m.start() if m else end
+
+
+def padding_start(buf, lo: int, end: int) -> int:
+    """Where the padding run ending at end starts, no lower than lo. Read
+    little-endian, buf[lo:end] is an integer whose top non-zero byte is
+    the last byte before the run, so one conversion finds it."""
+    return lo + ((int.from_bytes(buf[lo:end], "little").bit_length() + 7) >> 3)
 
 
 def _stream_size(f: StreamFrame, mode: WireMode, explicit: bool) -> int:
@@ -173,11 +261,8 @@ def frame_wire_size(frame: Frame, mode: WireMode) -> int:
     if isinstance(frame, (PaddingFrame, PingFrame)):
         return 1
     if isinstance(frame, AckFrame):
-        n = 1 + enc_len(frame.largest_acked) + enc_len(frame.ack_delay)
-        n += enc_len(len(frame.ranges))
-        for gap, length in frame.ranges:
-            n += enc_len(gap) + enc_len(length)
-        return n
+        # its varints have the same lengths in both layouts
+        return len(ack_fields(frame.largest_acked, frame.ack_delay, frame.ranges, False))
     if isinstance(frame, StreamFrame):
         explicit = frame.explicit_len if frame.explicit_len is not None else True
         return _stream_size(frame, mode, explicit)
@@ -210,13 +295,7 @@ def serialize_forward(frames: list[Frame], out) -> int:
             out[pos] = TYPE_PING
             pos += 1
         elif isinstance(f, AckFrame):
-            pos = _put(out, pos, bytes([TYPE_ACK]))
-            pos = _put(out, pos, encode_forward(f.largest_acked))
-            pos = _put(out, pos, encode_forward(f.ack_delay))
-            pos = _put(out, pos, encode_forward(len(f.ranges)))
-            for gap, length in f.ranges:
-                pos = _put(out, pos, encode_forward(gap))
-                pos = _put(out, pos, encode_forward(length))
+            pos = _put(out, pos, ack_fields(f.largest_acked, f.ack_delay, f.ranges, False))
         elif isinstance(f, StreamFrame):
             pos = _put(out, pos, stream_fields(
                 f.stream_id, f.offset, len(f.data), f.fin, explicit_flags[i], False
@@ -256,21 +335,7 @@ def parse_forward(plaintext) -> list[Frame]:
         elif t == TYPE_PING:
             frames.append(PingFrame())
         elif t == TYPE_ACK:
-            largest, c = _take_forward(plaintext, pos)
-            pos += c
-            delay, c = _take_forward(plaintext, pos)
-            pos += c
-            count, c = _take_forward(plaintext, pos)
-            pos += c
-            if count > MAX_ACK_RANGES:
-                raise MalformedFrame(f"{count} ack ranges exceeds cap {MAX_ACK_RANGES}")
-            ranges = []
-            for _ in range(count):
-                gap, c = _take_forward(plaintext, pos)
-                pos += c
-                length, c = _take_forward(plaintext, pos)
-                pos += c
-                ranges.append((gap, length))
+            largest, delay, ranges, pos = take_ack_forward(plaintext, pos, n)
             frames.append(AckFrame(largest_acked=largest, ack_delay=delay, ranges=ranges))
         elif TYPE_STREAM <= t <= TYPE_STREAM | STREAM_OFF | STREAM_LEN | STREAM_FIN:
             sid, c = _take_forward(plaintext, pos)
@@ -361,14 +426,7 @@ def serialize_reversed(frames: list[Frame], out) -> int:
             out[pos] = TYPE_PING
             pos += 1
         elif isinstance(f, AckFrame):
-            for gap, length in reversed(f.ranges):
-                pos = _put(out, pos, encode_reversed(length))
-                pos = _put(out, pos, encode_reversed(gap))
-            pos = _put(out, pos, encode_reversed(len(f.ranges)))
-            pos = _put(out, pos, encode_reversed(f.ack_delay))
-            pos = _put(out, pos, encode_reversed(f.largest_acked))
-            out[pos] = TYPE_ACK
-            pos += 1
+            pos = _put(out, pos, ack_fields(f.largest_acked, f.ack_delay, f.ranges, True))
         elif isinstance(f, MaxStreamDataFrame):
             pos = _put(out, pos, encode_reversed(f.maximum))
             pos = _put(out, pos, encode_reversed(f.stream_id))
@@ -403,21 +461,7 @@ def parse_reversed(plaintext) -> list[Frame]:
         elif t == TYPE_PING:
             frames.append(PingFrame())
         elif t == TYPE_ACK:
-            largest, c = _take_reversed(plaintext, cur)
-            cur -= c
-            delay, c = _take_reversed(plaintext, cur)
-            cur -= c
-            count, c = _take_reversed(plaintext, cur)
-            cur -= c
-            if count > MAX_ACK_RANGES:
-                raise MalformedFrame(f"{count} ack ranges exceeds cap {MAX_ACK_RANGES}")
-            ranges = []
-            for _ in range(count):
-                gap, c = _take_reversed(plaintext, cur)
-                cur -= c
-                length, c = _take_reversed(plaintext, cur)
-                cur -= c
-                ranges.append((gap, length))
+            largest, delay, ranges, cur = take_ack_reversed(plaintext, 0, cur)
             frames.append(AckFrame(largest_acked=largest, ack_delay=delay, ranges=ranges))
         elif TYPE_STREAM <= t <= TYPE_STREAM | STREAM_OFF | STREAM_LEN | STREAM_FIN:
             sid, c = _take_reversed(plaintext, cur)

@@ -8,6 +8,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revquic import cli
 from revquic.cli import BENCH_COLUMNS, SIMULATE_COLUMNS, main
@@ -154,6 +156,21 @@ class TestTransferCommand:
             rc_box, dst = self.loopback(mode, payload, tmp_path, capsys)
             assert rc_box == {"recv": 0, "send": 0}
             assert dst.read_bytes() == payload
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(stream=st.binary(max_size=200), cuts=st.lists(st.integers(0, 200), max_size=12))
+    def test_split_checksum_keeps_the_last_32_bytes(self, stream, cuts):
+        """However the stream arrives in reads, the data parts are every
+        byte but the last 32, in order, and the carry is those 32."""
+        bounds = sorted({c % (len(stream) + 1) for c in cuts} | {0, len(stream)})
+        carry, data = b"", bytearray()
+        for lo, hi in zip(bounds, bounds[1:]):
+            parts, carry = cli._split_checksum(carry, memoryview(stream)[lo:hi])
+            assert len(carry) <= 32
+            for part in parts:
+                data += part
+        assert bytes(data) + carry == stream
+        assert carry == stream[-32:]
 
     def test_checksum_mismatch_exits_nonzero(self, tmp_path, capsys):
         port = free_port()

@@ -67,15 +67,39 @@ def craft(mode, keys, pn, frames, hdr_sid=0, hdr_off=0, pn_len=1, off_len=None):
         while pt_len < header.MIN_PLAINTEXT:
             frames = [PaddingFrame()] + frames
             pt_len = wire.serialize_forward(frames, scratch)
+    return seal(mode, keys, pn, scratch[:pt_len], hdr_sid, hdr_off, pn_len, off_len)
+
+
+def seal(mode, keys, pn, plaintext, hdr_sid=0, hdr_off=0, pn_len=1, off_len=None):
+    """Seal plaintext bytes under full header protection."""
     h = ShortHeader(
         packet_number=pn, pn_length=pn_len, stream_id=hdr_sid, offset=hdr_off, off_length=off_len
     )
     hb = header.encode_header(mode, h)
-    out = bytearray(len(hb) + pt_len + crypto.TAG_LEN)
+    out = bytearray(len(hb) + len(plaintext) + crypto.TAG_LEN)
     out[: len(hb)] = hb
-    crypto.seal(keys, pn, hb, scratch[:pt_len], memoryview(out)[len(hb) :])
+    crypto.seal(keys, pn, hb, plaintext, memoryview(out)[len(hb) :])
     header.protect_header(mode, out, keys)
     return out
+
+
+def layout(mode, stream=None, ctrl=()):
+    """Plaintext laid out as build_packet lays it out. Reverso: the
+    stream frame, control frames, padding. Baseline: control frames,
+    padding, the stream frame."""
+    scratch = bytearray(2 * MAX_DATAGRAM)
+
+    def ser(frames):
+        if not frames:
+            return b""
+        serialize = wire.serialize_reversed if mode is WireMode.REVERSO else wire.serialize_forward
+        return bytes(scratch[: serialize(frames, scratch)])
+
+    if mode is WireMode.REVERSO:
+        body = ser(([stream] if stream else []) + list(ctrl))
+        return body + bytes(max(0, header.MIN_PLAINTEXT - len(body)))
+    head, tail = ser(list(ctrl)), ser([stream] if stream else [])
+    return head + bytes(max(0, header.MIN_PLAINTEXT - len(head) - len(tail))) + tail
 
 
 class TestSending:
@@ -140,10 +164,9 @@ class TestSending:
         server.ack_pending = set(pending)
         acked = set()
         for expect in (wire.MAX_ACK_RANGES, 40 - wire.MAX_ACK_RANGES):
-            ack = server._build_ack()
-            assert len(ack.ranges) == expect
-            top = ack.largest_acked
-            for gap, length in ack.ranges:
+            top, ranges = server._build_ack()
+            assert len(ranges) == expect
+            for gap, length in ranges:
                 top -= gap
                 acked.update(range(top - length + 1, top + 1))
                 top -= length
@@ -561,3 +584,161 @@ class TestLaneConsistency:
             )
         assert results[0] == results[1] == results[2]
         assert results[0][1] == sum(map(len, chunks))
+
+
+def in_flight_server(mode, packets=4):
+    """A server that has sent packets 0 .. packets - 1, none acked yet."""
+    server = Connection(mode, Role.SERVER, SECRET)
+    server.stream_send(7, b"s" * 1200 * packets)
+    out = bytearray(MAX_DATAGRAM)
+    for _ in range(packets):
+        server.build_packet(out, now=0.0)
+    assert sorted(server.unacked) == list(range(packets))
+    return server
+
+
+def receiver_state(conn, appbuf):
+    """Everything a received packet can change, for comparison."""
+    streams = {
+        sid: (bytes(conn.stream_recv(sid, appbuf)[0]), sbuf.contiguous_offset)
+        for sid, sbuf in appbuf.buffers.items()
+    }
+    return (sorted(conn.unacked), conn.largest_peer_acked, sorted(conn.ack_pending),
+            conn.metrics(), streams, conn.closed)
+
+
+def stream(offset, data):
+    return StreamFrame(stream_id=1, offset=offset, data=data, explicit_len=False)
+
+
+def ack(largest, *ranges):
+    return wire.AckFrame(largest_acked=largest, ranges=list(ranges) or [(0, 1)])
+
+
+def rpc_shapes(mode, via_parser):
+    """The packets an rpc peer sends, as (pn, plaintext, header stream
+    id, header offset). via_parser adds a frame that changes nothing
+    here but sends the packet through the wire parser: a ping beside
+    stream data, which is ack-eliciting anyway, or the ack a second
+    time, which acks nothing new. The walk meets it first: it goes last
+    in reverso, first in baseline."""
+    def with_(frames, extra):
+        if not via_parser:
+            return frames
+        return frames + [extra] if mode is WireMode.REVERSO else [extra] + frames
+
+    return [
+        # a padded 1-byte message
+        (0, layout(mode, stream(0, b"m"), with_([], PingFrame())), 1, 0),
+        # stream data, an ack and padding
+        (1, layout(mode, stream(1, b"yz"), with_([ack(2, (0, 2))], PingFrame())), 1, 1),
+        # an ack alone, padded
+        (2, layout(mode, None, with_([ack(3, (0, 1), (1, 1))], ack(3, (0, 1), (1, 1)))), 0, 0),
+        # stream data past a gap (off the tail) with an ack
+        (3, layout(mode, stream(10, b"late"), with_([ack(0)], PingFrame())), 1, 10),
+    ]
+
+
+def fail(*_args, **_kwargs):
+    raise AssertionError("the direct lane called the wire parser")
+
+
+class TestControlLanes:
+    """Acks and padding are read in place: the shapes build_packet emits
+    never reach the wire parser, and they leave the same state as the
+    frame-list route."""
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_direct_lane_matches_frame_list_route(self, mode, monkeypatch):
+        states = {}
+        for via_parser in (True, False):
+            if not via_parser:
+                monkeypatch.setattr(wire, "parse_forward", fail)
+                monkeypatch.setattr(wire, "parse_reversed", fail)
+                monkeypatch.setattr(Connection, "_process_plaintext", fail)
+            server, sbuf = in_flight_server(mode), AppRecvBufMap()
+            for pn, pt, hdr_sid, hdr_off in rpc_shapes(mode, via_parser):
+                assert len(pt) == header.MIN_PLAINTEXT  # both routes pad to one size
+                server.recv(seal(mode, C2S, pn, pt, hdr_sid, hdr_off), sbuf)
+            states[via_parser] = receiver_state(server, sbuf)
+        assert states[False] == states[True]
+        unacked, largest, pending, m, streams, _ = states[False]
+        assert (unacked, largest, pending) == ([], 3, [0, 1, 3])
+        assert streams[1] == (b"myz", 3)
+        assert (m.packets_in_order, m.packets_out_of_order, m.packets_control_only) == (2, 1, 1)
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("extra", ["close", "ping", "max_stream_data"])
+    def test_other_frames_reach_process_plaintext(self, mode, extra, monkeypatch):
+        calls = []
+        real = Connection._process_plaintext
+
+        def spy(conn, *args, **kwargs):
+            calls.append(args[1])
+            return real(conn, *args, **kwargs)
+
+        monkeypatch.setattr(Connection, "_process_plaintext", spy)
+        frame = {
+            "close": wire.ConnectionCloseFrame(error_code=9, reason=b"bye"),
+            "ping": PingFrame(),
+            "max_stream_data": wire.MaxStreamDataFrame(stream_id=1, maximum=1 << 20),
+        }[extra]
+        server, sbuf = in_flight_server(mode), AppRecvBufMap()
+        server.recv(seal(mode, C2S, 0, layout(mode, stream(0, b"ab"), [ack(1), frame]), 1, 0), sbuf)
+        server.recv(seal(mode, C2S, 1, layout(mode, None, [ack(2), frame])), sbuf)
+        assert calls == [0, 1]
+        assert sorted(server.unacked) == [0, 3]
+        assert bytes(server.stream_recv(1, sbuf)[0]) == b"ab"
+        assert server.closed == (extra == "close")
+        assert sorted(server.ack_pending) == [0, 1]  # every one of them elicits an ack
+
+
+class TestAckValidation:
+    """An ack is checked before anything of its packet is applied."""
+
+    def setup(self, mode):
+        server, sbuf = in_flight_server(mode), AppRecvBufMap()
+        server.recv(seal(mode, C2S, 0, layout(mode, stream(0, b"first"), [ack(1)]), 1, 0), sbuf)
+        assert sorted(server.unacked) == [0, 2, 3] and server.largest_peer_acked == 1
+        return server, sbuf
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("route", ["direct", "parser"])
+    @pytest.mark.parametrize("with_data", [True, False], ids=["stream", "ack-only"])
+    def test_range_below_zero_rejects_the_packet(self, mode, route, with_data):
+        server, sbuf = self.setup(mode)
+        before = receiver_state(server, sbuf)
+        bad = ack(3, (0, 1), (0, 4))  # 3, then 2 down to -1
+        # the parser meets the ping first: after the ack in reverso, before it in baseline
+        ctrl = [bad] if route == "direct" else (
+            [bad, PingFrame()] if mode is WireMode.REVERSO else [PingFrame(), bad]
+        )
+        frame, sid, off = (stream(5, b"second"), 1, 5) if with_data else (None, 0, 0)
+        gram = seal(mode, C2S, 1, layout(mode, frame, ctrl), sid, off)
+        with pytest.raises(MalformedFrame, match="below packet number 0"):
+            server.recv(gram, sbuf)
+        after = receiver_state(server, sbuf)
+        # the datagram's bytes were counted, nothing else changed
+        assert after[:3] == before[:3] and after[4:] == before[4:]
+        assert replace(after[3], bytes_received=0) == replace(before[3], bytes_received=0)
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("route", ["direct", "parser"])
+    def test_ack_for_a_packet_never_sent_is_dropped(self, mode, route):
+        server, sbuf = self.setup(mode)
+        huge = ack(10**6, (0, 1))
+        ctrl = [huge] + ([PingFrame()] if route == "parser" else [])
+        if mode is WireMode.BASELINE:
+            ctrl.reverse()
+        server.recv(seal(mode, C2S, 1, layout(mode, stream(5, b"second"), ctrl), 1, 5), sbuf)
+        # the ack changed nothing, the rest of the packet applied
+        assert sorted(server.unacked) == [0, 2, 3]
+        assert server.largest_peer_acked == 1
+        assert bytes(server.stream_recv(1, sbuf)[0]) == b"firstsecond"
+        assert 1 in server.ack_pending
+        # packet-number truncation still counts from the real largest acked
+        out = bytearray(MAX_DATAGRAM)
+        server.build_packet(out, now=0.0)
+        assert header.unprotect_and_decode(
+            mode, bytearray(out), server.send_keys, 3, lambda s: 0
+        )[0].pn_length == 1

@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revquic import wire
 from revquic.errors import (
@@ -13,6 +15,7 @@ from revquic.errors import (
     UnknownFrameType,
 )
 from revquic.mode import WireMode
+from revquic.varint import VARINT_MAX
 from revquic.wire import (
     AckFrame,
     ConnectionCloseFrame,
@@ -234,3 +237,118 @@ class TestErrors:
                     parse(blob)
                 except allowed:
                     pass
+
+
+# --- the ack codec: ack_fields and the shared decoders ---
+
+# values on both sides of every varint class boundary, plus anything
+BOUNDARY = st.sampled_from(
+    [0, 1, 62, 63, 64, 65, 16382, 16383, 16384, 16385,
+     (1 << 30) - 2, (1 << 30) - 1, 1 << 30, (1 << 30) + 1, VARINT_MAX]
+)
+VALUE = BOUNDARY | st.integers(0, VARINT_MAX)
+RANGES = st.lists(st.tuples(VALUE, VALUE), min_size=1, max_size=wire.MAX_ACK_RANGES)
+CODEC = settings(max_examples=300, deadline=None, database=None)
+
+
+def _serialized(frame, reverso) -> bytes:
+    out = bytearray(2048)
+    n = (wire.serialize_reversed if reverso else wire.serialize_forward)([frame], out)
+    return bytes(out[:n])
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except MalformedFrame as exc:
+        return str(exc)
+    raise AssertionError(f"{fn.__name__} accepted it")
+
+
+class TestAckCodec:
+    @CODEC
+    @given(largest=VALUE, delay=VALUE, ranges=RANGES, reverso=st.booleans())
+    def test_ack_fields_is_the_serializer(self, largest, delay, ranges, reverso):
+        frame = AckFrame(largest_acked=largest, ack_delay=delay, ranges=ranges)
+        assert wire.ack_fields(largest, delay, ranges, reverso) == _serialized(frame, reverso)
+        assert len(wire.ack_fields(largest, delay, ranges, reverso)) == wire.frame_wire_size(
+            frame, WireMode.REVERSO if reverso else WireMode.BASELINE
+        )
+
+    @CODEC
+    @given(largest=VALUE, delay=VALUE, ranges=RANGES, before=st.binary(max_size=8),
+           after=st.binary(max_size=8))
+    def test_decoders_return_what_parse_returns(self, largest, delay, ranges, before, after):
+        """Each decoder reads the ack in place inside a larger buffer,
+        within the bounds it is given, and agrees with parse_*."""
+        fwd = wire.ack_fields(largest, delay, ranges, False)
+        [parsed] = wire.parse_forward(fwd)
+        buf = memoryview(before + fwd + after)
+        start, end = len(before), len(before) + len(fwd)
+        got = wire.take_ack_forward(buf, start + 1, end)
+        assert got == (parsed.largest_acked, parsed.ack_delay, parsed.ranges, end)
+        assert got[:3] == (largest, delay, ranges)
+
+        rev = wire.ack_fields(largest, delay, ranges, True)
+        [parsed] = wire.parse_reversed(rev)
+        buf = memoryview(before + rev + after)
+        got = wire.take_ack_reversed(buf, start, start + len(rev) - 1)
+        assert got == (parsed.largest_acked, parsed.ack_delay, parsed.ranges, start)
+        assert got[:3] == (largest, delay, ranges)
+
+    @CODEC
+    @given(largest=VALUE, delay=VALUE, ranges=RANGES, cut=st.integers(1, 200))
+    def test_truncation_raises_as_parse_does(self, largest, delay, ranges, cut):
+        """An ack cut short raises the same MalformedFrame from the
+        decoder the receive lanes use as from parse_*; the decoder never
+        reads past its bounds into the bytes around the ack."""
+        fwd = wire.ack_fields(largest, delay, ranges, False)
+        k = 1 + cut % (len(fwd) - 1)  # keep the type byte, drop the rest from k
+        clipped = fwd[:k]
+        filler = b"\x01" * 16  # would decode as more one-byte varints
+        assert _raised(wire.take_ack_forward, memoryview(clipped + filler), 1, k) == _raised(
+            wire.parse_forward, clipped
+        )
+        rev = wire.ack_fields(largest, delay, ranges, True)
+        k = 1 + cut % (len(rev) - 1)
+        clipped = rev[len(rev) - k :]  # the type byte and k - 1 field bytes
+        buf = memoryview(filler + clipped)
+        assert _raised(wire.take_ack_reversed, buf, len(filler), len(buf) - 1) == _raised(
+            wire.parse_reversed, clipped
+        )
+
+    @pytest.mark.parametrize("reverso", [False, True])
+    def test_range_cap_raises_as_parse_does(self, reverso):
+        ranges = [(1, 1)] * (wire.MAX_ACK_RANGES + 1)
+        blob = wire.ack_fields(10_000, 0, ranges, reverso)
+        buf = memoryview(blob)
+        if reverso:
+            direct = _raised(wire.take_ack_reversed, buf, 0, len(blob) - 1)
+            assert direct == _raised(wire.parse_reversed, blob)
+        else:
+            direct = _raised(wire.take_ack_forward, buf, 1, len(blob))
+            assert direct == _raised(wire.parse_forward, blob)
+        assert str(wire.MAX_ACK_RANGES + 1) in direct
+
+    def test_ack_fields_bytes(self):
+        # largest 64 and a 2**14 gap need two- and four-byte varints
+        fwd = wire.ack_fields(64, 0, [(0, 1), (1 << 14, 2)], False)
+        assert fwd == bytes.fromhex("02" "4040" "00" "02" "00" "01" "80004000" "02")
+        rev = wire.ack_fields(64, 0, [(0, 1), (1 << 14, 2)], True)
+        assert rev == bytes.fromhex("08" "00010002" "04" "00" "08" "00" "0101" "02")
+        for reverso in (False, True):
+            with pytest.raises(EncodingOverflow):
+                wire.ack_fields(-1, 0, [(0, 1)], reverso)
+
+
+class TestPaddingRuns:
+    @pytest.mark.parametrize("body, pad", [(b"", 0), (b"", 5), (b"\x07", 0), (b"\x07\x00\x09", 4)])
+    def test_both_directions(self, body, pad):
+        junk = b"\x05\x05"
+        # forward: a run starting at the body's end stops at the next frame
+        buf = memoryview(junk + bytes(pad) + b"\x08" + junk)
+        assert wire.padding_end(buf, 2, len(buf)) == 2 + pad
+        assert wire.padding_end(buf, 2, 2 + pad) == 2 + pad
+        # backward: a run ending at end starts right after the body
+        buf = memoryview(junk + body + bytes(pad))
+        assert wire.padding_start(buf, 2, len(buf)) == 2 + len(body)
