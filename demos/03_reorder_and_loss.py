@@ -2,10 +2,11 @@
 
 Runs the simulator across increasing reorder probabilities and a lossy
 pipe, printing how the receive path degrades: every out-of-order
-fragment must be stashed and later copied into place, so the copied
-byte count is exactly the out-of-order byte count, and the ordered
-ratio falls with the reorder rate. Loss adds retransmissions but the
-transfer still completes and verifies.
+fragment is copied once, to its offset in stream storage, and so is
+each packet that fills a gap, because it opens in the datagram rather
+than over the data received past it. The copied byte count is those
+bytes, and the ordered ratio falls with the reorder rate. Loss adds
+retransmissions but the transfer still completes and verifies.
 
 Run: python3 demos/03_reorder_and_loss.py
 """

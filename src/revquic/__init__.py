@@ -30,7 +30,7 @@ from .harness import (
 )
 from .header import ShortHeader
 from .mode import WireMode, parse_mode
-from .stream_buf import AppRecvBufMap, OooStash, StreamRecvBuffer
+from .stream_buf import AppRecvBufMap, StreamRecvBuffer
 from .wire import (
     AckFrame,
     ConnectionCloseFrame,
@@ -58,7 +58,6 @@ __all__ = [
     "MalformedHeader",
     "MaxStreamDataFrame",
     "Metrics",
-    "OooStash",
     "PaddingFrame",
     "PingFrame",
     "PipeConfig",

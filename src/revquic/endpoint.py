@@ -4,13 +4,15 @@ The receive pipeline is the measured artifact; each mode has one receive
 function. Reversed mode chooses the AEAD destination from the
 unauthenticated header alone: a packet continuing its stream's
 contiguous tail is opened straight into stream storage and committed
-there without a copy, anything else is opened in place in the datagram.
-A new stream's buffer is bound only once the tag verifies and the
-anchor frame's footer agrees with the header. Baseline mode opens in
-place in the datagram buffer, decodes forward, and copies validated
-stream data into storage; that reassembly copy is the cost the reversed
-layout removes. In both modes the ack and padding that ride with the
-stream data are read where they lie, without frame objects.
+there without a copy, unless it would reach data already received past
+the tail; anything else is opened in place in the datagram and its data
+copied once, to its own offset in storage. A new stream's buffer is
+bound only once the tag verifies and the anchor frame's footer agrees
+with the header. Baseline mode opens in place in the datagram buffer,
+decodes forward, and copies validated stream data into storage; that
+reassembly copy is the cost the reversed layout removes. In both modes
+the ack and padding that ride with the stream data are read where they
+lie, without frame objects.
 
 Reliability is deliberately minimal: fixed retransmission timeout, a
 fixed in-flight window, ack-every-data-packet. Fragment boundaries are
@@ -69,7 +71,6 @@ class Role(enum.Enum):
 class Metrics:
     payload_bytes_copied: int = 0
     payload_bytes_zero_copy: int = 0
-    payload_bytes_stashed: int = 0
     packets_in_order: int = 0
     packets_out_of_order: int = 0
     packets_spurious: int = 0
@@ -323,10 +324,11 @@ class Connection:
     # at most an ack and padding beside it, or an ack and padding alone,
     # without building frame objects, because per-object interpreter cost
     # dominates the per-packet budget. A fragment continuing its stream's
-    # contiguous tail is committed on the spot, any other through
-    # _deliver; an ack passes _check_ack before anything of its packet is
-    # applied and reaches _on_ack as plain ints. Any other frame sends the
-    # rest of the plaintext through a wire parser and _process_plaintext.
+    # contiguous tail is committed on the spot, any other is placed in
+    # storage through _deliver; an ack passes _check_ack before anything
+    # of its packet is applied and reaches _on_ack as plain ints. Any
+    # other frame sends the rest of the plaintext through a wire parser
+    # and _process_plaintext.
 
     def recv(self, datagram, appbuf: AppRecvBufMap) -> int:
         """Process one datagram; returns bytes consumed from it.
@@ -344,15 +346,21 @@ class Connection:
         blen = len(buf)
         self._metrics.bytes_received += blen
         if self.mode is WireMode.REVERSO:
-            return self._recv_reverso(buf, blen, appbuf)
-        return self._recv_baseline(buf, blen, appbuf)
+            pn = self._recv_reverso(buf, blen, appbuf)
+        else:
+            pn = self._recv_baseline(buf, blen, appbuf)
+        # only a packet that applied moves the expansion reference
+        if pn > self.largest_received_pn:
+            self.largest_received_pn = pn
+        return blen
 
     def _recv_reverso(self, buf, blen: int, appbuf: AppRecvBufMap) -> int:
         """The header alone picks the AEAD destination: a packet that
         continues its stream's contiguous tail (or opens the stream at
         offset 0) is opened straight onto that tail and committed there
         without a copy; any other packet is opened in place in the
-        datagram and handed to _deliver."""
+        datagram and handed to _deliver. Returns the packet number once
+        the packet has applied, -1 when its tag fails."""
         ks = self.recv_keys
         hdr_len, pn, sid, off_t, off_mask = header.unprotect(
             buf, ks, self.largest_received_pn, True
@@ -363,8 +371,12 @@ class Connection:
             oref = sbuf.contiguous_offset
             # truncation match decides continuation exactly: expanding
             # the truncated offset against oref yields oref iff it is
-            # oref's truncation
-            tail = (oref & off_mask) == off_t
+            # oref's truncation. The whole footprint, trailer and a failed
+            # tag's garbage included, must end by the first received
+            # range; a packet that reaches it opens in place instead
+            tail = (oref & off_mask) == off_t and (
+                not sbuf.starts or oref + pt_len <= sbuf.starts[0]
+            )
         else:
             # a zero truncated offset expands to 0 against a zero
             # reference: first contact at the stream start
@@ -377,10 +389,11 @@ class Connection:
             # a failed tag leaves garbage only past contiguous_offset
             lo = oref - sbuf.base_offset
             hi = lo + pt_len
+            if hi > len(sbuf.storage):
+                sbuf.ensure_room(hi)  # may rebase storage
+                lo = oref - sbuf.base_offset
+                hi = lo + pt_len
             store = sbuf.storage
-            if hi > len(store):
-                sbuf.ensure_room(hi)
-                store = sbuf.storage
             pt = sbuf.storage_view[lo:hi]
         else:
             # in place over the ciphertext, aliased exactly
@@ -392,9 +405,7 @@ class Connection:
             )
         except InvalidTag:
             self._metrics.decrypt_failures += 1
-            return blen
-        if pn > self.largest_received_pn:
-            self.largest_received_pn = pn
+            return -1
 
         # Walk back from the end: a padding run, an ack, then the anchor,
         # the LEN-absent stream frame owning the start of the plaintext,
@@ -451,7 +462,7 @@ class Connection:
             if acked:
                 self._on_ack(largest, ranges)
             self._metrics.packets_control_only += 1
-            return blen
+            return pn
         else:
             # a close, or a frame the builder never emits: the parser
             # takes over where the walk stopped, so nothing is decoded twice
@@ -468,7 +479,7 @@ class Connection:
                 if any(isinstance(f, wire.StreamFrame) for f in frames):
                     raise ProtocolViolation("stream frame in a control-only packet")
                 self._process_plaintext(appbuf, pn, frames)
-                return blen
+                return pn
 
         if tail:
             if f_sid != sid or f_off != oref:
@@ -480,10 +491,8 @@ class Connection:
                 appbuf.spare = None
                 appbuf.buffers[sid] = sbuf
             data_len = cur - lo
+            sbuf.commit_zero_copy(oref + data_len, fin)
             m = self._metrics
-            copied = sbuf.commit_zero_copy(oref + data_len, fin, hi)
-            if copied:
-                m.payload_bytes_copied += copied
             m.payload_bytes_zero_copy += data_len
             m.packets_in_order += 1
             if frames is None:
@@ -492,7 +501,7 @@ class Connection:
                     self._on_ack(largest, ranges)
             else:
                 self._process_plaintext(appbuf, pn, frames, anchored=True)
-            return blen
+            return pn
 
         if sid == 0:
             raise ProtocolViolation("stream frame in a control-only packet")
@@ -507,12 +516,13 @@ class Connection:
                 self._on_ack(largest, ranges)
         else:
             self._process_plaintext(appbuf, pn, frames)
-        return blen
+        return pn
 
     def _recv_baseline(self, buf, blen: int, appbuf: AppRecvBufMap) -> int:
         """Opens in place in the datagram, decodes forward, and copies
         the stream data into storage: the reassembly copy the reversed
-        layout removes."""
+        layout removes. Returns the packet number once the packet has
+        applied, -1 when its tag fails."""
         ks = self.recv_keys
         hdr_len, pn, _, _, _ = header.unprotect(buf, ks, self.largest_received_pn, False)
         m = self._metrics
@@ -525,9 +535,7 @@ class Connection:
             )
         except InvalidTag:
             m.decrypt_failures += 1
-            return blen
-        if pn > self.largest_received_pn:
-            self.largest_received_pn = pn
+            return -1
 
         # walk forward: an ack, a padding run, then a stream frame that
         # owns the rest; any other frame hands what is left to the parser
@@ -554,7 +562,7 @@ class Connection:
                 if acked:
                     frames.insert(0, wire.AckFrame(largest, delay, ranges))
                 self._process_plaintext(appbuf, pn, frames)
-            return blen
+            return pn
         # the stream frame: stream id, then offset, then its data
         pos += 1
         if pos >= end:
@@ -585,14 +593,14 @@ class Connection:
             offset = 0
         sbuf = appbuf.buffers.get(sid)  # never holds stream 0
         if sbuf is not None and offset == sbuf.contiguous_offset:
-            m.payload_bytes_copied += sbuf.append_in_order(buf[pos:end], t & 0x01)
+            m.payload_bytes_copied += sbuf.place(offset, buf[pos:end], t & 0x01)
             m.packets_in_order += 1
             self.ack_pending.add(pn)
         elif not self._deliver(appbuf, sid, offset, buf[pos:end], t & 0x01):
             self.ack_pending.add(pn)
         if acked:
             self._on_ack(largest, ranges)
-        return blen
+        return pn
 
     def _process_plaintext(
         self, appbuf: AppRecvBufMap, pn: int, frames: list[wire.Frame], anchored: bool = False,
@@ -626,30 +634,25 @@ class Connection:
             self.ack_pending.add(pn)
 
     def _deliver(self, appbuf: AppRecvBufMap, sid: int, offset: int, data, fin) -> bool:
-        """Copy, stash or drop one authenticated stream fragment; returns
-        True when the ack for its packet must be suppressed (stash
-        overflow: the fragment was dropped and needs retransmission)."""
+        """Place one authenticated stream fragment in its stream's
+        storage; returns True when the ack for its packet must be
+        suppressed (the fragment ends past the reassembly window, was
+        dropped and needs retransmission)."""
         m = self._metrics
         if sid == 0 or sid > header.MAX_STREAM_ID:
             raise ProtocolViolation(f"bad stream id {sid} in stream frame")
         sbuf = appbuf.adopt(sid)
         contiguous = sbuf.contiguous_offset
+        copied = sbuf.place(offset, data, fin)
         if offset == contiguous:
-            m.payload_bytes_copied += sbuf.append_in_order(data, fin)
             m.packets_in_order += 1
         elif offset > contiguous:
-            m.payload_bytes_stashed += sbuf.stash_out_of_order(offset, data, fin)
             m.packets_out_of_order += 1
-            return sbuf.stash.take_overflow()
         else:
             m.packets_spurious += 1
-            if offset + len(data) > contiguous:
-                # partial overlap cannot occur while fragment boundaries
-                # are preserved across retransmissions; commit the tail
-                # anyway so integrity never depends on that invariant
-                tail = memoryview(data)[contiguous - offset :]
-                m.payload_bytes_copied += sbuf.append_in_order(tail, fin)
-            # entirely old data: acknowledged and dropped
+        if copied < 0:
+            return True
+        m.payload_bytes_copied += copied
         return False
 
     def _check_ack(self, largest: int, ranges) -> bool:

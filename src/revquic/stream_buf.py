@@ -1,11 +1,15 @@
 """Application-owned contiguous receive buffers.
 
-The receive path's goal is that in-order stream data is written exactly
-once: the AEAD open targets the stream's contiguous tail directly, and
-the footer bytes that follow the data are treated as scratch to be
-overwritten by the next packet. Everything here exists to make that
-safe: before authentication the receiver may only write past the
-committed region; commitment happens after.
+The receive path's goal is that stream data is written exactly once,
+into its final place. The AEAD open targets the stream's contiguous tail
+directly, and the footer bytes that follow the data are treated as
+scratch to be overwritten by the next packet. Any other authenticated
+fragment is copied once, to its own offset in the same storage: the
+stream keeps a sorted list of the ranges it has received past the tail,
+and the watermark moves over a range, without a copy, once the tail
+reaches it. Everything here exists to make that safe: before
+authentication the receiver may only write past the committed region,
+and below every received range; commitment happens after.
 
 Buffer recycling: the map keeps one spare buffer. The receiver opens a
 new stream's first packet into it and binds it to the stream id only
@@ -15,34 +19,38 @@ zero allocations after the first spare exists.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from .errors import ConsumeOutOfRange, FinalSizeError
 
 DEFAULT_CAPACITY = 1 << 20
-STASH_CAP = 16 << 20  # per stream; beyond this fragments are dropped
+WINDOW = 16 << 20  # a fragment ending further past the tail is dropped
 
 
 class StreamRecvBuffer:
-    """Contiguous storage for one stream plus its out-of-order stash.
+    """Contiguous storage for one stream: committed bytes, then the
+    ranges received past them.
 
     Offsets are stream offsets; storage position = offset - base_offset.
-    Invariant: base_offset <= consumed_offset <= contiguous_offset, and
-    storage between the consumed and contiguous watermarks is never
-    rewritten until consumed.
+    Invariant: base_offset <= consumed_offset <= contiguous_offset <
+    every start in starts; committed bytes are never rewritten until
+    consumed, and received ranges never until the tail passes them.
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
+        self.initial_capacity = capacity
         self.storage = bytearray(capacity)
-        # one view serves every AEAD destination slice; building a view
-        # per packet costs more than slicing this one
+        # one view serves every AEAD destination slice and every write;
+        # building a view per packet costs more than slicing this one
         self.storage_view = memoryview(self.storage)
         self.base_offset = 0
         self.contiguous_offset = 0
         self.consumed_offset = 0
-        self.scratch_end = 0  # storage index past the last decrypt footprint
         self.fin_offset: int | None = None
-        self.stash = OooStash()
+        # the disjoint ranges [starts[i], ends[i]) received past the tail,
+        # sorted; touching ranges merge, so none touches another or the tail
+        self.starts: list[int] = []
+        self.ends: list[int] = []
         self.grows = 0  # storage reallocations, summed by AppRecvBufMap
 
     @property
@@ -50,20 +58,28 @@ class StreamRecvBuffer:
         return len(self.storage)
 
     def ensure_room(self, end_index: int) -> int:
-        """Grow storage (doubling) so end_index fits; returns allocations."""
+        """Make storage index end_index fit; returns allocations.
+
+        A reallocation rebases storage to consumed_offset and copies only
+        the bytes from there to the highest received end, so capacity
+        follows what is unconsumed or pending, not the stream's length.
+        Callers recompute their storage indices afterwards. A fresh
+        bytearray sidesteps resize failures while views are exported, and
+        a view taken earlier keeps the bytes it saw.
+        """
         if end_index <= len(self.storage):
             return 0
+        lo = self.consumed_offset - self.base_offset
+        hi = (self.ends[-1] if self.ends else self.contiguous_offset) - self.base_offset
         new_cap = len(self.storage)
-        while new_cap < end_index:
+        while new_cap < end_index - lo:
             new_cap *= 2
-        # a fresh bytearray sidesteps resize failures while views are
-        # exported; only committed bytes move, and this is allocator
-        # traffic, not payload copying
         fresh = bytearray(new_cap)
-        live = self.contiguous_offset - self.base_offset
-        fresh[:live] = self.storage[:live]
+        view = memoryview(fresh)
+        view[: hi - lo] = self.storage_view[lo:hi]
         self.storage = fresh
-        self.storage_view = memoryview(fresh)
+        self.storage_view = view
+        self.base_offset = self.consumed_offset
         self.grows += 1
         return 1
 
@@ -72,82 +88,81 @@ class StreamRecvBuffer:
             raise FinalSizeError(
                 f"final size changed from {self.fin_offset} to {final_offset}"
             )
-        if final_offset < self.contiguous_offset:
-            raise FinalSizeError(
-                f"final size {final_offset} below received {self.contiguous_offset}"
-            )
+        received = self.ends[-1] if self.ends else self.contiguous_offset
+        if final_offset < received:
+            raise FinalSizeError(f"final size {final_offset} below received {received}")
         self.fin_offset = final_offset
 
-    def commit_zero_copy(self, end: int, fin: bool, scratch_end: int) -> int:
+    def commit_zero_copy(self, end: int, fin: bool) -> None:
         """Advance the watermark to stream offset end over data decrypted
-        at the contiguous tail.
-
-        The data was written by the AEAD open itself; no copy happens
-        for it. scratch_end is the storage index past the full plaintext
-        footprint (data, footer, any trailing frames), all of which
-        becomes scratch past the new watermark. The caller has both
-        values at hand, which keeps this per-packet call short. Returns
-        bytes copied by draining newly contiguous stash entries.
+        at the contiguous tail; the AEAD open wrote it, so nothing is
+        copied. The caller opened there only a footprint ending by the
+        first received range, so end, short of the footer, stays below it.
         """
         if fin:
             self.set_fin(end)
         elif self.fin_offset is not None and end > self.fin_offset:
             raise FinalSizeError("data past final size")
         self.contiguous_offset = end
-        if self.scratch_end < scratch_end:
-            self.scratch_end = scratch_end
-        if self.stash._offsets:
-            return self._drain_stash()
-        return 0
 
-    def append_in_order(self, data, fin: bool) -> int:
-        """Copy data to the contiguous tail (reassembly path).
+    def place(self, offset: int, data, fin: bool) -> int:
+        """Copy an authenticated fragment to offset - base_offset.
 
-        Returns bytes copied, including any stash drains it unlocks.
+        Only the parts not yet received are written: committed bytes and
+        received ranges keep their first write. The watermark then moves
+        over the range the tail now reaches. Returns the bytes copied, or
+        -1 when the fragment ends more than WINDOW past the tail: it is
+        dropped, and its packet goes unacknowledged.
         """
         n = len(data)
+        end = offset + n
+        tail = self.contiguous_offset
+        if end - tail > WINDOW:
+            return -1
         if fin:
-            self.set_fin(self.contiguous_offset + n)
-        elif self.fin_offset is not None and self.contiguous_offset + n > self.fin_offset:
-            raise FinalSizeError("data past final size")
-        dest = self.contiguous_offset - self.base_offset
-        if dest + n > len(self.storage):
-            self.ensure_room(dest + n)
-        self.storage[dest : dest + n] = data
-        self.contiguous_offset += n
-        if self.scratch_end < dest + n:
-            self.scratch_end = dest + n
-        if not self.stash._offsets:
+            self.set_fin(end)
+        elif self.fin_offset is not None and end > self.fin_offset:
+            raise FinalSizeError(f"data up to {end} past final size {self.fin_offset}")
+        base = self.base_offset
+        if end - base > len(self.storage):
+            self.ensure_room(end - base)
+            base = self.base_offset
+        starts = self.starts
+        if offset == tail and not starts:
+            # in order with nothing pending. Bytearray slice assignment
+            # copies data through a temporary; a write through
+            # storage_view would not (ROADMAP item 2)
+            self.storage[tail - base : end - base] = data
+            self.contiguous_offset = end
             return n
-        return n + self._drain_stash()
-
-    def stash_out_of_order(self, offset: int, data, fin: bool) -> int:
-        """Hold a fragment that arrived past the contiguous tail.
-
-        Overlap with committed data or existing entries is trimmed, so
-        the stash stays disjoint. Returns bytes copied into the stash;
-        sets stash_overflow when the cap forces a drop.
-        """
-        if fin:
-            self.set_fin(offset + len(data))
-        return self.stash.insert(offset, data, self.contiguous_offset)
-
-    def _drain_stash(self) -> int:
+        dst = self.storage_view
+        start = offset if offset > tail else tail
+        if start >= end:
+            return 0
+        ends = self.ends
+        # ranges i .. j-1 overlap or touch [start, end)
+        i = bisect_left(ends, start)
+        j = bisect_right(starts, end, i)
+        src = memoryview(data)
         copied = 0
-        while True:
-            entry = self.stash.pop_contiguous(self.contiguous_offset)
-            if entry is None:
-                break
-            offset, data = entry
-            skip = self.contiguous_offset - offset
-            chunk = memoryview(data)[skip:]
-            dest = self.contiguous_offset - self.base_offset
-            self.ensure_room(dest + len(chunk))
-            self.storage[dest : dest + len(chunk)] = chunk
-            self.contiguous_offset += len(chunk)
-            if self.scratch_end < dest + len(chunk):
-                self.scratch_end = dest + len(chunk)
-            copied += len(chunk)
+        cur = start
+        for k in range(i, j):
+            if starts[k] > cur:
+                dst[cur - base : starts[k] - base] = src[cur - offset : starts[k] - offset]
+                copied += starts[k] - cur
+            cur = ends[k]
+        if cur < end:
+            dst[cur - base : end - base] = src[cur - offset :]
+            copied += end - cur
+        if i < j:
+            start = min(start, starts[i])
+            end = max(end, ends[j - 1])
+        if start == tail:
+            del starts[:j], ends[:j]
+            self.contiguous_offset = end
+        else:
+            starts[i:j] = [start]
+            ends[i:j] = [end]
         return copied
 
     def readable_span(self):
@@ -167,96 +182,15 @@ class StreamRecvBuffer:
                 f"consume {n} of {self.contiguous_offset - self.consumed_offset} readable"
             )
         self.consumed_offset += n
-        # slide the window start only when nothing unconsumed remains;
-        # unconsumed bytes are never relocated
-        if self.consumed_offset == self.contiguous_offset:
+        # slide the window start only when nothing unconsumed or pending
+        # remains; those bytes move only when ensure_room reallocates.
+        # Storage grown past its first size shrinks back then
+        if self.consumed_offset == self.contiguous_offset and not self.starts:
             self.base_offset = self.consumed_offset
-            self.scratch_end = 0
-
-
-class OooStash:
-    """Disjoint out-of-order fragments ordered by stream offset."""
-
-    def __init__(self) -> None:
-        self._offsets: list[int] = []
-        self._chunks: list[bytearray] = []
-        self.total_bytes = 0
-        self.overflowed = False
-
-    def __len__(self) -> int:
-        return len(self._offsets)
-
-    def insert(self, offset: int, data, contiguous: int) -> int:
-        data = memoryview(data)
-        # trim anything at or below the contiguous watermark
-        if offset < contiguous:
-            skip = contiguous - offset
-            if skip >= len(data):
-                return 0
-            data = data[skip:]
-            offset += skip
-        copied = 0
-        i = bisect_right(self._offsets, offset)
-        # predecessor may swallow our head
-        if i > 0:
-            prev_end = self._offsets[i - 1] + len(self._chunks[i - 1])
-            if prev_end > offset:
-                if prev_end - offset >= len(data):
-                    return 0
-                data = data[prev_end - offset :]
-                offset = prev_end
-        # walk successors, storing only the uncovered pieces
-        while len(data) > 0:
-            if i < len(self._offsets):
-                nxt_off = self._offsets[i]
-                if nxt_off <= offset:
-                    covered = nxt_off + len(self._chunks[i]) - offset
-                    if covered >= len(data):
-                        return copied
-                    data = data[covered:]
-                    offset += covered
-                    i += 1
-                    continue
-                if nxt_off < offset + len(data):
-                    piece = data[: nxt_off - offset]
-                    copied += self._store(i, offset, piece)
-                    i += 1
-                    data = data[len(piece) :]
-                    offset = nxt_off
-                    continue
-            copied += self._store(i, offset, data)
-            break
-        return copied
-
-    def _store(self, index: int, offset: int, data) -> int:
-        if self.total_bytes + len(data) > STASH_CAP:
-            self.overflowed = True
-            return 0
-        self._offsets.insert(index, offset)
-        self._chunks.insert(index, bytearray(data))
-        self.total_bytes += len(data)
-        return len(data)
-
-    def pop_contiguous(self, contiguous: int):
-        """Remove and return (offset, data) if the first entry touches
-        the contiguous watermark, else None."""
-        while self._offsets:
-            offset = self._offsets[0]
-            chunk = self._chunks[0]
-            if offset > contiguous:
-                return None
-            self._offsets.pop(0)
-            self._chunks.pop(0)
-            self.total_bytes -= len(chunk)
-            if offset + len(chunk) > contiguous:
-                return offset, chunk
-            # entirely stale; discard and keep looking
-        return None
-
-    def take_overflow(self) -> bool:
-        flag = self.overflowed
-        self.overflowed = False
-        return flag
+            if len(self.storage) > self.initial_capacity:
+                self.storage = bytearray(self.initial_capacity)
+                self.storage_view = memoryview(self.storage)
+                self.grows += 1
 
 
 class AppRecvBufMap:
@@ -276,10 +210,10 @@ class AppRecvBufMap:
 
     @property
     def allocations(self) -> int:
-        """Buffers created plus every storage growth among them.
+        """Buffers created plus every storage reallocation among them.
 
-        Growth is counted where it happens, in ensure_room, so every
-        receive lane of both modes reports it alike.
+        Reallocation is counted where it happens, in ensure_room and
+        consume, so every receive lane of both modes reports it alike.
         """
         held = list(self.buffers.values())
         if self.spare is not None:

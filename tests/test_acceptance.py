@@ -147,7 +147,8 @@ def test_criterion_5_ordered_ratio_linkage():
         and again.payload_bytes_copied == r2.payload_bytes_copied
     )
     # reorder-only pipe delivers every byte exactly once, so the copied
-    # bytes are exactly the out-of-order-delivered fragment bytes
+    # bytes are exactly those not opened onto the tail: the out-of-order
+    # fragments and the packets filling a gap, which open in the datagram
     exact_copy_link = all(
         r.payload_bytes_copied == r.bytes_transferred - r.payload_bytes_zero_copy
         and r.retransmissions == 0

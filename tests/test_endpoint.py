@@ -352,9 +352,10 @@ class TestLossAndReordering:
             server.recv(bytearray(g), sbuf)
         view, fin = server.stream_recv(1, sbuf)
         assert (bytes(view), fin) == (payload, True)
-        # the late stash drains were real copies, everything else was not
+        # every fragment landed past a gap, and the retransmission that
+        # fills it opens in place: its footer would land on the next range
         m = server.metrics()
-        assert m.payload_bytes_copied == m.payload_bytes_stashed
+        assert (m.payload_bytes_copied, m.payload_bytes_zero_copy) == (len(payload), 0)
 
     def test_replay_is_acked_and_dropped(self):
         client, server = pair(WireMode.REVERSO)
@@ -377,17 +378,18 @@ class TestLossAndReordering:
         client.stream_send(1, b"o" * 6000, fin=True)
         grams = self.build_all(client)
         assert len(grams) == 5
-        late = grams[1]
-        ooo_bytes = 0
+        first, late = (len(client.unacked[pn][1][0].data) for pn in (0, 1))
         for g in grams[2:]:
             server.recv(bytearray(g), sbuf)
+        # the bytes ahead of the gap were copied once, where they belong
+        assert server.metrics().payload_bytes_copied == 6000 - first - late
         server.recv(bytearray(grams[0]), sbuf)
-        server.recv(bytearray(late), sbuf)
+        server.recv(bytearray(grams[1]), sbuf)
         m = server.metrics()
-        # exactly the bytes that arrived ahead of the gap were copied
+        # the first packet continued the tail below every range; the late
+        # one filling the gap was opened in place and copied
         assert m.packets_out_of_order == 3
-        assert m.payload_bytes_copied == m.payload_bytes_stashed > 0
-        assert m.payload_bytes_copied + m.payload_bytes_zero_copy == 6000
+        assert (m.payload_bytes_copied, m.payload_bytes_zero_copy) == (6000 - first, first)
         assert bytes(server.stream_recv(1, sbuf)[0]) == b"o" * 6000
 
 
@@ -433,7 +435,8 @@ class TestAdversarial:
         assert server.metrics().decrypt_failures == 1
 
     @pytest.mark.parametrize(
-        "lane", ["fast", "first_contact", "off_tail", "off_tail_first_contact"]
+        "lane", ["fast", "first_contact", "off_tail", "off_tail_first_contact",
+                 "tail_reaching_range", "tail_below_range"]
     )
     def test_failed_open_never_writes_below_watermark(self, lane):
         """decrypt_into leaves unauthenticated bytes in its destination
@@ -441,20 +444,20 @@ class TestAdversarial:
         opened at offset 0) must aim it past the contiguous watermark and
         bind nothing until the tag verifies; the off-tail lanes (stream 1
         past a gap, stream 2 first seen past offset 0) open in place in
-        the datagram and touch no storage at all."""
+        the datagram and touch no storage at all. A range received past
+        the tail is kept like committed bytes: a packet continuing the
+        tail opens onto it only when its whole footprint ends by the
+        range (tail_below_range), and in the datagram when its footer
+        would reach it (tail_reaching_range)."""
         client, server = pair(WireMode.REVERSO)
         appbuf = AppRecvBufMap()
         out = bytearray(MAX_DATAGRAM)
-        client.stream_send(1, bytes(range(256)) * 16)
+        client.stream_send(1, bytes(range(256)) * 24)
         for _ in range(2):
             n = client.build_packet(out)
             server.recv(bytearray(out[:n]), appbuf)
         sbuf = appbuf.get(1)
         watermark = sbuf.contiguous_offset
-        storage = bytes(sbuf.storage)
-        committed = storage[: watermark - sbuf.base_offset]
-        spare = appbuf.spare
-        allocations = appbuf.allocations
         target = 2 if lane.endswith("first_contact") else 1
         if target == 2:
             client.send_streams[1].queue.clear()  # next packets open stream 2
@@ -465,6 +468,19 @@ class TestAdversarial:
         n = client.build_packet(out)
         assert n is not None
         gram = bytearray(out[:n])
+        if lane.startswith("tail_"):
+            if lane == "tail_below_range":
+                client.build_packet(out)  # lost: a gap below the range
+            # a later packet arrives first and leaves a range past the tail
+            server.recv(bytearray(out[: client.build_packet(out)]), appbuf)
+        received = [(s, e, bytes(sbuf.storage[s - sbuf.base_offset : e - sbuf.base_offset]))
+                    for s, e in zip(sbuf.starts, sbuf.ends)]
+        assert bool(received) is lane.startswith("tail_")
+        storage = bytes(sbuf.storage)
+        committed = storage[: watermark - sbuf.base_offset]
+        spare = appbuf.spare
+        allocations = appbuf.allocations
+        honest = bytes(gram)
         gram[-1] ^= 0x01  # corrupt the tag, leaving the header sample alone
         hdr, _ = header.unprotect_and_decode(
             WireMode.REVERSO, bytearray(gram), server.recv_keys, server.largest_received_pn,
@@ -477,13 +493,16 @@ class TestAdversarial:
         assert server.metrics().decrypt_failures == 1
         assert sbuf.contiguous_offset == watermark
         assert bytes(sbuf.storage[: watermark - sbuf.base_offset]) == committed
+        assert [(s, e, bytes(sbuf.storage[s - sbuf.base_offset : e - sbuf.base_offset]))
+                for s, e in zip(sbuf.starts, sbuf.ends)] == received
         assert set(appbuf.buffers) == {1}
-        if off_tail:
+        tail = header.SAMPLE_OFFSET  # past the longest header
+        if off_tail or lane == "tail_reaching_range":
             assert bytes(sbuf.storage) == storage
+            assert bytes(gram[tail:]) != pristine[tail:]  # opened over the ciphertext
             assert appbuf.spare is spare and appbuf.allocations == allocations
         else:
             # opened into storage, not over the ciphertext
-            tail = header.SAMPLE_OFFSET  # past the longest header
             assert bytes(gram[tail:]) == pristine[tail:]
             if target == 1:
                 assert appbuf.spare is spare and appbuf.allocations == allocations
@@ -491,6 +510,22 @@ class TestAdversarial:
                 # the spare staged for stream 2 stays unbound, for reuse
                 assert spare is None and appbuf.spare is not None
                 assert appbuf.allocations == allocations + 1
+        if received:
+            # the honest packet commits; reaching the range, the watermark moves over it
+            before = server.metrics()
+            server.recv(bytearray(honest), appbuf)
+            m = server.metrics()
+            moved = sbuf.contiguous_offset - watermark
+            if lane == "tail_reaching_range":
+                assert (sbuf.contiguous_offset, sbuf.starts) == (received[0][1], [])
+                copied = moved - (received[0][1] - received[0][0])
+                assert m.payload_bytes_copied - before.payload_bytes_copied == copied > 0
+            else:
+                assert m.payload_bytes_zero_copy - before.payload_bytes_zero_copy == moved > 0
+                assert sbuf.starts == [received[0][0]]
+            start, end, data = received[0]
+            assert bytes(sbuf.storage[start - sbuf.base_offset : end - sbuf.base_offset]) == data
+            assert bytes(sbuf.storage[: watermark - sbuf.base_offset]) == committed
 
     def test_mutation_storm_keeps_committed_region(self):
         rng = random.Random(77)
@@ -600,11 +635,12 @@ def in_flight_server(mode, packets=4):
 def receiver_state(conn, appbuf):
     """Everything a received packet can change, for comparison."""
     streams = {
-        sid: (bytes(conn.stream_recv(sid, appbuf)[0]), sbuf.contiguous_offset)
+        sid: (bytes(conn.stream_recv(sid, appbuf)[0]), sbuf.contiguous_offset,
+              list(zip(sbuf.starts, sbuf.ends)))
         for sid, sbuf in appbuf.buffers.items()
     }
     return (sorted(conn.unacked), conn.largest_peer_acked, sorted(conn.ack_pending),
-            conn.metrics(), streams, conn.closed)
+            conn.metrics(), streams, conn.closed, conn.largest_received_pn)
 
 
 def stream(offset, data):
@@ -662,9 +698,9 @@ class TestControlLanes:
                 server.recv(seal(mode, C2S, pn, pt, hdr_sid, hdr_off), sbuf)
             states[via_parser] = receiver_state(server, sbuf)
         assert states[False] == states[True]
-        unacked, largest, pending, m, streams, _ = states[False]
-        assert (unacked, largest, pending) == ([], 3, [0, 1, 3])
-        assert streams[1] == (b"myz", 3)
+        unacked, largest, pending, m, streams, _, received = states[False]
+        assert (unacked, largest, pending, received) == ([], 3, [0, 1, 3], 3)
+        assert streams[1] == (b"myz", 3, [(10, 14)])
         assert (m.packets_in_order, m.packets_out_of_order, m.packets_control_only) == (2, 1, 1)
 
     @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)

@@ -1,34 +1,51 @@
-"""Receive buffers: commits, stashing, recycling, and the receive-side
-destination choice that feeds them."""
+"""Receive buffers: commits, placement of out-of-order fragments,
+recycling, and the receive-side destination choice that feeds them."""
 
 import random
 import zlib
 
 import pytest
 
-from revquic import header
+from revquic import header, stream_buf
 from revquic.endpoint import Connection, Role
 from revquic.errors import ConsumeOutOfRange, FinalSizeError, ProtocolViolation
 from revquic.mode import WireMode
-from revquic.stream_buf import (
-    AppRecvBufMap,
-    OooStash,
-    StreamRecvBuffer,
-    STASH_CAP,
-)
+from revquic.stream_buf import WINDOW, AppRecvBufMap, StreamRecvBuffer
 from revquic.wire import PingFrame, StreamFrame
 
 from test_endpoint import C2S, SECRET, craft
 
 
-def pour(buf: StreamRecvBuffer, data: bytes, fin: bool = False) -> int:
+def pour(buf: StreamRecvBuffer, data: bytes, fin: bool = False) -> None:
     """Write data at the contiguous tail as a successful decrypt would,
     then commit it (footer scratch of 8 bytes past the data)."""
-    dest = buf.contiguous_offset - buf.base_offset
-    buf.ensure_room(dest + len(data) + 8)
+    tail = buf.contiguous_offset
+    assert not buf.starts or tail + len(data) + 8 <= buf.starts[0], "footprint reaches a range"
+    buf.ensure_room(tail - buf.base_offset + len(data) + 8)
+    dest = tail - buf.base_offset
     buf.storage[dest : dest + len(data)] = data
     buf.storage[dest + len(data) : dest + len(data) + 8] = b"\xee" * 8
-    return buf.commit_zero_copy(buf.contiguous_offset + len(data), fin, dest + len(data) + 8)
+    buf.commit_zero_copy(tail + len(data), fin)
+
+
+def arrive(buf: StreamRecvBuffer, data: bytes) -> None:
+    """Continue the tail as the reverso receiver would: opened onto the
+    tail when the footprint ends by the first received range, else
+    placed from the datagram."""
+    tail = buf.contiguous_offset
+    if not buf.starts or tail + len(data) + 8 <= buf.starts[0]:
+        pour(buf, data)
+    else:
+        buf.place(tail, data, False)
+
+
+def ranges(buf: StreamRecvBuffer) -> list[tuple[int, int]]:
+    return list(zip(buf.starts, buf.ends))
+
+
+def at(buf: StreamRecvBuffer, start: int, end: int) -> bytes:
+    """The stored bytes of stream offsets [start, end)."""
+    return bytes(buf.storage[start - buf.base_offset : end - buf.base_offset])
 
 
 class Receiver:
@@ -85,8 +102,32 @@ class TestDecryptionPlan:
         r.send(4, 0, b"x" * 1300)
         m = r.send(4, 2400, b"z" * 500)
         assert m.packets_out_of_order == 1
-        assert m.payload_bytes_stashed == 500
+        assert m.payload_bytes_copied == 500
         assert r.appbuf.get(4).contiguous_offset == 1300
+        assert ranges(r.appbuf.get(4)) == [(2400, 2900)]
+        assert at(r.appbuf.get(4), 2400, 2900) == b"z" * 500
+
+    def test_tail_reaching_a_range_is_placed(self):
+        r = Receiver()
+        r.send(4, 0, b"x" * 100)
+        r.send(4, 300, b"z" * 500)
+        # the footer would land on the range: opened in the datagram
+        m = r.send(4, 100, b"y" * 200)
+        assert (m.payload_bytes_zero_copy, m.payload_bytes_copied) == (100, 700)
+        assert m.packets_in_order == 2
+        buf = r.appbuf.get(4)
+        assert (buf.contiguous_offset, ranges(buf)) == (800, [])
+        assert bytes(buf.readable_span()[0]) == b"x" * 100 + b"y" * 200 + b"z" * 500
+
+    def test_fragment_past_window_is_dropped_unacked(self):
+        for mode in WireMode:
+            r = Receiver(mode)
+            before = r.send(4, 0, b"x" * 100)
+            m = r.send(4, 100 + WINDOW, b"w")
+            assert m.packets_out_of_order == 1
+            assert m.payload_bytes_copied == before.payload_bytes_copied
+            assert ranges(r.appbuf.get(4)) == []
+            assert r.pn not in r.conn.ack_pending
 
     def test_past_offset_is_suspicious(self):
         r = Receiver()
@@ -138,19 +179,21 @@ class TestCommitZeroCopy:
     def test_plain_commit_copies_nothing(self):
         buf = StreamRecvBuffer()
         pour(buf, b"a" * 100)
-        copied = pour(buf, b"b" * 1200)
-        assert copied == 0
+        pour(buf, b"b" * 1200)
         assert buf.contiguous_offset == 1300
+        assert at(buf, 0, 1300) == b"a" * 100 + b"b" * 1200
 
     def test_commit_drains_stash(self):
+        # the tail reaches data placed ahead of it and moves over it, uncopied
         buf = StreamRecvBuffer()
         pour(buf, b"a" * 100)
-        buf.stash_out_of_order(1300, b"s" * 500, False)
-        copied = pour(buf, b"b" * 1200)
-        assert copied == 500
-        assert buf.contiguous_offset == 1800
+        assert buf.place(1300, b"s" * 500, False) == 500
+        pour(buf, b"b" * 1192)  # the 8 footer bytes end right at the range
+        assert (buf.contiguous_offset, ranges(buf)) == (1292, [(1300, 1800)])
+        buf.place(1292, b"c" * 8, False)
+        assert (buf.contiguous_offset, ranges(buf)) == (1800, [])
         view, n, _ = buf.readable_span()
-        assert bytes(view[1300:1800]) == b"s" * 500
+        assert bytes(view[1292:1800]) == b"c" * 8 + b"s" * 500
 
     def test_next_data_overwrites_previous_footer(self):
         r = Receiver()
@@ -158,7 +201,7 @@ class TestCommitZeroCopy:
         buf = r.appbuf.get(4)
         # scratch footer past the watermark: offset 0, stream id 4, type
         assert bytes(buf.storage[100:103]) == bytes([0x00, 4 << 2, 0x0C])
-        assert (buf.contiguous_offset, buf.scratch_end) == (100, 103)
+        assert buf.contiguous_offset == 100
         r.send(4, 100, b"b" * 200)
         assert buf.storage[100] == ord("b")
         assert bytes(buf.storage[:300]) == b"a" * 100 + b"b" * 200
@@ -175,7 +218,7 @@ class TestCommitZeroCopy:
         with pytest.raises(FinalSizeError):
             buf.set_fin(400)
         with pytest.raises(FinalSizeError):
-            buf.stash_out_of_order(100, b"x" * 100, True)  # implies fin at 200
+            buf.place(100, b"x" * 100, True)  # implies fin at 200
 
     def test_fin_below_received_rejected(self):
         buf = StreamRecvBuffer()
@@ -184,62 +227,106 @@ class TestCommitZeroCopy:
             buf.set_fin(50)
 
 
+class TestFinalSize:
+    """RFC 9000 §4.5: no stream data past the final size, whichever
+    arrives first."""
+
+    def test_data_past_known_final_size_rejected(self):
+        buf = StreamRecvBuffer()
+        buf.place(0, b"a" * 100, False)
+        buf.place(150, b"f" * 50, True)
+        with pytest.raises(FinalSizeError):
+            buf.place(200, b"x" * 30, False)
+        buf.place(100, b"b" * 50, False)
+        assert (buf.contiguous_offset, buf.fin_offset, ranges(buf)) == (200, 200, [])
+        assert buf.readable_span()[2] is True
+
+    def test_final_size_below_received_range_rejected(self):
+        buf = StreamRecvBuffer()
+        buf.place(0, b"a" * 100, False)
+        buf.place(200, b"x" * 30, False)
+        with pytest.raises(FinalSizeError):
+            buf.place(150, b"f" * 50, True)
+        with pytest.raises(FinalSizeError):
+            buf.set_fin(229)
+        assert buf.fin_offset is None
+        buf.set_fin(230)
+
+    def test_zero_copy_fin_below_received_range_rejected(self):
+        buf = StreamRecvBuffer()
+        buf.place(500, b"x" * 30, False)
+        with pytest.raises(FinalSizeError):
+            pour(buf, b"a" * 100, fin=True)
+
+
 class TestStash:
+    """The out-of-order cases the stash once held, now on the one write
+    method: a fragment's new bytes are copied once, to their own offset
+    in storage, and the first write wins."""
+
     def test_disjoint_insert_copies_all(self):
-        s = OooStash()
-        assert s.insert(100, b"x" * 40, 0) == 40
-        assert s.insert(500, b"y" * 10, 0) == 10
-        assert s.total_bytes == 50
+        buf = StreamRecvBuffer()
+        assert buf.place(100, b"x" * 40, False) == 40
+        assert buf.place(500, b"y" * 10, False) == 10
+        assert ranges(buf) == [(100, 140), (500, 510)]
+        assert at(buf, 100, 140) == b"x" * 40 and at(buf, 500, 510) == b"y" * 10
+        assert buf.contiguous_offset == 0
 
     def test_duplicate_insert_copies_nothing(self):
-        s = OooStash()
-        s.insert(100, b"x" * 40, 0)
-        assert s.insert(100, b"x" * 40, 0) == 0
-        assert s.insert(110, b"x" * 20, 0) == 0
-        assert s.total_bytes == 40
+        buf = StreamRecvBuffer()
+        buf.place(100, b"x" * 40, False)
+        assert buf.place(100, b"d" * 40, False) == 0
+        assert buf.place(110, b"d" * 20, False) == 0
+        assert ranges(buf) == [(100, 140)]
+        assert at(buf, 100, 140) == b"x" * 40
 
     def test_contiguous_overlap_trimmed(self):
         buf = StreamRecvBuffer()
         pour(buf, b"a" * 100)
-        assert buf.stash_out_of_order(60, b"z" * 80, False) == 40
-        assert buf.stash._offsets == [100]
+        assert buf.place(60, b"z" * 80, False) == 40
+        assert (buf.contiguous_offset, ranges(buf)) == (140, [])
+        assert at(buf, 0, 140) == b"a" * 100 + b"z" * 40
 
     def test_partial_overlap_keeps_uncovered_pieces(self):
-        s = OooStash()
-        s.insert(100, b"a" * 20, 0)  # [100, 120)
-        assert s.insert(90, b"b" * 50, 0) == 30  # adds [90,100) and [120,140)
-        assert s._offsets == [90, 100, 120]
-        assert s.total_bytes == 50
+        buf = StreamRecvBuffer()
+        buf.place(100, b"a" * 20, False)  # [100, 120)
+        assert buf.place(90, b"b" * 50, False) == 30  # adds [90,100) and [120,140)
+        assert ranges(buf) == [(90, 140)]
+        assert at(buf, 90, 140) == b"b" * 10 + b"a" * 20 + b"b" * 20
 
     def test_bridge_insert_then_drain_order(self):
-        s = OooStash()
-        s.insert(200, b"c" * 10, 0)
-        s.insert(100, b"a" * 10, 0)
-        assert s.pop_contiguous(50) is None
-        off, chunk = s.pop_contiguous(100)
-        assert (off, bytes(chunk)) == (100, b"a" * 10)
+        buf = StreamRecvBuffer()
+        buf.place(200, b"c" * 10, False)
+        buf.place(100, b"a" * 10, False)
+        assert ranges(buf) == [(100, 110), (200, 210)]
+        assert buf.place(105, b"b" * 100, False) == 90
+        assert ranges(buf) == [(100, 210)]
+        assert at(buf, 100, 210) == b"a" * 10 + b"b" * 90 + b"c" * 10
+        assert buf.place(0, b"z" * 100, False) == 100
+        assert (buf.contiguous_offset, ranges(buf)) == (210, [])
 
     def test_stale_entries_discarded(self):
-        s = OooStash()
-        s.insert(100, b"a" * 10, 0)
-        s.insert(200, b"c" * 10, 0)
-        # watermark swallowed the first entry and bites into the second
-        off, chunk = s.pop_contiguous(205)
-        assert (off, bytes(chunk)) == (200, b"c" * 10)
-        assert s.total_bytes == 0
-        # fully stale stash yields nothing
-        s.insert(100, b"a" * 10, 0)
-        assert s.pop_contiguous(250) is None
-        assert s.total_bytes == 0
+        buf = StreamRecvBuffer()
+        buf.place(100, b"a" * 10, False)
+        buf.place(200, b"c" * 10, False)
+        # the tail swallows the first range and bites into the second
+        assert buf.place(0, b"t" * 205, False) == 190
+        assert (buf.contiguous_offset, ranges(buf)) == (210, [])
+        assert at(buf, 0, 210) == b"t" * 100 + b"a" * 10 + b"t" * 90 + b"c" * 10
+        # wholly below the tail: nothing to write
+        assert buf.place(100, b"s" * 10, False) == 0
+        assert buf.contiguous_offset == 210
 
-    def test_cap_drops_beyond(self):
-        s = OooStash()
-        half = STASH_CAP // 2
-        assert s.insert(0, bytes(half), 0) == half
-        assert s.insert(half, bytes(half), 0) == half
-        assert s.insert(STASH_CAP, b"x", 0) == 0
-        assert s.take_overflow() is True
-        assert s.take_overflow() is False
+    def test_cap_drops_beyond(self, monkeypatch):
+        buf = StreamRecvBuffer(1024)
+        pour(buf, b"a" * 10)
+        assert buf.place(11, b"x" * 10, False) == 10
+        assert buf.place(10 + WINDOW, b"x", True) == -1
+        assert (ranges(buf), buf.fin_offset, buf.capacity) == ([(11, 21)], None, 1024)
+        monkeypatch.setattr(stream_buf, "WINDOW", 100)  # the boundary, without 16 MiB of storage
+        assert buf.place(110, b"x", False) == -1
+        assert buf.place(109, b"x", False) == 1  # ends right at the window
+        assert ranges(buf) == [(11, 21), (109, 110)]
 
 
 class TestSpanAndConsume:
@@ -262,7 +349,14 @@ class TestSpanAndConsume:
         view, n, _ = buf.readable_span()
         assert n == 0
         assert buf.base_offset == 100
-        assert buf.scratch_end == 0
+
+    def test_pending_range_pins_window_start(self):
+        buf = StreamRecvBuffer()
+        pour(buf, b"q" * 100)
+        buf.place(200, b"r" * 10, False)
+        buf.consume(100)
+        assert buf.base_offset == 0  # the range stays where it was written
+        assert at(buf, 200, 210) == b"r" * 10
 
     def test_partial_consume_never_relocates(self):
         buf = StreamRecvBuffer()
@@ -284,35 +378,30 @@ class TestSpanAndConsume:
     def test_fin_reached_flag(self):
         buf = StreamRecvBuffer()
         pour(buf, b"q" * 50)
-        buf.stash_out_of_order(100, b"r" * 20, True)
+        buf.place(100, b"r" * 20, True)
         assert buf.readable_span()[2] is False
-        pour(buf, b"q" * 50)  # drains the stash up to fin at 120
+        buf.place(50, b"q" * 50, False)  # the tail reaches the range, up to fin at 120
         view, n, fin = buf.readable_span()
         assert (n, fin) == (120, True)
 
     def test_span_bytes_stable_until_consumed(self):
         rng = random.Random(31)
+        message = rng.randbytes(80_000)
         buf = StreamRecvBuffer(1024)
-        committed = bytearray()
         checksums = []
-        for _ in range(40):
-            chunk = rng.randbytes(rng.randint(1, 3000))
+        while buf.contiguous_offset < len(message):
+            tail = buf.contiguous_offset
             if rng.random() < 0.4:
-                buf.stash_out_of_order(
-                    buf.contiguous_offset + rng.randint(1, 500),
-                    rng.randbytes(rng.randint(1, 200)),
-                    False,
-                )
-            pour(buf, chunk)
-            committed += chunk
-            drained = buf.contiguous_offset - len(committed)
-            if drained:
-                view, _, _ = buf.readable_span()
-                committed += bytes(view[len(committed) :])
-            checksums.append(zlib.crc32(bytes(buf.readable_span()[0])))
+                ahead = tail + rng.randint(1, 500)
+                buf.place(ahead, message[ahead : ahead + rng.randint(1, 200)], False)
+            arrive(buf, message[tail : tail + rng.randint(1, 3000)])
             view, n, _ = buf.readable_span()
-            assert bytes(view) == committed  # growth and drains preserve content
-        assert checksums[-1] == zlib.crc32(bytes(committed))
+            # growth and range merges preserve content
+            assert bytes(view) == message[: buf.contiguous_offset]
+            for start, end in ranges(buf):
+                assert at(buf, start, end) == message[start:end]
+            checksums.append(zlib.crc32(bytes(view)))
+        assert checksums[-1] == zlib.crc32(message)
 
     def test_growth_preserves_committed_bytes(self):
         buf = StreamRecvBuffer(512)
@@ -321,6 +410,37 @@ class TestSpanAndConsume:
         assert buf.capacity >= 5000
         view, n, _ = buf.readable_span()
         assert bytes(view) == b"m" * 400
+
+    def test_growth_rebases_to_consumed(self):
+        buf = StreamRecvBuffer(1024)
+        pour(buf, b"a" * 1000)
+        buf.place(1010, b"r" * 10, False)
+        buf.consume(900)
+        assert buf.base_offset == 0  # a range is pending: no slide
+        allocations = buf.ensure_room(2000)
+        # only [consumed, highest received end) moved, to index 0
+        assert (allocations, buf.base_offset, buf.capacity) == (1, 900, 2048)
+        assert (bytes(buf.storage[:100]), at(buf, 1010, 1020)) == (b"a" * 100, b"r" * 10)
+        assert buf.place(1000, b"b" * 10, False) == 10
+        assert bytes(buf.readable_span()[0]) == b"a" * 100 + b"b" * 10 + b"r" * 10
+        # a fragment past the capacity rebases the same way
+        buf.consume(120)
+        buf.place(1300, b"s" * 10, False)
+        assert buf.place(3000, b"f" * 10, False) == 10
+        assert (buf.base_offset, buf.capacity, ranges(buf)) == (1020, 2048, [(1300, 1310), (3000, 3010)])
+        assert at(buf, 1300, 1310) == b"s" * 10 and at(buf, 3000, 3010) == b"f" * 10
+
+    def test_grown_storage_shrinks_once_emptied(self):
+        buf = StreamRecvBuffer(1024)
+        buf.place(1500, b"r" * 100, False)
+        assert buf.capacity == 2048
+        buf.place(0, b"a" * 1500, False)
+        buf.consume(1000)
+        assert buf.capacity == 2048  # bytes remain unconsumed
+        buf.consume(600)
+        assert (buf.capacity, buf.base_offset, buf.grows) == (1024, 1600, 2)
+        assert buf.place(1600, b"n" * 10, False) == 10
+        assert bytes(buf.readable_span()[0]) == b"n" * 10
 
 
 class TestRecycling:
@@ -393,13 +513,8 @@ class TestReassemblyDifferential:
                 frags.append((a, message[a:b]))
             rng.shuffle(frags)
             buf = StreamRecvBuffer(1024)
-            for off, chunk in frags:
-                if off <= buf.contiguous_offset:
-                    skip = buf.contiguous_offset - off
-                    if skip < len(chunk):
-                        buf.append_in_order(chunk[skip:], False)
-                else:
-                    buf.stash_out_of_order(off, chunk, False)
-            assert buf.contiguous_offset == len(message)
+            copied = sum(buf.place(off, chunk, False) for off, chunk in frags)
+            assert copied == len(message)  # each byte copied once
+            assert (buf.contiguous_offset, ranges(buf)) == (len(message), [])
             view, n, _ = buf.readable_span()
             assert bytes(view) == message
