@@ -11,8 +11,11 @@ bound only once the tag verifies and the anchor frame's footer agrees
 with the header. Baseline mode opens in place in the datagram buffer,
 decodes forward, and copies validated stream data into storage; that
 reassembly copy is the cost the reversed layout removes. In both modes
-the ack and padding that ride with the stream data are read where they
-lie, without frame objects.
+the receiver reads exactly the layout build_packet writes, at most one
+stream frame beside at most one ack, one close and a padding run, where
+they lie and without frame objects; any other frame raises. A packet is
+decoded and checked in full before any of it applies, so one that
+raises leaves no state behind.
 
 Reliability is deliberately minimal: fixed retransmission timeout, a
 fixed in-flight window, ack-every-data-packet. Fragment boundaries are
@@ -219,18 +222,17 @@ class Connection:
 
         Returns the datagram length, or None when there is nothing to
         send. At most one stream frame per packet; pending acks and a
-        queued close ride along. No frame or header objects are built
-        for the stream data or the ack: header.pack_header writes the
-        header as one integer, wire.stream_fields and wire.ack_fields
-        give the frames' fields and the data is copied once, straight
-        from the fragment into out; only a close goes through
-        wire.serialize_*. The plaintext is sealed in place with
+        queued close ride along. No frame or header objects are built:
+        header.pack_header writes the header as one integer,
+        wire.stream_fields, wire.ack_fields and wire.close_fields give
+        the frames' bytes and the data is copied once, straight from the
+        fragment into out. The plaintext is sealed in place with
         encrypt_into and header.protect masks the header as one integer
         window.
 
-        Reverso plaintext: stream data, its footer, control frames,
-        padding. Baseline: control frames, padding, then the stream
-        frame, which owns the remainder.
+        Reverso plaintext: stream data, its footer, ack, close, padding.
+        Baseline: ack, close, padding, then the stream frame, which owns
+        the remainder.
         """
         if len(out) < MAX_DATAGRAM:
             raise BufferTooSmall(f"need {MAX_DATAGRAM}, got {len(out)}")
@@ -250,9 +252,8 @@ class Connection:
                 ack = wire.ack_fields(pending[0], 0, pending[1], reverso)
                 ctrl_len = len(ack)
             if self._close_queued is not None:
-                code, reason = self._close_queued
-                close = wire.ConnectionCloseFrame(error_code=code, reason=reason)
-                ctrl_len += wire.frame_wire_size(close, self.mode)
+                close = wire.close_fields(*self._close_queued, reverso)
+                ctrl_len += len(close)
                 self._close_queued = None
             frag = self._next_fragment(ctrl_len)
             if frag is None and not ctrl_len:
@@ -289,8 +290,8 @@ class Connection:
             view[pos : pos + len(ack)] = ack
             pos += len(ack)
         if close is not None:
-            serialize = wire.serialize_reversed if reverso else wire.serialize_forward
-            pos += serialize([close], view[pos:end])
+            view[pos : pos + len(close)] = close
+            pos += len(close)
         if pad > 0:
             view[pos : pos + pad] = bytes(pad)
             pos += pad
@@ -318,23 +319,27 @@ class Connection:
 
     # --- receiving ---
     #
-    # One receive function per mode. Each unprotects the header with
-    # header.unprotect, opens the AEAD with decrypt_into, and decodes the
-    # shapes build_packet emits, a stream frame owning the plaintext with
-    # at most an ack and padding beside it, or an ack and padding alone,
-    # without building frame objects, because per-object interpreter cost
-    # dominates the per-packet budget. A fragment continuing its stream's
-    # contiguous tail is committed on the spot, any other is placed in
-    # storage through _deliver; an ack passes _check_ack before anything
-    # of its packet is applied and reaches _on_ack as plain ints. Any
-    # other frame sends the rest of the plaintext through a wire parser
-    # and _process_plaintext.
+    # One receive function per mode, and one route through each. Each
+    # unprotects the header with header.unprotect, opens the AEAD with
+    # decrypt_into, and walks exactly the layout build_packet writes: at
+    # most one stream frame, owning the rest of the plaintext, beside at
+    # most one ack, at most one close and a padding run. Each is read
+    # where it lies, without frame objects, because per-object
+    # interpreter cost dominates the per-packet budget. Any other frame
+    # (ping, max-stream-data, a stream frame with LEN, a second ack or
+    # stream frame, an unknown type) raises ProtocolViolation. The whole
+    # packet is decoded and checked, its ack by _check_ack, before any of
+    # it applies; then its stream data (committed on the spot when it
+    # continues its stream's contiguous tail, placed in storage through
+    # _deliver otherwise), its ack through _on_ack, and its close, in
+    # that order.
 
     def recv(self, datagram, appbuf: AppRecvBufMap) -> int:
         """Process one datagram; returns bytes consumed from it.
 
         Authentication failures are silent: the packet is dropped, a
-        counter ticks, and no state visible to the peer changes.
+        counter ticks, and no state visible to the peer changes. An
+        authenticated packet that raises has applied nothing.
 
         datagram must be writable and private to this call: the header
         is unprotected in place, and the in-place lanes decrypt over the
@@ -407,21 +412,26 @@ class Connection:
             self._metrics.decrypt_failures += 1
             return -1
 
-        # Walk back from the end: a padding run, an ack, then the anchor,
-        # the LEN-absent stream frame owning the start of the plaintext,
-        # whose footer (offset, stream id, type) must restate the header's
-        # routing fields. Any other frame hands what is left to the parser.
+        # Walk back from the end: a padding run, a close, an ack, then
+        # the anchor, the LEN-absent stream frame owning the start of the
+        # plaintext, whose footer (offset, stream id, type) must restate
+        # the header's routing fields.
         cur = hi
         t = store[cur - 1] if cur > lo else -1
         if not t:
             cur = wire.padding_start(store, lo, cur)
             t = store[cur - 1] if cur > lo else -1
+        close = None
+        if t == 0x1C:  # connection close
+            code, reason, cur = wire.take_close_reversed(store, lo, cur - 1)
+            close = code, reason
+            t = store[cur - 1] if cur > lo else -1
         acked = False  # an ack decoded here that passed _check_ack
         if t == 0x02:  # ack
-            largest, delay, ranges, cur = wire.take_ack_reversed(store, lo, cur - 1)
+            largest, _, ranges, cur = wire.take_ack_reversed(store, lo, cur - 1)
             acked = self._check_ack(largest, ranges)
             t = store[cur - 1] if cur > lo else -1
-        frames = None
+        m = self._metrics
         if 0x08 <= t <= 0x0F and not t & 0x02:
             # walk the anchor's footer back, stream id first, then offset
             cur -= 1
@@ -455,67 +465,40 @@ class Connection:
             else:
                 f_off = 0
             fin = t & 0x01
+            if tail:
+                if f_sid != sid or f_off != oref:
+                    raise _footer_mismatch(f_sid, f_off, sid, oref)
+                if sbuf is appbuf.spare:
+                    appbuf.spare = None
+                    appbuf.buffers[sid] = sbuf
+                data_len = cur - lo
+                sbuf.commit_zero_copy(oref + data_len, fin)
+                m.payload_bytes_zero_copy += data_len
+                m.packets_in_order += 1
+                self.ack_pending.add(pn)
+            else:
+                if sid == 0:
+                    raise ProtocolViolation("stream frame in a control-only packet")
+                # the header's offset, expanded as the sender truncated it
+                offset = crypto.expand_int(off_t.to_bytes(off_mask.bit_length() >> 3, "big"), oref)
+                if f_sid != sid or f_off != offset:
+                    raise _footer_mismatch(f_sid, f_off, sid, offset)
+                if not self._deliver(appbuf, sid, offset, pt[: cur - lo], fin):
+                    self.ack_pending.add(pn)
         elif t < 0:
-            # padding and at most an ack: a control-only packet
+            # no stream data: a control-only packet
             if sid:
                 raise ProtocolViolation("header names a stream but no anchor frame found")
-            if acked:
-                self._on_ack(largest, ranges)
-            self._metrics.packets_control_only += 1
-            return pn
-        else:
-            # a close, or a frame the builder never emits: the parser
-            # takes over where the walk stopped, so nothing is decoded twice
-            frames = wire.parse_reversed(pt[: cur - lo])
-            if acked:
-                frames.insert(0, wire.AckFrame(largest, delay, ranges))
-            last = frames[-1] if frames else None
-            if isinstance(last, wire.StreamFrame) and last.explicit_len is False:
-                f_sid, f_off, fin = last.stream_id, last.offset, last.fin
-                cur = lo + len(last.data)
-            elif sid:
-                raise ProtocolViolation("header names a stream but no anchor frame found")
-            else:
-                if any(isinstance(f, wire.StreamFrame) for f in frames):
-                    raise ProtocolViolation("stream frame in a control-only packet")
-                self._process_plaintext(appbuf, pn, frames)
-                return pn
-
-        if tail:
-            if f_sid != sid or f_off != oref:
-                raise _footer_mismatch(f_sid, f_off, sid, oref)
-            if frames is not None:
-                frames.pop()
-                self._check_acks(frames)
-            if sbuf is appbuf.spare:
-                appbuf.spare = None
-                appbuf.buffers[sid] = sbuf
-            data_len = cur - lo
-            sbuf.commit_zero_copy(oref + data_len, fin)
-            m = self._metrics
-            m.payload_bytes_zero_copy += data_len
-            m.packets_in_order += 1
-            if frames is None:
+            m.packets_control_only += 1
+            if close is not None:
                 self.ack_pending.add(pn)
-                if acked:
-                    self._on_ack(largest, ranges)
-            else:
-                self._process_plaintext(appbuf, pn, frames, anchored=True)
-            return pn
-
-        if sid == 0:
-            raise ProtocolViolation("stream frame in a control-only packet")
-        # the header's offset, expanded as the sender truncated it
-        offset = crypto.expand_int(off_t.to_bytes(off_mask.bit_length() >> 3, "big"), oref)
-        if f_sid != sid or f_off != offset:
-            raise _footer_mismatch(f_sid, f_off, sid, offset)
-        if frames is None:
-            if not self._deliver(appbuf, sid, offset, pt[: cur - lo], fin):
-                self.ack_pending.add(pn)
-            if acked:
-                self._on_ack(largest, ranges)
         else:
-            self._process_plaintext(appbuf, pn, frames)
+            raise ProtocolViolation(f"frame type 0x{t:02x} outside the packet layout")
+        if acked:
+            self._on_ack(largest, ranges)
+        if close is not None:
+            self.closed = True
+            self.close_error = close
         return pn
 
     def _recv_baseline(self, buf, blen: int, appbuf: AppRecvBufMap) -> int:
@@ -537,101 +520,72 @@ class Connection:
             m.decrypt_failures += 1
             return -1
 
-        # walk forward: an ack, a padding run, then a stream frame that
-        # owns the rest; any other frame hands what is left to the parser
+        # walk forward: an ack, a close, a padding run, then a stream
+        # frame that owns the rest
         pos = hdr_len
         t = buf[pos] if end > pos else -1
         acked = False  # an ack decoded here that passed _check_ack
         if t == 0x02:  # ack
-            largest, delay, ranges, pos = wire.take_ack_forward(buf, pos + 1, end)
+            largest, _, ranges, pos = wire.take_ack_forward(buf, pos + 1, end)
             acked = self._check_ack(largest, ranges)
+            t = buf[pos] if end > pos else -1
+        close = None
+        if t == 0x1C:  # connection close
+            code, reason, pos = wire.take_close_forward(buf, pos + 1, end)
+            close = code, reason
             t = buf[pos] if end > pos else -1
         if not t:
             pos = wire.padding_end(buf, pos, end)
             t = buf[pos] if end > pos else -1
-        if not (0x08 <= t <= 0x0F and not t & 0x02):
-            if t < 0:
-                # padding and at most an ack: a control-only packet
-                if acked:
-                    self._on_ack(largest, ranges)
-                m.packets_control_only += 1
-            else:
-                # a close, or a frame the builder never emits: the parser
-                # takes over where the walk stopped, so nothing is decoded twice
-                frames = wire.parse_forward(buf[pos:end])
-                if acked:
-                    frames.insert(0, wire.AckFrame(largest, delay, ranges))
-                self._process_plaintext(appbuf, pn, frames)
-            return pn
-        # the stream frame: stream id, then offset, then its data
-        pos += 1
-        if pos >= end:
-            raise MalformedFrame("truncated varint")
-        b = buf[pos]
-        n = _VLEN[b >> 6]
-        if pos + n > end:
-            raise MalformedFrame("truncated varint")
-        sid = (
-            b & 0x3F if n == 1
-            else int.from_bytes(buf[pos : pos + n], "big") & (_VMAX[b >> 6] - 1)
-        )
-        pos += n
-        if t & 0x04:
+        if 0x08 <= t <= 0x0F and not t & 0x02:
+            # the stream frame: stream id, then offset, then its data
+            pos += 1
             if pos >= end:
                 raise MalformedFrame("truncated varint")
             b = buf[pos]
             n = _VLEN[b >> 6]
             if pos + n > end:
                 raise MalformedFrame("truncated varint")
-            offset = (
+            sid = (
                 b & 0x3F if n == 1
-                else (b & 0x3F) << 8 | buf[pos + 1] if n == 2
                 else int.from_bytes(buf[pos : pos + n], "big") & (_VMAX[b >> 6] - 1)
             )
             pos += n
+            if t & 0x04:
+                if pos >= end:
+                    raise MalformedFrame("truncated varint")
+                b = buf[pos]
+                n = _VLEN[b >> 6]
+                if pos + n > end:
+                    raise MalformedFrame("truncated varint")
+                offset = (
+                    b & 0x3F if n == 1
+                    else (b & 0x3F) << 8 | buf[pos + 1] if n == 2
+                    else int.from_bytes(buf[pos : pos + n], "big") & (_VMAX[b >> 6] - 1)
+                )
+                pos += n
+            else:
+                offset = 0
+            sbuf = appbuf.buffers.get(sid)  # never holds stream 0
+            if sbuf is not None and offset == sbuf.contiguous_offset:
+                m.payload_bytes_copied += sbuf.place(offset, buf[pos:end], t & 0x01)
+                m.packets_in_order += 1
+                self.ack_pending.add(pn)
+            elif not self._deliver(appbuf, sid, offset, buf[pos:end], t & 0x01):
+                self.ack_pending.add(pn)
+        elif t < 0:
+            # no stream data: a control-only packet
+            m.packets_control_only += 1
+            if close is not None:
+                self.ack_pending.add(pn)
         else:
-            offset = 0
-        sbuf = appbuf.buffers.get(sid)  # never holds stream 0
-        if sbuf is not None and offset == sbuf.contiguous_offset:
-            m.payload_bytes_copied += sbuf.place(offset, buf[pos:end], t & 0x01)
-            m.packets_in_order += 1
-            self.ack_pending.add(pn)
-        elif not self._deliver(appbuf, sid, offset, buf[pos:end], t & 0x01):
-            self.ack_pending.add(pn)
+            raise ProtocolViolation(f"frame type 0x{t:02x} outside the packet layout")
         if acked:
             self._on_ack(largest, ranges)
+        if close is not None:
+            self.closed = True
+            self.close_error = close
         return pn
-
-    def _process_plaintext(
-        self, appbuf: AppRecvBufMap, pn: int, frames: list[wire.Frame], anchored: bool = False,
-    ) -> None:
-        """Apply an authenticated frame list and decide the ack. Its acks
-        are checked before any frame is applied; anchored means the
-        caller checked them and then committed the packet's anchor."""
-        if not anchored:
-            self._check_acks(frames)
-        ack_eliciting = saw_stream = anchored
-        suppress_ack = False
-        for frame in frames:
-            if isinstance(frame, wire.StreamFrame):
-                ack_eliciting = True
-                saw_stream = True
-                if self._deliver(appbuf, frame.stream_id, frame.offset, frame.data, frame.fin):
-                    suppress_ack = True
-            elif isinstance(frame, wire.AckFrame):
-                self._on_ack(frame.largest_acked, frame.ranges)
-            elif isinstance(frame, wire.PingFrame):
-                ack_eliciting = True
-            elif isinstance(frame, wire.MaxStreamDataFrame):
-                ack_eliciting = True
-            elif isinstance(frame, wire.ConnectionCloseFrame):
-                self.closed = True
-                self.close_error = (frame.error_code, bytes(frame.reason))
-                ack_eliciting = True
-        if not saw_stream:
-            self._metrics.packets_control_only += 1
-        if ack_eliciting and not suppress_ack:
-            self.ack_pending.add(pn)
 
     def _deliver(self, appbuf: AppRecvBufMap, sid: int, offset: int, data, fin) -> bool:
         """Place one authenticated stream fragment in its stream's
@@ -671,16 +625,9 @@ class Connection:
             raise MalformedFrame(f"ack ranges reach {largest + 1 - span}, below packet number 0")
         return largest < self.next_pn
 
-    def _check_acks(self, frames: list[wire.Frame]) -> None:
-        """_check_ack for every ack in frames; drops those it rejects."""
-        frames[:] = [
-            f for f in frames
-            if not isinstance(f, wire.AckFrame) or self._check_ack(f.largest_acked, f.ranges)
-        ]
-
     def _on_ack(self, largest: int, ranges) -> None:
         """Apply an ack that passed _check_ack: ranges of (gap, length)
-        descending from largest, as in wire.AckFrame."""
+        descending from largest, as wire.ack_fields writes them."""
         if largest > self.largest_peer_acked:
             self.largest_peer_acked = largest
         cursor = largest

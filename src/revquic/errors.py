@@ -22,7 +22,7 @@ class BufferTooSmall(TransportError):
 
 
 class AuthenticationFailed(TransportError):
-    """AEAD tag check failed; dest contents are garbage to the caller."""
+    """AEAD tag check failed; crypto.open raises it having written nothing."""
 
 
 class TruncationRangeError(TransportError):
@@ -50,7 +50,8 @@ class MalformedFrame(TransportError):
 
 
 class FrameOrderViolation(TransportError):
-    """Stream frame not first in a reversed-mode plaintext."""
+    """A LEN-absent stream frame not where it owns the remainder: first in a
+    reversed plaintext, last in a forward one."""
 
 
 class ProtocolViolation(TransportError):

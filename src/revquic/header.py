@@ -66,10 +66,6 @@ class ShortHeader:
     offset: int = 0
     off_length: int | None = None
 
-    @property
-    def sid_length(self) -> int:
-        return wire_sid_length(self.stream_id)
-
 
 def wire_sid_length(stream_id: int) -> int:
     """Bytes needed for (stream_id << 2) | tag, always minimal."""

@@ -20,11 +20,15 @@ ping 0x01, ack 0x02, stream 0x08 with OFF 0x04 / LEN 0x02 / FIN 0x01,
 max-stream-data 0x11, connection-close 0x1c. The type is always a single
 byte in both layouts.
 
-The frames a sender writes in every packet have one encoder each, which
-the serializers call too: stream_fields for a stream frame's fields and
-ack_fields for an ack. The receive paths read an ack in place with
-take_ack_forward or take_ack_reversed, the decoders the parsers call,
-and skip a padding run with padding_end or padding_start.
+The frames a sender writes have one encoder each, which the serializers
+call too: stream_fields for a stream frame's fields, ack_fields for an
+ack and close_fields for a connection close. The receive paths read an
+ack in place with take_ack_forward or take_ack_reversed and a close with
+take_close_forward or take_close_reversed, the decoders the parsers
+call, and skip a padding run with padding_end or padding_start. The
+frame dataclasses, the serializers, the parsers and frame_wire_size are
+the reference codec: inspection, demos and tests use them, the
+connection does not.
 """
 
 from __future__ import annotations
@@ -165,6 +169,15 @@ def ack_fields(largest: int, delay: int, ranges, reverso: bool) -> bytes:
     return _pack(TYPE_ACK, values, reverso)
 
 
+def close_fields(code: int, reason, reverso: bool) -> bytes:
+    """A connection-close frame's bytes, the one close encoder. Forward:
+    type, error code, reason length, then the reason. Reversed: the
+    reason, then the same two fields as reversed varints in the opposite
+    order, type last."""
+    fields = _pack(TYPE_CONNECTION_CLOSE, (code, len(reason)), reverso)
+    return bytes(reason) + fields if reverso else fields + bytes(reason)
+
+
 def take_ack_forward(buf, pos: int, end: int) -> tuple[int, int, list[tuple[int, int]], int]:
     """Decode the forward ack whose fields start at pos, just past its
     type byte, reading nothing at or past end; the one forward ack
@@ -209,6 +222,48 @@ def take_ack_reversed(buf, lo: int, end: int) -> tuple[int, int, list[tuple[int,
                 raise MalformedFrame(f"{vals[2]} ack ranges exceeds cap {MAX_ACK_RANGES}")
             need = 3 + 2 * vals[2]
     return vals[0], vals[1], list(zip(vals[3::2], vals[4::2])), end
+
+
+def take_close_forward(buf, pos: int, end: int) -> tuple[int, bytes, int]:
+    """Decode the forward close whose fields start at pos, just past its
+    type byte, reading nothing at or past end; the one forward close
+    decoder. Returns (error code, reason, position past the frame)."""
+    vals: list[int] = []
+    while len(vals) < 2:
+        if pos >= end:
+            raise MalformedFrame("truncated varint")
+        b = buf[pos]
+        n = _CLASS_LEN[b >> 6]
+        if pos + n > end:
+            raise MalformedFrame("truncated varint")
+        vals.append(
+            b & 0x3F if n == 1 else int.from_bytes(buf[pos : pos + n], "big") & (_CLASS_MAX[b >> 6] - 1)
+        )
+        pos += n
+    code, rlen = vals
+    if rlen > end - pos:
+        raise MalformedFrame("close reason extends past plaintext")
+    return code, bytes(buf[pos : pos + rlen]), pos + rlen
+
+
+def take_close_reversed(buf, lo: int, end: int) -> tuple[int, bytes, int]:
+    """Decode the reversed close whose fields end at end, just below its
+    type byte, reading nothing below lo; the one reversed close decoder.
+    Returns (error code, reason, position where the frame starts)."""
+    vals: list[int] = []
+    while len(vals) < 2:
+        if end <= lo:
+            raise MalformedFrame("truncated reversed varint")
+        b = buf[end - 1]
+        n = _CLASS_LEN[b & 0x03]
+        if end - n < lo:
+            raise MalformedFrame("truncated reversed varint")
+        vals.append(b >> 2 if n == 1 else int.from_bytes(buf[end - n : end], "big") >> 2)
+        end -= n
+    code, rlen = vals
+    if rlen > end - lo:
+        raise MalformedFrame("close reason extends past cursor")
+    return code, bytes(buf[end - rlen : end]), end - rlen
 
 
 _NOT_PADDING = re.compile(rb"[^\x00]")
@@ -269,7 +324,7 @@ def frame_wire_size(frame: Frame, mode: WireMode) -> int:
     if isinstance(frame, MaxStreamDataFrame):
         return 1 + enc_len(frame.stream_id) + enc_len(frame.maximum)
     if isinstance(frame, ConnectionCloseFrame):
-        return 1 + enc_len(frame.error_code) + enc_len(len(frame.reason)) + len(frame.reason)
+        return len(close_fields(frame.error_code, frame.reason, False))
     raise TypeError(f"not a frame: {frame!r}")
 
 
@@ -306,11 +361,7 @@ def serialize_forward(frames: list[Frame], out) -> int:
             pos = _put(out, pos, encode_forward(f.stream_id))
             pos = _put(out, pos, encode_forward(f.maximum))
         elif isinstance(f, ConnectionCloseFrame):
-            pos = _put(out, pos, bytes([TYPE_CONNECTION_CLOSE]))
-            pos = _put(out, pos, encode_forward(f.error_code))
-            pos = _put(out, pos, encode_forward(len(f.reason)))
-            out[pos : pos + len(f.reason)] = f.reason
-            pos += len(f.reason)
+            pos = _put(out, pos, close_fields(f.error_code, f.reason, False))
         else:
             raise TypeError(f"not a frame: {f!r}")
     assert pos == total
@@ -372,14 +423,7 @@ def parse_forward(plaintext) -> list[Frame]:
             pos += c
             frames.append(MaxStreamDataFrame(stream_id=sid, maximum=maximum))
         elif t == TYPE_CONNECTION_CLOSE:
-            code, c = _take_forward(plaintext, pos)
-            pos += c
-            rlen, c = _take_forward(plaintext, pos)
-            pos += c
-            if pos + rlen > n:
-                raise MalformedFrame("close reason extends past plaintext")
-            reason = bytes(plaintext[pos : pos + rlen])
-            pos += rlen
+            code, reason, pos = take_close_forward(plaintext, pos, n)
             frames.append(ConnectionCloseFrame(error_code=code, reason=reason))
         else:
             raise UnknownFrameType(f"type 0x{t:02x}")
@@ -433,11 +477,7 @@ def serialize_reversed(frames: list[Frame], out) -> int:
             out[pos] = TYPE_MAX_STREAM_DATA
             pos += 1
         elif isinstance(f, ConnectionCloseFrame):
-            pos = _put(out, pos, f.reason)
-            pos = _put(out, pos, encode_reversed(len(f.reason)))
-            pos = _put(out, pos, encode_reversed(f.error_code))
-            out[pos] = TYPE_CONNECTION_CLOSE
-            pos += 1
+            pos = _put(out, pos, close_fields(f.error_code, f.reason, True))
         else:
             raise TypeError(f"not a frame: {f!r}")
     assert pos == total
@@ -505,14 +545,7 @@ def parse_reversed(plaintext) -> list[Frame]:
             cur -= c
             frames.append(MaxStreamDataFrame(stream_id=sid, maximum=maximum))
         elif t == TYPE_CONNECTION_CLOSE:
-            code, c = _take_reversed(plaintext, cur)
-            cur -= c
-            rlen, c = _take_reversed(plaintext, cur)
-            cur -= c
-            if rlen > cur:
-                raise MalformedFrame("close reason extends past cursor")
-            reason = bytes(plaintext[cur - rlen : cur])
-            cur -= rlen
+            code, reason, cur = take_close_reversed(plaintext, 0, cur)
             frames.append(ConnectionCloseFrame(error_code=code, reason=reason))
         else:
             raise UnknownFrameType(f"type 0x{t:02x}")

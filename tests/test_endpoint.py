@@ -21,7 +21,7 @@ from revquic.errors import (
 from revquic.header import ShortHeader
 from revquic.mode import WireMode
 from revquic.stream_buf import AppRecvBufMap
-from revquic.wire import PaddingFrame, PingFrame, StreamFrame
+from revquic.wire import ConnectionCloseFrame, PaddingFrame, PingFrame, StreamFrame
 
 SECRET = b"\x42" * 32
 C2S = crypto.derive_keys(SECRET, "c2s")
@@ -309,15 +309,36 @@ class TestTransfer:
         server.stream_consumed(1, 3, sbuf)
         assert server.readable() == []
 
-    def test_close_propagates(self):
-        client, server = pair(WireMode.REVERSO)
-        sbuf = AppRecvBufMap()
-        client.queue_close(error_code=7, reason=b"done")
+    def test_close_propagates(self, monkeypatch):
+        """A close is written and read in place, alone or beside an ack
+        and stream data; it elicits an ack of its packet."""
+        for name in ("parse_forward", "parse_reversed", "serialize_forward",
+                     "serialize_reversed", "frame_wire_size"):
+            monkeypatch.setattr(wire, name, fail)
         out = bytearray(MAX_DATAGRAM)
-        n = client.build_packet(out)
-        server.recv(bytearray(out[:n]), sbuf)
-        assert server.closed
-        assert server.close_error == (7, b"done")
+        for mode in WireMode:
+            for companions in (False, True):
+                client, server = pair(mode)
+                cbuf, sbuf = AppRecvBufMap(), AppRecvBufMap()
+                if companions:
+                    # the server has data in flight that the client owes an ack for
+                    server.stream_send(2, b"s" * 100)
+                    client.recv(bytearray(out[: server.build_packet(out)]), cbuf)
+                    client.stream_send(1, b"data")
+                client.queue_close(error_code=7, reason=b"done")
+                n = client.build_packet(out)
+                assert client.build_packet(out) is None  # one datagram carries it all
+                server.recv(bytearray(out[:n]), sbuf)
+                assert server.closed
+                assert server.close_error == (7, b"done")
+                assert not server.unacked  # the ack applied
+                assert server.ack_pending == {0}
+                m = server.metrics()
+                if companions:
+                    assert bytes(server.stream_recv(1, sbuf)[0]) == b"data"
+                    assert (m.packets_in_order, m.packets_control_only) == (1, 0)
+                else:
+                    assert not sbuf.buffers and m.packets_control_only == 1
 
     def test_unknown_stream_recv(self):
         _, server = pair(WireMode.BASELINE)
@@ -575,9 +596,9 @@ class TestAdversarial:
 
     def test_stream_frame_inside_control_packet(self):
         _, server = pair(WireMode.REVERSO)
-        frame = StreamFrame(stream_id=3, offset=0, data=b"x" * 30, explicit_len=True)
-        gram = craft(WireMode.REVERSO, C2S, 0, [frame, PingFrame()], hdr_sid=0)
-        with pytest.raises(ProtocolViolation):
+        frame = StreamFrame(stream_id=3, offset=0, data=b"x" * 30, explicit_len=False)
+        gram = craft(WireMode.REVERSO, C2S, 0, [frame], hdr_sid=0)
+        with pytest.raises(ProtocolViolation, match="stream frame in a control-only packet"):
             server.recv(gram, AppRecvBufMap())
 
     def test_stream_id_zero_inside_stream_frame(self):
@@ -589,36 +610,37 @@ class TestAdversarial:
 
     def test_header_claims_stream_without_anchor(self):
         _, server = pair(WireMode.REVERSO)
-        gram = craft(WireMode.REVERSO, C2S, 0, [PingFrame()], hdr_sid=1, hdr_off=0)
-        with pytest.raises(ProtocolViolation):
+        gram = craft(WireMode.REVERSO, C2S, 0, [ack(0)], hdr_sid=1, hdr_off=0)
+        with pytest.raises(ProtocolViolation, match="no anchor frame"):
             server.recv(gram, AppRecvBufMap())
 
 
 class TestLaneConsistency:
     def test_packet_shapes_agree_on_state(self):
-        """The same fragment stream through different frame layouts must
-        land identical bytes and identical copy accounting."""
+        """The same fragment stream, alone and with the control frames
+        that may ride beside it, must land identical bytes and identical
+        copy accounting."""
         rng = random.Random(9)
         chunks = [rng.randbytes(rng.randint(1, 600)) for _ in range(50)]
-        results = []
-        for trailing in ([], [PingFrame()], [wire.MaxStreamDataFrame(1, 1 << 20)]):
-            server = Connection(WireMode.REVERSO, Role.SERVER, SECRET)
-            sbuf = AppRecvBufMap()
-            offset = 0
-            for pn, chunk in enumerate(chunks):
-                frame = StreamFrame(stream_id=1, offset=offset, data=chunk, explicit_len=False)
-                gram = craft(
-                    WireMode.REVERSO, C2S, pn, [frame] + trailing, hdr_sid=1, hdr_off=offset
+        for mode in WireMode:
+            results = []
+            for ctrl in ([], [ack(1)], [ack(1), CLOSE]):
+                server, sbuf = in_flight_server(mode), AppRecvBufMap()
+                offset = 0
+                for pn, chunk in enumerate(chunks):
+                    pt = layout(mode, stream(offset, chunk), ctrl)
+                    server.recv(seal(mode, C2S, pn, pt, 1, offset), sbuf)
+                    offset += len(chunk)
+                m = server.metrics()
+                view, _ = server.stream_recv(1, sbuf)
+                results.append(
+                    (bytes(view), m.payload_bytes_zero_copy, m.payload_bytes_copied,
+                     m.packets_in_order)
                 )
-                server.recv(gram, sbuf)
-                offset += len(chunk)
-            m = server.metrics()
-            view, _ = server.stream_recv(1, sbuf)
-            results.append(
-                (bytes(view), m.payload_bytes_zero_copy, m.payload_bytes_copied, m.packets_in_order)
-            )
-        assert results[0] == results[1] == results[2]
-        assert results[0][1] == sum(map(len, chunks))
+            assert results[0] == results[1] == results[2]
+            assert results[0][0] == b"".join(chunks)
+            moved = results[0][1] if mode is WireMode.REVERSO else results[0][2]
+            assert moved == sum(map(len, chunks))
 
 
 def in_flight_server(mode, packets=4):
@@ -633,14 +655,16 @@ def in_flight_server(mode, packets=4):
 
 
 def receiver_state(conn, appbuf):
-    """Everything a received packet can change, for comparison."""
+    """Everything a received packet can change, for comparison, but the
+    count of received bytes, which every datagram adds to."""
     streams = {
         sid: (bytes(conn.stream_recv(sid, appbuf)[0]), sbuf.contiguous_offset,
               list(zip(sbuf.starts, sbuf.ends)))
         for sid, sbuf in appbuf.buffers.items()
     }
     return (sorted(conn.unacked), conn.largest_peer_acked, sorted(conn.ack_pending),
-            conn.metrics(), streams, conn.closed, conn.largest_received_pn)
+            replace(conn.metrics(), bytes_received=0), streams, conn.closed,
+            conn.largest_received_pn)
 
 
 def stream(offset, data):
@@ -651,86 +675,78 @@ def ack(largest, *ranges):
     return wire.AckFrame(largest_acked=largest, ranges=list(ranges) or [(0, 1)])
 
 
-def rpc_shapes(mode, via_parser):
-    """The packets an rpc peer sends, as (pn, plaintext, header stream
-    id, header offset). via_parser adds a frame that changes nothing
-    here but sends the packet through the wire parser: a ping beside
-    stream data, which is ack-eliciting anyway, or the ack a second
-    time, which acks nothing new. The walk meets it first: it goes last
-    in reverso, first in baseline."""
-    def with_(frames, extra):
-        if not via_parser:
-            return frames
-        return frames + [extra] if mode is WireMode.REVERSO else [extra] + frames
+CLOSE = ConnectionCloseFrame(error_code=9, reason=b"bye")
 
+
+def rpc_shapes(mode):
+    """The packets an rpc peer sends, as (pn, plaintext, header stream
+    id, header offset)."""
     return [
         # a padded 1-byte message
-        (0, layout(mode, stream(0, b"m"), with_([], PingFrame())), 1, 0),
+        (0, layout(mode, stream(0, b"m")), 1, 0),
         # stream data, an ack and padding
-        (1, layout(mode, stream(1, b"yz"), with_([ack(2, (0, 2))], PingFrame())), 1, 1),
+        (1, layout(mode, stream(1, b"yz"), [ack(2, (0, 2))]), 1, 1),
         # an ack alone, padded
-        (2, layout(mode, None, with_([ack(3, (0, 1), (1, 1))], ack(3, (0, 1), (1, 1)))), 0, 0),
+        (2, layout(mode, None, [ack(3, (0, 1), (1, 1))]), 0, 0),
         # stream data past a gap (off the tail) with an ack
-        (3, layout(mode, stream(10, b"late"), with_([ack(0)], PingFrame())), 1, 10),
+        (3, layout(mode, stream(10, b"late"), [ack(0)]), 1, 10),
     ]
 
 
 def fail(*_args, **_kwargs):
-    raise AssertionError("the direct lane called the wire parser")
+    raise AssertionError("the frame-object codec was called")
 
 
 class TestControlLanes:
     """Acks and padding are read in place: the shapes build_packet emits
-    never reach the wire parser, and they leave the same state as the
-    frame-list route."""
+    never reach the wire parser."""
 
     @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
-    def test_direct_lane_matches_frame_list_route(self, mode, monkeypatch):
-        states = {}
-        for via_parser in (True, False):
-            if not via_parser:
-                monkeypatch.setattr(wire, "parse_forward", fail)
-                monkeypatch.setattr(wire, "parse_reversed", fail)
-                monkeypatch.setattr(Connection, "_process_plaintext", fail)
-            server, sbuf = in_flight_server(mode), AppRecvBufMap()
-            for pn, pt, hdr_sid, hdr_off in rpc_shapes(mode, via_parser):
-                assert len(pt) == header.MIN_PLAINTEXT  # both routes pad to one size
-                server.recv(seal(mode, C2S, pn, pt, hdr_sid, hdr_off), sbuf)
-            states[via_parser] = receiver_state(server, sbuf)
-        assert states[False] == states[True]
-        unacked, largest, pending, m, streams, _, received = states[False]
+    def test_rpc_shapes_read_in_place(self, mode, monkeypatch):
+        monkeypatch.setattr(wire, "parse_forward", fail)
+        monkeypatch.setattr(wire, "parse_reversed", fail)
+        server, sbuf = in_flight_server(mode), AppRecvBufMap()
+        for pn, pt, hdr_sid, hdr_off in rpc_shapes(mode):
+            assert len(pt) == header.MIN_PLAINTEXT
+            server.recv(seal(mode, C2S, pn, pt, hdr_sid, hdr_off), sbuf)
+        unacked, largest, pending, m, streams, _, received = receiver_state(server, sbuf)
         assert (unacked, largest, pending, received) == ([], 3, [0, 1, 3], 3)
         assert streams[1] == (b"myz", 3, [(10, 14)])
         assert (m.packets_in_order, m.packets_out_of_order, m.packets_control_only) == (2, 1, 1)
 
+
+# frames build_packet never writes
+OUTSIDE = {
+    "len_stream": StreamFrame(stream_id=0, offset=0, data=b"hello", explicit_len=True),
+    "ping": PingFrame(),
+    "max_stream_data": wire.MaxStreamDataFrame(stream_id=1, maximum=1 << 20),
+    "second_ack": ack(3),
+}
+
+
+class TestAtomicity:
+    """An authenticated packet that raises applies nothing: each walk
+    decodes and checks the whole packet before any of it applies."""
+
     @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("extra", ["close", "ping", "max_stream_data"])
-    def test_other_frames_reach_process_plaintext(self, mode, extra, monkeypatch):
-        calls = []
-        real = Connection._process_plaintext
-
-        def spy(conn, *args, **kwargs):
-            calls.append(args[1])
-            return real(conn, *args, **kwargs)
-
-        monkeypatch.setattr(Connection, "_process_plaintext", spy)
-        frame = {
-            "close": wire.ConnectionCloseFrame(error_code=9, reason=b"bye"),
-            "ping": PingFrame(),
-            "max_stream_data": wire.MaxStreamDataFrame(stream_id=1, maximum=1 << 20),
-        }[extra]
+    @pytest.mark.parametrize("bad", list(OUTSIDE))
+    def test_raising_packet_changes_nothing(self, mode, bad):
         server, sbuf = in_flight_server(mode), AppRecvBufMap()
-        server.recv(seal(mode, C2S, 0, layout(mode, stream(0, b"ab"), [ack(1), frame]), 1, 0), sbuf)
-        server.recv(seal(mode, C2S, 1, layout(mode, None, [ack(2), frame])), sbuf)
-        assert calls == [0, 1]
-        assert sorted(server.unacked) == [0, 3]
-        assert bytes(server.stream_recv(1, sbuf)[0]) == b"ab"
-        assert server.closed == (extra == "close")
-        assert sorted(server.ack_pending) == [0, 1]  # every one of them elicits an ack
+        # in the walk's order: an ack of 0-2, a close, then the bad frame
+        ctrl = [ack(2, (0, 3)), CLOSE]
+        ctrl = [OUTSIDE[bad], *ctrl] if mode is WireMode.REVERSO else [*ctrl, OUTSIDE[bad]]
+        # beside an anchor opening stream 1, and alone
+        for pn, (frame, sid) in enumerate([(stream(0, b"hello"), 1), (None, 0)]):
+            before = receiver_state(server, sbuf)
+            with pytest.raises(ProtocolViolation, match="outside the packet layout"):
+                server.recv(seal(mode, C2S, pn, layout(mode, frame, ctrl), sid, 0), sbuf)
+            assert receiver_state(server, sbuf) == before
+        assert not sbuf.buffers and sbuf.spare is not None  # staged, never bound
 
 
 class TestAckValidation:
-    """An ack is checked before anything of its packet is applied."""
+    """An ack is checked before anything of its packet is applied. The
+    direct cases carry the ack alone, the close cases a close after it."""
 
     def setup(self, mode):
         server, sbuf = in_flight_server(mode), AppRecvBufMap()
@@ -739,39 +755,32 @@ class TestAckValidation:
         return server, sbuf
 
     @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("route", ["direct", "parser"])
+    @pytest.mark.parametrize("close", [False, True], ids=["direct", "close"])
     @pytest.mark.parametrize("with_data", [True, False], ids=["stream", "ack-only"])
-    def test_range_below_zero_rejects_the_packet(self, mode, route, with_data):
+    def test_range_below_zero_rejects_the_packet(self, mode, close, with_data):
         server, sbuf = self.setup(mode)
         before = receiver_state(server, sbuf)
         bad = ack(3, (0, 1), (0, 4))  # 3, then 2 down to -1
-        # the parser meets the ping first: after the ack in reverso, before it in baseline
-        ctrl = [bad] if route == "direct" else (
-            [bad, PingFrame()] if mode is WireMode.REVERSO else [PingFrame(), bad]
-        )
+        ctrl = [bad, CLOSE] if close else [bad]
         frame, sid, off = (stream(5, b"second"), 1, 5) if with_data else (None, 0, 0)
         gram = seal(mode, C2S, 1, layout(mode, frame, ctrl), sid, off)
         with pytest.raises(MalformedFrame, match="below packet number 0"):
             server.recv(gram, sbuf)
-        after = receiver_state(server, sbuf)
-        # the datagram's bytes were counted, nothing else changed
-        assert after[:3] == before[:3] and after[4:] == before[4:]
-        assert replace(after[3], bytes_received=0) == replace(before[3], bytes_received=0)
+        assert receiver_state(server, sbuf) == before
 
     @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
-    @pytest.mark.parametrize("route", ["direct", "parser"])
-    def test_ack_for_a_packet_never_sent_is_dropped(self, mode, route):
+    @pytest.mark.parametrize("close", [False, True], ids=["direct", "close"])
+    def test_ack_for_a_packet_never_sent_is_dropped(self, mode, close):
         server, sbuf = self.setup(mode)
         huge = ack(10**6, (0, 1))
-        ctrl = [huge] + ([PingFrame()] if route == "parser" else [])
-        if mode is WireMode.BASELINE:
-            ctrl.reverse()
+        ctrl = [huge, CLOSE] if close else [huge]
         server.recv(seal(mode, C2S, 1, layout(mode, stream(5, b"second"), ctrl), 1, 5), sbuf)
         # the ack changed nothing, the rest of the packet applied
         assert sorted(server.unacked) == [0, 2, 3]
         assert server.largest_peer_acked == 1
         assert bytes(server.stream_recv(1, sbuf)[0]) == b"firstsecond"
         assert 1 in server.ack_pending
+        assert server.closed is close
         # packet-number truncation still counts from the real largest acked
         out = bytearray(MAX_DATAGRAM)
         server.build_packet(out, now=0.0)

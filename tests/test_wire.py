@@ -341,6 +341,73 @@ class TestAckCodec:
                 wire.ack_fields(-1, 0, [(0, 1)], reverso)
 
 
+# --- the close codec: close_fields and the shared decoders ---
+
+REASON = st.binary(max_size=40)
+
+
+class TestCloseCodec:
+    @CODEC
+    @given(code=VALUE, reason=REASON, reverso=st.booleans())
+    def test_close_fields_is_the_serializer(self, code, reason, reverso):
+        frame = ConnectionCloseFrame(error_code=code, reason=reason)
+        assert wire.close_fields(code, reason, reverso) == _serialized(frame, reverso)
+        assert len(wire.close_fields(code, reason, reverso)) == wire.frame_wire_size(
+            frame, WireMode.REVERSO if reverso else WireMode.BASELINE
+        )
+
+    @CODEC
+    @given(code=VALUE, reason=REASON, before=st.binary(max_size=8), after=st.binary(max_size=8))
+    def test_decoders_return_what_parse_returns(self, code, reason, before, after):
+        """Each decoder reads the close in place inside a larger buffer,
+        within the bounds it is given, and agrees with parse_*."""
+        fwd = wire.close_fields(code, reason, False)
+        [parsed] = wire.parse_forward(fwd)
+        buf = memoryview(before + fwd + after)
+        start, end = len(before), len(before) + len(fwd)
+        got = wire.take_close_forward(buf, start + 1, end)
+        assert got == (parsed.error_code, parsed.reason, end)
+        assert got[:2] == (code, reason)
+
+        rev = wire.close_fields(code, reason, True)
+        [parsed] = wire.parse_reversed(rev)
+        buf = memoryview(before + rev + after)
+        got = wire.take_close_reversed(buf, start, start + len(rev) - 1)
+        assert got == (parsed.error_code, parsed.reason, start)
+        assert got[:2] == (code, reason)
+
+    @CODEC
+    @given(code=VALUE, reason=REASON, cut=st.integers(1, 200))
+    def test_truncation_raises_as_parse_does(self, code, reason, cut):
+        """A close cut short raises the same MalformedFrame from the
+        decoder the receive paths use as from parse_*; the decoder never
+        reads past its bounds into the bytes around the close."""
+        fwd = wire.close_fields(code, reason, False)
+        k = 1 + cut % (len(fwd) - 1)  # keep the type byte, drop the rest from k
+        clipped = fwd[:k]
+        filler = b"\x01" * 64  # would decode as varints and reason bytes
+        assert _raised(wire.take_close_forward, memoryview(clipped + filler), 1, k) == _raised(
+            wire.parse_forward, clipped
+        )
+        rev = wire.close_fields(code, reason, True)
+        k = 1 + cut % (len(rev) - 1)
+        clipped = rev[len(rev) - k :]  # the type byte and k - 1 bytes before it
+        buf = memoryview(filler + clipped)
+        assert _raised(wire.take_close_reversed, buf, len(filler), len(buf) - 1) == _raised(
+            wire.parse_reversed, clipped
+        )
+
+    def test_close_fields_bytes(self):
+        assert wire.close_fields(7, b"bye", False) == bytes.fromhex("1c" "07" "03") + b"bye"
+        # reversed one-byte varints carry the value above a zero tag
+        assert wire.close_fields(7, b"bye", True) == b"bye" + bytes.fromhex("0c" "1c" "1c")
+        # a 64-byte reason needs a two-byte length
+        assert wire.close_fields(0, bytes(64), False)[:4] == bytes.fromhex("1c" "00" "4040")
+        for reverso in (False, True):
+            with pytest.raises(EncodingOverflow):
+                wire.close_fields(-1, b"", reverso)
+
+
 class TestPaddingRuns:
     @pytest.mark.parametrize("body, pad", [(b"", 0), (b"", 5), (b"\x07", 0), (b"\x07\x00\x09", 4)])
     def test_both_directions(self, body, pad):
