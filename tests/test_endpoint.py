@@ -714,6 +714,22 @@ class TestControlLanes:
         assert streams[1] == (b"myz", 3, [(10, 14)])
         assert (m.packets_in_order, m.packets_out_of_order, m.packets_control_only) == (2, 1, 1)
 
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("extra", ["close"])
+    def test_other_frames_reach_process_plaintext(self, mode, extra, monkeypatch):
+        """A close, beside an ack and stream data or beside an ack alone,
+        is read in place too and applies with the rest of its packet."""
+        monkeypatch.setattr(wire, "parse_forward", fail)
+        monkeypatch.setattr(wire, "parse_reversed", fail)
+        server, sbuf = in_flight_server(mode), AppRecvBufMap()
+        server.recv(seal(mode, C2S, 0, layout(mode, stream(0, b"ab"), [ack(1), CLOSE]), 1, 0), sbuf)
+        assert server.closed and server.close_error == (9, b"bye")
+        server.recv(seal(mode, C2S, 1, layout(mode, None, [ack(2), CLOSE])), sbuf)
+        assert sorted(server.unacked) == [0, 3]
+        assert bytes(server.stream_recv(1, sbuf)[0]) == b"ab"
+        assert server.closed and server.close_error == (9, b"bye")
+        assert sorted(server.ack_pending) == [0, 1]  # every one of them elicits an ack
+
 
 # frames build_packet never writes
 OUTSIDE = {
