@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import random
 import socket
 import statistics
 import sys
@@ -94,19 +93,12 @@ def _ratio_row(base: harness.BatchResult, rev: harness.BatchResult) -> list:
 
 def _bootstrap_ratio_ci(base_times, rev_times, lo=0.05, hi=0.95):
     """CI for median(base)/median(rev), resampling paired repetitions."""
-    rng = random.Random(harness._BOOTSTRAP_SEED)
-    n = min(len(base_times), len(rev_times))
-    ratios = []
-    for _ in range(harness._BOOTSTRAP_ROUNDS):
-        idx = [rng.randrange(n) for _ in range(n)]
-        b = statistics.median(base_times[i] for i in idx)
+
+    def ratio(idx):
         r = statistics.median(rev_times[i] for i in idx)
-        ratios.append(b / r if r else 0.0)
-    ratios.sort()
-    return (
-        ratios[min(len(ratios) - 1, int(lo * len(ratios)))],
-        ratios[min(len(ratios) - 1, int(hi * len(ratios)))],
-    )
+        return statistics.median(base_times[i] for i in idx) / r if r else 0.0
+
+    return harness.bootstrap_ci(min(len(base_times), len(rev_times)), ratio, lo, hi)
 
 
 def _modes(choice: str) -> tuple[WireMode, ...]:

@@ -43,6 +43,7 @@ from .errors import (
     SendAfterFin,
     StreamIdOverflow,
     StreamNotFound,
+    TruncationRangeError,
 )
 from .mode import WireMode
 from .stream_buf import AppRecvBufMap
@@ -51,6 +52,10 @@ from .varint import _CLASS_LEN as _VLEN, _CLASS_MAX as _VMAX
 MAX_DATAGRAM = 1350
 SEND_WINDOW = 64  # packets in flight
 DEFAULT_RTO = 0.25
+
+# the last stream offset reverso's header can carry: build_packet
+# truncates max(offset, bytes sent past it) + 1 against 0 into 4 bytes
+MAX_REVERSO_OFFSET = (1 << 31) - 2
 
 # reserve worst-case header growth (pn and offset truncations can widen
 # between original send and retransmission); budgeting fragments against
@@ -155,6 +160,9 @@ class Connection:
             self._rr.append(stream_id)
         if ss.fin_queued:
             raise SendAfterFin(f"stream {stream_id} already finished")
+        end = ss.next_offset + len(ss.queue) + len(data)
+        if self.mode is WireMode.REVERSO and end > MAX_REVERSO_OFFSET:
+            raise TruncationRangeError(f"stream {stream_id} would end past offset {MAX_REVERSO_OFFSET}")
         ss.queue += data
         if fin:
             ss.fin_queued = True
@@ -262,15 +270,16 @@ class Connection:
         pn = self.next_pn
         self.next_pn = pn + 1
         pn_len = crypto.truncated_len(max(pn - self.largest_peer_acked, 0) + 1, 0)
+        off_len = 1
         if frag is not None:
             sid, offset, data = frag.stream_id, frag.offset, frag.data
             fields = wire.stream_fields(sid, offset, len(data), frag.fin, False, reverso)
             stream_len = len(fields) + len(data)
-            ahead = self.send_streams[sid].next_offset - offset
-            off_len = crypto.truncated_len(max(offset, ahead) + 1, 0)
+            if reverso:  # baseline's header has no offset field
+                ahead = self.send_streams[sid].next_offset - offset
+                off_len = crypto.truncated_len(max(offset, ahead) + 1, 0)
         else:
             sid = offset = stream_len = 0
-            off_len = 1
         hdr = header.pack_header(reverso, pn, pn_len, sid, offset, off_len)
         hdr_len = len(hdr)
         pad = header.MIN_PLAINTEXT - ctrl_len - stream_len

@@ -293,17 +293,22 @@ class _PreparedBatch:
         return t1 - t0
 
 
-def _bootstrap_median_ci(times: list[int], lo: float = 0.05, hi: float = 0.95):
+def bootstrap_ci(n: int, statistic, lo: float = 0.05, hi: float = 0.95):
+    """Percentile interval of statistic over resamples of n indices.
+
+    Each of _BOOTSTRAP_ROUNDS rounds draws n indices with replacement
+    from a fixed seed and passes them to statistic; the sorted results
+    give the lo and hi quantiles."""
     rng = random.Random(_BOOTSTRAP_SEED)
-    n = len(times)
-    meds = []
-    for _ in range(_BOOTSTRAP_ROUNDS):
-        sample = [times[rng.randrange(n)] for _ in range(n)]
-        meds.append(statistics.median(sample))
-    meds.sort()
-    lo_i = min(len(meds) - 1, int(lo * len(meds)))
-    hi_i = min(len(meds) - 1, int(hi * len(meds)))
-    return meds[lo_i], meds[hi_i]
+    stats = sorted(
+        statistic([rng.randrange(n) for _ in range(n)]) for _ in range(_BOOTSTRAP_ROUNDS)
+    )
+    last = len(stats) - 1
+    return stats[min(last, int(lo * len(stats)))], stats[min(last, int(hi * len(stats)))]
+
+
+def _bootstrap_median_ci(times: list[int], lo: float = 0.05, hi: float = 0.95):
+    return bootstrap_ci(len(times), lambda idx: statistics.median(times[i] for i in idx), lo, hi)
 
 
 def _finish(prep: _PreparedBatch, scenario: str, times: list[int], cal: int) -> BatchResult:

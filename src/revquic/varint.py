@@ -34,17 +34,23 @@ def _length_class(v: int) -> int:
     raise EncodingOverflow(f"{v} exceeds 62-bit varint range")
 
 
-def encode_forward(v: int, length: int | None = None) -> bytes:
-    """Encode v in the forward layout, minimal length unless forced."""
-    if v < 0 or v > VARINT_MAX:
+def _tag(v: int, length: int | None) -> tuple[int, int]:
+    """Length tag and byte count for v, minimal unless length forces a
+    wider class; the range check both encoders share."""
+    if v < 0:
         raise EncodingOverflow(f"{v} exceeds 62-bit varint range")
-    tag = _length_class(v)
+    tag = _length_class(v)  # raises past VARINT_MAX
     if length is not None:
         forced = _CLASS_LEN.index(length)
         if forced < tag:
             raise EncodingOverflow(f"{v} does not fit {length} bytes")
         tag = forced
-    n = _CLASS_LEN[tag]
+    return tag, _CLASS_LEN[tag]
+
+
+def encode_forward(v: int, length: int | None = None) -> bytes:
+    """Encode v in the forward layout, minimal length unless forced."""
+    tag, n = _tag(v, length)
     return ((tag << (8 * n - 2)) | v).to_bytes(n, "big")
 
 
@@ -62,15 +68,7 @@ def decode_forward(buf, pos: int = 0) -> tuple[int, int]:
 
 def encode_reversed(v: int, length: int | None = None) -> bytes:
     """Encode v in the reversed layout, tag in the final byte."""
-    if v < 0 or v > VARINT_MAX:
-        raise EncodingOverflow(f"{v} exceeds 62-bit varint range")
-    tag = _length_class(v)
-    if length is not None:
-        forced = _CLASS_LEN.index(length)
-        if forced < tag:
-            raise EncodingOverflow(f"{v} does not fit {length} bytes")
-        tag = forced
-    n = _CLASS_LEN[tag]
+    tag, n = _tag(v, length)
     return ((v << 2) | tag).to_bytes(n, "big")
 
 
@@ -89,11 +87,10 @@ def decode_reversed_backward(buf, end: int) -> tuple[int, int]:
     return int.from_bytes(buf[end - n : end], "big") >> 2, n
 
 
-def reversed_length(v: int) -> int:
-    """Serialized size of v in the reversed codec (budget planning)."""
-    return _CLASS_LEN[_length_class(v)]
-
-
 def forward_length(v: int) -> int:
-    """Serialized size of v in the forward codec (budget planning)."""
+    """Serialized size of v (budget planning). The codecs share their
+    class boundaries, so this is reversed_length too."""
     return _CLASS_LEN[_length_class(v)]
+
+
+reversed_length = forward_length

@@ -20,15 +20,18 @@ ping 0x01, ack 0x02, stream 0x08 with OFF 0x04 / LEN 0x02 / FIN 0x01,
 max-stream-data 0x11, connection-close 0x1c. The type is always a single
 byte in both layouts.
 
-The frames a sender writes have one encoder each, which the serializers
-call too: stream_fields for a stream frame's fields, ack_fields for an
-ack and close_fields for a connection close. The receive paths read an
-ack in place with take_ack_forward or take_ack_reversed and a close with
+Every frame type has one encoder, which states its layout once for both
+orders: stream_fields for a stream frame's fields, ack_fields for an ack,
+close_fields for a connection close and _pack for max-stream-data. The
+sender calls the first three directly. The receive paths read an ack in
+place with take_ack_forward or take_ack_reversed and a close with
 take_close_forward or take_close_reversed, the decoders the parsers
 call, and skip a padding run with padding_end or padding_start. The
 frame dataclasses, the serializers, the parsers and frame_wire_size are
 the reference codec: inspection, demos and tests use them, the
-connection does not.
+connection does not. Both serializers are one loop over _frame_bytes,
+which takes each frame's bytes from its encoder, and frame_wire_size is
+the length of those bytes.
 """
 
 from __future__ import annotations
@@ -51,10 +54,9 @@ from .varint import (
     _length_class,
     decode_forward,
     decode_reversed_backward,
-    encode_forward,
-    encode_reversed,
-    forward_length,
-    reversed_length,
+    encode_forward,  # noqa: F401 -- re-exported: callers read wire.encode_*
+    encode_reversed,  # noqa: F401
+    forward_length,  # noqa: F401 -- the sender budgets with wire.forward_length
 )
 
 TYPE_PADDING = 0x00
@@ -283,14 +285,6 @@ def padding_start(buf, lo: int, end: int) -> int:
     return lo + ((int.from_bytes(buf[lo:end], "little").bit_length() + 7) >> 3)
 
 
-def _stream_size(f: StreamFrame, mode: WireMode, explicit: bool) -> int:
-    enc_len = reversed_length if mode is WireMode.REVERSO else forward_length
-    n = 1 + enc_len(f.stream_id) + enc_len(f.offset) + len(f.data)
-    if explicit:
-        n += enc_len(len(f.data))
-    return n
-
-
 def _resolve_explicit(frames: list[Frame], mode: WireMode) -> list[bool]:
     """LEN bit per stream frame; None means absent only in the position
     that owns the remainder (first for reversed, last for forward)."""
@@ -310,67 +304,60 @@ def _resolve_explicit(frames: list[Frame], mode: WireMode) -> list[bool]:
     return out
 
 
+def _frame_bytes(f: Frame, explicit: bool, reverso: bool) -> bytes:
+    """One frame's bytes in one layout, from its one encoder; explicit is
+    a stream frame's LEN bit. A stream frame's data precedes its fields
+    in reverso and follows them in baseline."""
+    if isinstance(f, StreamFrame):
+        fields = stream_fields(f.stream_id, f.offset, len(f.data), f.fin, explicit, reverso)
+        return bytes(f.data) + fields if reverso else fields + bytes(f.data)
+    if isinstance(f, AckFrame):
+        return ack_fields(f.largest_acked, f.ack_delay, f.ranges, reverso)
+    if isinstance(f, ConnectionCloseFrame):
+        return close_fields(f.error_code, f.reason, reverso)
+    if isinstance(f, MaxStreamDataFrame):
+        return _pack(TYPE_MAX_STREAM_DATA, (f.stream_id, f.maximum), reverso)
+    if isinstance(f, PaddingFrame):
+        return bytes((TYPE_PADDING,))
+    if isinstance(f, PingFrame):
+        return bytes((TYPE_PING,))
+    raise TypeError(f"not a frame: {f!r}")
+
+
 def frame_wire_size(frame: Frame, mode: WireMode) -> int:
     """Exact serialized size; an unresolved LEN flag counts as present."""
-    enc_len = reversed_length if mode is WireMode.REVERSO else forward_length
-    if isinstance(frame, (PaddingFrame, PingFrame)):
-        return 1
-    if isinstance(frame, AckFrame):
-        # its varints have the same lengths in both layouts
-        return len(ack_fields(frame.largest_acked, frame.ack_delay, frame.ranges, False))
-    if isinstance(frame, StreamFrame):
-        explicit = frame.explicit_len if frame.explicit_len is not None else True
-        return _stream_size(frame, mode, explicit)
-    if isinstance(frame, MaxStreamDataFrame):
-        return 1 + enc_len(frame.stream_id) + enc_len(frame.maximum)
-    if isinstance(frame, ConnectionCloseFrame):
-        return len(close_fields(frame.error_code, frame.reason, False))
-    raise TypeError(f"not a frame: {frame!r}")
+    explicit = getattr(frame, "explicit_len", None) is not False
+    return len(_frame_bytes(frame, explicit, mode is WireMode.REVERSO))
 
 
-# --- forward (baseline) layout ---
+def _serialize(frames: list[Frame], out, mode: WireMode) -> int:
+    """The serializer of both layouts: nothing is written unless every
+    frame encodes and all of them fit in out."""
+    parts = [
+        _frame_bytes(f, explicit, mode is WireMode.REVERSO)
+        for f, explicit in zip(frames, _resolve_explicit(frames, mode))
+    ]
+    total = sum(map(len, parts))
+    if total > len(out):
+        raise BufferTooSmall(f"{total} bytes of frames into {len(out)}")
+    out[:total] = b"".join(parts)
+    return total
+
 
 def serialize_forward(frames: list[Frame], out) -> int:
     """Write frames left to right into out; returns total length."""
-    pos = 0
-    explicit_flags = _resolve_explicit(frames, WireMode.BASELINE)
-    total = sum(
-        _stream_size(f, WireMode.BASELINE, explicit_flags[i])
-        if isinstance(f, StreamFrame)
-        else frame_wire_size(f, WireMode.BASELINE)
-        for i, f in enumerate(frames)
-    )
-    if total > len(out):
-        raise BufferTooSmall(f"{total} bytes of frames into {len(out)}")
-    for i, f in enumerate(frames):
-        if isinstance(f, PaddingFrame):
-            out[pos] = TYPE_PADDING
-            pos += 1
-        elif isinstance(f, PingFrame):
-            out[pos] = TYPE_PING
-            pos += 1
-        elif isinstance(f, AckFrame):
-            pos = _put(out, pos, ack_fields(f.largest_acked, f.ack_delay, f.ranges, False))
-        elif isinstance(f, StreamFrame):
-            pos = _put(out, pos, stream_fields(
-                f.stream_id, f.offset, len(f.data), f.fin, explicit_flags[i], False
-            ))
-            pos = _put(out, pos, f.data)
-        elif isinstance(f, MaxStreamDataFrame):
-            pos = _put(out, pos, bytes([TYPE_MAX_STREAM_DATA]))
-            pos = _put(out, pos, encode_forward(f.stream_id))
-            pos = _put(out, pos, encode_forward(f.maximum))
-        elif isinstance(f, ConnectionCloseFrame):
-            pos = _put(out, pos, close_fields(f.error_code, f.reason, False))
-        else:
-            raise TypeError(f"not a frame: {f!r}")
-    assert pos == total
-    return pos
+    return _serialize(frames, out, WireMode.BASELINE)
 
 
-def _put(out, pos: int, data: bytes) -> int:
-    out[pos : pos + len(data)] = data
-    return pos + len(data)
+def serialize_reversed(frames: list[Frame], out) -> int:
+    """Write frames for right-to-left parsing; returns total length.
+
+    frames[0] must be the stream frame if one is zero-copy eligible
+    (LEN absent); its data lands at position 0. Later frames append after
+    the footer in list order; a backward parser yields them in reverse,
+    which carries no semantic weight for control frames.
+    """
+    return _serialize(frames, out, WireMode.REVERSO)
 
 
 def parse_forward(plaintext) -> list[Frame]:
@@ -400,22 +387,11 @@ def parse_forward(plaintext) -> list[Frame]:
                 pos += c
                 if pos + dlen > n:
                     raise MalformedFrame("stream data extends past plaintext")
-                data = plaintext[pos : pos + dlen]
-                pos += dlen
-                explicit = True
             else:
-                data = plaintext[pos:n]
-                pos = n
-                explicit = False
-            frames.append(
-                StreamFrame(
-                    stream_id=sid,
-                    offset=offset,
-                    data=data,
-                    fin=bool(t & STREAM_FIN),
-                    explicit_len=explicit,
-                )
-            )
+                dlen = n - pos  # owns the rest of the plaintext
+            data = plaintext[pos : pos + dlen]
+            pos += dlen
+            frames.append(StreamFrame(sid, offset, data, bool(t & STREAM_FIN), bool(t & STREAM_LEN)))
         elif t == TYPE_MAX_STREAM_DATA:
             sid, c = _take_forward(plaintext, pos)
             pos += c
@@ -435,53 +411,6 @@ def _take_forward(buf, pos: int) -> tuple[int, int]:
         return decode_forward(buf, pos)
     except TruncatedVarInt:
         raise MalformedFrame("truncated varint") from None
-
-
-# --- reversed layout ---
-
-def serialize_reversed(frames: list[Frame], out) -> int:
-    """Write frames for right-to-left parsing; returns total length.
-
-    frames[0] must be the stream frame if one is zero-copy eligible
-    (LEN absent); its data lands at position 0. Later frames append after
-    the footer in list order; a backward parser yields them in reverse,
-    which carries no semantic weight for control frames.
-    """
-    explicit_flags = _resolve_explicit(frames, WireMode.REVERSO)
-    total = sum(
-        _stream_size(f, WireMode.REVERSO, explicit_flags[i])
-        if isinstance(f, StreamFrame)
-        else frame_wire_size(f, WireMode.REVERSO)
-        for i, f in enumerate(frames)
-    )
-    if total > len(out):
-        raise BufferTooSmall(f"{total} bytes of frames into {len(out)}")
-    pos = 0
-    for i, f in enumerate(frames):
-        if isinstance(f, StreamFrame):
-            pos = _put(out, pos, f.data)
-            pos = _put(out, pos, stream_fields(
-                f.stream_id, f.offset, len(f.data), f.fin, explicit_flags[i], True
-            ))
-        elif isinstance(f, PaddingFrame):
-            out[pos] = TYPE_PADDING
-            pos += 1
-        elif isinstance(f, PingFrame):
-            out[pos] = TYPE_PING
-            pos += 1
-        elif isinstance(f, AckFrame):
-            pos = _put(out, pos, ack_fields(f.largest_acked, f.ack_delay, f.ranges, True))
-        elif isinstance(f, MaxStreamDataFrame):
-            pos = _put(out, pos, encode_reversed(f.maximum))
-            pos = _put(out, pos, encode_reversed(f.stream_id))
-            out[pos] = TYPE_MAX_STREAM_DATA
-            pos += 1
-        elif isinstance(f, ConnectionCloseFrame):
-            pos = _put(out, pos, close_fields(f.error_code, f.reason, True))
-        else:
-            raise TypeError(f"not a frame: {f!r}")
-    assert pos == total
-    return pos
 
 
 def parse_reversed(plaintext) -> list[Frame]:
@@ -515,29 +444,11 @@ def parse_reversed(plaintext) -> list[Frame]:
                 cur -= c
                 if dlen > cur:
                     raise MalformedFrame("stream data extends past cursor")
-                data = plaintext[cur - dlen : cur]
-                cur -= dlen
-                frames.append(
-                    StreamFrame(
-                        stream_id=sid,
-                        offset=offset,
-                        data=data,
-                        fin=bool(t & STREAM_FIN),
-                        explicit_len=True,
-                    )
-                )
             else:
-                # owns everything to the left; terminates the walk
-                frames.append(
-                    StreamFrame(
-                        stream_id=sid,
-                        offset=offset,
-                        data=plaintext[0:cur],
-                        fin=bool(t & STREAM_FIN),
-                        explicit_len=False,
-                    )
-                )
-                cur = 0
+                dlen = cur  # owns everything to the left; ends the walk
+            data = plaintext[cur - dlen : cur]
+            cur -= dlen
+            frames.append(StreamFrame(sid, offset, data, bool(t & STREAM_FIN), bool(t & STREAM_LEN)))
         elif t == TYPE_MAX_STREAM_DATA:
             sid, c = _take_reversed(plaintext, cur)
             cur -= c

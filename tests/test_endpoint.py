@@ -16,6 +16,7 @@ from revquic.errors import (
     SendAfterFin,
     StreamIdOverflow,
     StreamNotFound,
+    TruncationRangeError,
     UnknownFrameType,
 )
 from revquic.header import ShortHeader
@@ -197,6 +198,46 @@ class TestSending:
             pns.append(h.packet_number)
             server.recv(copy, appbuf)
         assert pns == sorted(set(pns))
+
+    def test_baseline_sends_past_offset_2_31(self):
+        """Baseline's header carries no offset, so a stream may pass the
+        offsets reverso's header can hold; its frame carries it whole."""
+        client, server = pair(WireMode.BASELINE)
+        client.stream_send(1, b"y" * 100)
+        client.send_streams[1].next_offset = 1 << 31
+        client.ack_pending = {5}
+        out = bytearray(MAX_DATAGRAM)
+        n = client.build_packet(out, now=1.0)
+        packet = bytearray(out[:n])
+        h, hdr_len = header.unprotect_and_decode(
+            WireMode.BASELINE, packet, server.recv_keys, -1, lambda s: 0
+        )
+        ct = memoryview(packet)[hdr_len:]
+        pt_len = crypto.open(server.recv_keys, h.packet_number, packet[:hdr_len], ct, ct)
+        ack, *_, frame = wire.parse_forward(ct[:pt_len])
+        assert (ack.largest_acked, ack.ranges) == (5, [(0, 1)])
+        assert (frame.stream_id, frame.offset, bytes(frame.data)) == (1, 1 << 31, b"y" * 100)
+        assert [f.offset for f in client.unacked[0][1]] == [1 << 31]
+
+    def test_reverso_refuses_a_stream_past_its_header_offset(self):
+        """Reverso's header truncates the offset against 0 into 4 bytes,
+        so 2^31 - 2 is the last offset it carries: a send that would end
+        past it raises before anything is queued."""
+        limit = (1 << 31) - 2
+        client, _ = pair(WireMode.REVERSO)
+        client.stream_send(1, b"y" * 100)
+        ss = client.send_streams[1]
+        ss.next_offset = limit - 100
+        with pytest.raises(TruncationRangeError):
+            client.stream_send(1, b"z")
+        assert (bytes(ss.queue), ss.next_offset, ss.fin_queued) == (b"y" * 100, limit - 100, False)
+        # a stream ending at the limit, fin included, still goes out
+        client.stream_send(1, b"", fin=True)
+        out = bytearray(MAX_DATAGRAM)
+        while client.build_packet(out) is not None:
+            pass
+        assert [frags[0].offset for _, frags in client.unacked.values()] == [limit - 100]
+        assert ss.fin_sent and ss.next_offset == limit
 
 
 class TestTransfer:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from revquic import harness
+from revquic import cli, harness
 from revquic.harness import (
     PipeConfig,
     _Pipe,
@@ -207,3 +207,12 @@ class TestBench:
         assert _bootstrap_median_ci(times) == _bootstrap_median_ci(times)
         lo, hi = _bootstrap_median_ci([500] * 20)
         assert lo == hi == 500
+
+    def test_bootstrap_cis_pinned(self):
+        # the bench CSV's p5/p95 columns for fixed timings
+        rng = random.Random(3)
+        base = [rng.randrange(9000, 11000) for _ in range(40)]
+        rev = [rng.randrange(8000, 10500) for _ in range(40)]
+        assert _bootstrap_median_ci(base) == (9961.5, 10224.5)
+        assert _bootstrap_median_ci(rev) == (9168.0, 9671.0)
+        assert cli._bootstrap_ratio_ci(base, rev) == (1.0369657897473223, 1.105194095133953)

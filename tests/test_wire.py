@@ -1,5 +1,6 @@
 """Frame serialization round trips, forward and reversed."""
 
+import hashlib
 import random
 
 import pytest
@@ -119,6 +120,31 @@ class TestFrameWireSize:
             assert wire.serialize_forward(frames, out) == expect
             expect = sum(wire.frame_wire_size(f, WireMode.REVERSO) for f in frames)
             assert wire.serialize_reversed(frames, out) == expect
+
+
+class TestSerializerBytes:
+    """The reference serializers' exact output, fixed so that a rewrite
+    of the codec must reproduce it byte for byte."""
+
+    def test_max_stream_data_vectors(self):
+        f = MaxStreamDataFrame(stream_id=1, maximum=1 << 20)
+        assert _serialized(f, False) == bytes.fromhex("11" "01" "80100000")
+        assert _serialized(f, True) == bytes.fromhex("00400002" "04" "11")
+
+    def test_corpus_digest(self):
+        rng = random.Random(0x5E7)
+        h = hashlib.sha256()
+        out = bytearray(2048)
+        for _ in range(500):
+            frames = [random_control(rng) for _ in range(rng.randint(0, 4))]
+            for _ in range(rng.randint(0, 2)):
+                frames.insert(rng.randint(0, len(frames)), random_stream(rng, rng.choice((True, None))))
+            if rng.random() < 0.3:
+                frames.insert(rng.randint(0, len(frames)), PaddingFrame())
+            owner = [random_stream(rng, False)] if rng.random() < 0.5 else []
+            h.update(out[: wire.serialize_forward(frames + owner, out)])
+            h.update(out[: wire.serialize_reversed(owner + frames, out)])
+        assert h.hexdigest() == "3cb7441ac5d6eeb83b9ed43d76ed77b7cbc7bc6a4c2b21192f8364c0c90c5f7c"
 
 
 class TestRoundTrips:
