@@ -6,16 +6,18 @@ unauthenticated header alone: a packet continuing its stream's
 contiguous tail is opened straight into stream storage and committed
 there without a copy, unless it would reach data already received past
 the tail; anything else is opened in place in the datagram and its data
-copied once, to its own offset in storage. A new stream's buffer is
-bound only once the tag verifies and the anchor frame's footer agrees
-with the header. Baseline mode opens in place in the datagram buffer,
-decodes forward, and copies validated stream data into storage; that
-reassembly copy is the cost the reversed layout removes. In both modes
-the receiver reads exactly the layout build_packet writes, at most one
-stream frame beside at most one ack, one close and a padding run, where
-they lie and without frame objects; any other frame raises. A packet is
-decoded and checked in full before any of it applies, so one that
-raises leaves no state behind.
+copied once, to the offset its authenticated footer names. A new
+stream's buffer is bound only once the tag verifies and the anchor
+frame's footer agrees with the header. Baseline mode opens in place in
+the datagram buffer, decodes forward, and copies validated stream data
+into storage; that reassembly copy is the cost the reversed layout
+removes. In both modes the receiver reads exactly the layout
+build_packet writes, at most one stream frame (OFF set, LEN absent)
+beside at most one ack, one close and a padding run, where they lie and
+without frame objects; any other frame raises. A packet is decoded and
+checked in full before any of it applies, so one that raises leaves no
+state behind. A received close elicits no ack; the endpoint then drains,
+discarding what arrives and sending nothing (RFC 9000 §10.2.2).
 
 Reliability is deliberately minimal: fixed retransmission timeout, a
 fixed in-flight window, ack-every-data-packet. Fragment boundaries are
@@ -132,7 +134,7 @@ class Connection:
         self.largest_received_pn = 0
         self.largest_peer_acked = 0
         self.send_streams: dict[int, _SendStream] = {}
-        self.unacked: dict[int, tuple[float, list[_Fragment]]] = {}
+        self.unacked: dict[int, tuple[float, _Fragment]] = {}
         self.ack_pending: set[int] = set()
         self.rto = DEFAULT_RTO
         self.closed = False
@@ -229,14 +231,14 @@ class Connection:
         """Assemble, seal and protect one datagram into out in one pass.
 
         Returns the datagram length, or None when there is nothing to
-        send. At most one stream frame per packet; pending acks and a
-        queued close ride along. No frame or header objects are built:
-        header.pack_header writes the header as one integer,
-        wire.stream_fields, wire.ack_fields and wire.close_fields give
-        the frames' bytes and the data is copied once, straight from the
-        fragment into out. The plaintext is sealed in place with
-        encrypt_into and header.protect masks the header as one integer
-        window.
+        send or the connection drains. At most one stream frame per
+        packet; pending acks and a queued close ride along. No frame or
+        header objects are built: header.pack_header writes the header
+        as one integer, wire.stream_fields, wire.ack_fields and
+        wire.close_fields give the frames' bytes and the data is copied
+        once, straight from the fragment into out. The plaintext is
+        sealed in place with encrypt_into and header.protect masks the
+        header as one integer window.
 
         Reverso plaintext: stream data, its footer, ack, close, padding.
         Baseline: ack, close, padding, then the stream frame, which owns
@@ -244,6 +246,8 @@ class Connection:
         """
         if len(out) < MAX_DATAGRAM:
             raise BufferTooSmall(f"need {MAX_DATAGRAM}, got {len(out)}")
+        if self.closed:
+            return None  # draining (RFC 9000 §10.2.2): a received close ends sending
         if now is None:
             now = time.monotonic()
         reverso = self.mode is WireMode.REVERSO
@@ -314,7 +318,7 @@ class Connection:
         header.protect(view[:total], ks, hdr_len, reverso)
 
         if frag is not None:
-            self.unacked[pn] = (now, [frag])
+            self.unacked[pn] = (now, frag)
         self._metrics.bytes_sent += total
         return total
 
@@ -322,8 +326,7 @@ class Connection:
         """Re-queue fragments of packets unacked past the timeout."""
         expired = [pn for pn, (sent, _) in self.unacked.items() if now - sent >= self.rto]
         for pn in sorted(expired):
-            _, frags = self.unacked.pop(pn)
-            self._retransmit.extend(frags)
+            self._retransmit.append(self.unacked.pop(pn)[1])
             self._metrics.retransmissions += 1
 
     # --- receiving ---
@@ -331,17 +334,18 @@ class Connection:
     # One receive function per mode, and one route through each. Each
     # unprotects the header with header.unprotect, opens the AEAD with
     # decrypt_into, and walks exactly the layout build_packet writes: at
-    # most one stream frame, owning the rest of the plaintext, beside at
-    # most one ack, at most one close and a padding run. Each is read
-    # where it lies, without frame objects, because per-object
-    # interpreter cost dominates the per-packet budget. Any other frame
-    # (ping, max-stream-data, a stream frame with LEN, a second ack or
-    # stream frame, an unknown type) raises ProtocolViolation. The whole
-    # packet is decoded and checked, its ack by _check_ack, before any of
-    # it applies; then its stream data (committed on the spot when it
-    # continues its stream's contiguous tail, placed in storage through
-    # _deliver otherwise), its ack through _on_ack, and its close, in
-    # that order.
+    # most one stream frame (type 0x0C/0x0D), owning the rest of the
+    # plaintext, beside at most one ack, at most one close and a padding
+    # run. Each is read where it lies, without frame objects, because
+    # per-object interpreter cost dominates the per-packet budget. Any
+    # other frame (ping, max-stream-data, a stream frame with LEN or
+    # without OFF, a second ack or stream frame, an unknown type) raises
+    # ProtocolViolation. The whole packet is decoded and checked, its ack
+    # by _check_ack, before any of it applies; then its stream data
+    # (committed on the spot when it continues its stream's contiguous
+    # tail, placed in storage through _deliver otherwise), its ack through
+    # _on_ack, and its close, in that order. After a close, recv discards
+    # each datagram unread.
 
     def recv(self, datagram, appbuf: AppRecvBufMap) -> int:
         """Process one datagram; returns bytes consumed from it.
@@ -359,6 +363,8 @@ class Connection:
         buf = memoryview(datagram) if not isinstance(datagram, memoryview) else datagram
         blen = len(buf)
         self._metrics.bytes_received += blen
+        if self.closed:
+            return blen  # draining (RFC 9000 §10.2.2): discard unread
         if self.mode is WireMode.REVERSO:
             pn = self._recv_reverso(buf, blen, appbuf)
         else:
@@ -424,7 +430,8 @@ class Connection:
         # Walk back from the end: a padding run, a close, an ack, then
         # the anchor, the LEN-absent stream frame owning the start of the
         # plaintext, whose footer (offset, stream id, type) must restate
-        # the header's routing fields.
+        # the header's: the stream id in full, the offset as the tail on
+        # the tail lane and in its low bytes off it, never expanded.
         cur = hi
         t = store[cur - 1] if cur > lo else -1
         if not t:
@@ -441,7 +448,7 @@ class Connection:
             acked = self._check_ack(largest, ranges)
             t = store[cur - 1] if cur > lo else -1
         m = self._metrics
-        if 0x08 <= t <= 0x0F and not t & 0x02:
+        if t | 0x01 == 0x0D:
             # walk the anchor's footer back, stream id first, then offset
             cur -= 1
             if cur <= lo:
@@ -458,21 +465,18 @@ class Connection:
                     raise MalformedFrame("truncated reversed varint")
                 f_sid = int.from_bytes(store[cur - n : cur], "big") >> 2
                 cur -= n
-            if t & 0x04:
-                if cur <= lo:
-                    raise MalformedFrame("truncated reversed varint")
-                b = store[cur - 1]
-                n = _VLEN[b & 0x03]
-                if n > cur - lo:
-                    raise MalformedFrame("truncated reversed varint")
-                f_off = (
-                    b >> 2 if n == 1
-                    else store[cur - 2] << 6 | b >> 2 if n == 2
-                    else int.from_bytes(store[cur - n : cur], "big") >> 2
-                )
-                cur -= n
-            else:
-                f_off = 0
+            if cur <= lo:
+                raise MalformedFrame("truncated reversed varint")
+            b = store[cur - 1]
+            n = _VLEN[b & 0x03]
+            if n > cur - lo:
+                raise MalformedFrame("truncated reversed varint")
+            f_off = (
+                b >> 2 if n == 1
+                else store[cur - 2] << 6 | b >> 2 if n == 2
+                else int.from_bytes(store[cur - n : cur], "big") >> 2
+            )
+            cur -= n
             fin = t & 0x01
             if tail:
                 if f_sid != sid or f_off != oref:
@@ -488,19 +492,17 @@ class Connection:
             else:
                 if sid == 0:
                     raise ProtocolViolation("stream frame in a control-only packet")
-                # the header's offset, expanded as the sender truncated it
-                offset = crypto.expand_int(off_t.to_bytes(off_mask.bit_length() >> 3, "big"), oref)
-                if f_sid != sid or f_off != offset:
-                    raise _footer_mismatch(f_sid, f_off, sid, offset)
-                if not self._deliver(appbuf, sid, offset, pt[: cur - lo], fin):
+                # the authenticated footer gives the offset in full; the
+                # header's truncated offset need only be its low bytes
+                if f_sid != sid or f_off & off_mask != off_t:
+                    raise _footer_mismatch(f_sid, f_off, sid, off_t)
+                if not self._deliver(appbuf, sid, f_off, pt[: cur - lo], fin):
                     self.ack_pending.add(pn)
         elif t < 0:
             # no stream data: a control-only packet
             if sid:
                 raise ProtocolViolation("header names a stream but no anchor frame found")
             m.packets_control_only += 1
-            if close is not None:
-                self.ack_pending.add(pn)
         else:
             raise ProtocolViolation(f"frame type 0x{t:02x} outside the packet layout")
         if acked:
@@ -546,7 +548,7 @@ class Connection:
         if not t:
             pos = wire.padding_end(buf, pos, end)
             t = buf[pos] if end > pos else -1
-        if 0x08 <= t <= 0x0F and not t & 0x02:
+        if t | 0x01 == 0x0D:
             # the stream frame: stream id, then offset, then its data
             pos += 1
             if pos >= end:
@@ -560,21 +562,18 @@ class Connection:
                 else int.from_bytes(buf[pos : pos + n], "big") & (_VMAX[b >> 6] - 1)
             )
             pos += n
-            if t & 0x04:
-                if pos >= end:
-                    raise MalformedFrame("truncated varint")
-                b = buf[pos]
-                n = _VLEN[b >> 6]
-                if pos + n > end:
-                    raise MalformedFrame("truncated varint")
-                offset = (
-                    b & 0x3F if n == 1
-                    else (b & 0x3F) << 8 | buf[pos + 1] if n == 2
-                    else int.from_bytes(buf[pos : pos + n], "big") & (_VMAX[b >> 6] - 1)
-                )
-                pos += n
-            else:
-                offset = 0
+            if pos >= end:
+                raise MalformedFrame("truncated varint")
+            b = buf[pos]
+            n = _VLEN[b >> 6]
+            if pos + n > end:
+                raise MalformedFrame("truncated varint")
+            offset = (
+                b & 0x3F if n == 1
+                else (b & 0x3F) << 8 | buf[pos + 1] if n == 2
+                else int.from_bytes(buf[pos : pos + n], "big") & (_VMAX[b >> 6] - 1)
+            )
+            pos += n
             sbuf = appbuf.buffers.get(sid)  # never holds stream 0
             if sbuf is not None and offset == sbuf.contiguous_offset:
                 m.payload_bytes_copied += sbuf.place(offset, buf[pos:end], t & 0x01)
@@ -585,8 +584,6 @@ class Connection:
         elif t < 0:
             # no stream data: a control-only packet
             m.packets_control_only += 1
-            if close is not None:
-                self.ack_pending.add(pn)
         else:
             raise ProtocolViolation(f"frame type 0x{t:02x} outside the packet layout")
         if acked:

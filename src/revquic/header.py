@@ -195,6 +195,8 @@ def unprotect(packet, ks: crypto.KeySchedule, largest_pn: int, reverso: bool):
     the offset stays truncated, because its reference is the stream's
     contiguous offset, which only the caller can look up: it continues
     that stream exactly when contiguous & offset_mask == truncated_offset.
+    Off the tail the receiver does not expand it either: it checks it
+    against the low bytes of the footer's authenticated offset.
     Nothing here is authenticated yet: every field is attacker-controlled
     until the AEAD open over the unprotected header succeeds.
     """

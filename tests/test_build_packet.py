@@ -214,11 +214,11 @@ def test_packet_number_and_in_flight_record(mode):
     out = bytearray(MAX_DATAGRAM)
     offset = 0
     while (n := conn.build_packet(out, now=2.0)) is not None:
-        sent, frags = conn.unacked[conn.next_pn - 1]
-        assert sent == 2.0 and len(frags) == 1
-        assert (frags[0].stream_id, frags[0].offset) == (3, offset)
-        offset += len(frags[0].data)
-    assert offset == 2000 and frags[0].fin
+        sent, frag = conn.unacked[conn.next_pn - 1]
+        assert sent == 2.0
+        assert (frag.stream_id, frag.offset) == (3, offset)
+        offset += len(frag.data)
+    assert offset == 2000 and frag.fin
     conn.ack_pending = {0}
     assert conn.build_packet(out, now=3.0) is not None
     assert conn.next_pn - 1 not in conn.unacked

@@ -91,10 +91,12 @@ def layout(mode, stream=None, ctrl=()):
     scratch = bytearray(2 * MAX_DATAGRAM)
 
     def ser(frames):
-        if not frames:
-            return b""
         serialize = wire.serialize_reversed if mode is WireMode.REVERSO else wire.serialize_forward
-        return bytes(scratch[: serialize(frames, scratch)])
+        # bytes stand for a frame the serializers cannot write
+        return b"".join(
+            f if isinstance(f, bytes) else bytes(scratch[: serialize([f], scratch)])
+            for f in frames
+        )
 
     if mode is WireMode.REVERSO:
         body = ser(([stream] if stream else []) + list(ctrl))
@@ -217,7 +219,7 @@ class TestSending:
         ack, *_, frame = wire.parse_forward(ct[:pt_len])
         assert (ack.largest_acked, ack.ranges) == (5, [(0, 1)])
         assert (frame.stream_id, frame.offset, bytes(frame.data)) == (1, 1 << 31, b"y" * 100)
-        assert [f.offset for f in client.unacked[0][1]] == [1 << 31]
+        assert client.unacked[0][1].offset == 1 << 31
 
     def test_reverso_refuses_a_stream_past_its_header_offset(self):
         """Reverso's header truncates the offset against 0 into 4 bytes,
@@ -236,7 +238,7 @@ class TestSending:
         out = bytearray(MAX_DATAGRAM)
         while client.build_packet(out) is not None:
             pass
-        assert [frags[0].offset for _, frags in client.unacked.values()] == [limit - 100]
+        assert [frag.offset for _, frag in client.unacked.values()] == [limit - 100]
         assert ss.fin_sent and ss.next_offset == limit
 
 
@@ -352,7 +354,8 @@ class TestTransfer:
 
     def test_close_propagates(self, monkeypatch):
         """A close is written and read in place, alone or beside an ack
-        and stream data; it elicits an ack of its packet."""
+        and stream data. It elicits no ack (RFC 9000 §13.2.1), and the
+        endpoint that received it drains, sending nothing (§10.2.2)."""
         for name in ("parse_forward", "parse_reversed", "serialize_forward",
                      "serialize_reversed", "frame_wire_size"):
             monkeypatch.setattr(wire, name, fail)
@@ -373,7 +376,9 @@ class TestTransfer:
                 assert server.closed
                 assert server.close_error == (7, b"done")
                 assert not server.unacked  # the ack applied
-                assert server.ack_pending == {0}
+                # only the stream data elicits an ack, and it is never sent
+                assert server.ack_pending == ({0} if companions else set())
+                assert server.build_packet(out) is None
                 m = server.metrics()
                 if companions:
                     assert bytes(server.stream_recv(1, sbuf)[0]) == b"data"
@@ -440,7 +445,7 @@ class TestLossAndReordering:
         client.stream_send(1, b"o" * 6000, fin=True)
         grams = self.build_all(client)
         assert len(grams) == 5
-        first, late = (len(client.unacked[pn][1][0].data) for pn in (0, 1))
+        first, late = (len(client.unacked[pn][1].data) for pn in (0, 1))
         for g in grams[2:]:
             server.recv(bytearray(g), sbuf)
         # the bytes ahead of the gap were copied once, where they belong
@@ -623,17 +628,22 @@ class TestAdversarial:
         assert not appbuf.buffers
         assert appbuf.spare is spare
 
-    def test_footer_offset_mismatch(self):
+    @pytest.mark.parametrize("hdr_off", [100, 300], ids=["tail", "off_tail"])
+    def test_footer_offset_mismatch(self, hdr_off):
+        """A footer naming offset 40 under a header naming the tail (100)
+        or a point past it (300) raises and applies nothing."""
         client, server = pair(WireMode.REVERSO)
         sbuf = AppRecvBufMap()
         client.stream_send(1, b"k" * 100)
         out = bytearray(MAX_DATAGRAM)
         n = client.build_packet(out)
         server.recv(bytearray(out[:n]), sbuf)
+        before = receiver_state(server, sbuf)
         frame = StreamFrame(stream_id=1, offset=40, data=b"x" * 40, explicit_len=False)
-        gram = craft(WireMode.REVERSO, C2S, 1, [frame], hdr_sid=1, hdr_off=100)
-        with pytest.raises(ProtocolViolation):
+        gram = craft(WireMode.REVERSO, C2S, 1, [frame], hdr_sid=1, hdr_off=hdr_off)
+        with pytest.raises(ProtocolViolation, match="disagrees with header"):
             server.recv(gram, sbuf)
+        assert receiver_state(server, sbuf) == before
 
     def test_stream_frame_inside_control_packet(self):
         _, server = pair(WireMode.REVERSO)
@@ -658,9 +668,10 @@ class TestAdversarial:
 
 class TestLaneConsistency:
     def test_packet_shapes_agree_on_state(self):
-        """The same fragment stream, alone and with the control frames
-        that may ride beside it, must land identical bytes and identical
-        copy accounting."""
+        """The same fragment stream, alone and with an ack beside it, must
+        land identical bytes and identical copy accounting. With a close
+        beside it, only the first packet applies: the endpoint drains
+        after a close and discards the rest (RFC 9000 §10.2.2)."""
         rng = random.Random(9)
         chunks = [rng.randbytes(rng.randint(1, 600)) for _ in range(50)]
         for mode in WireMode:
@@ -678,10 +689,13 @@ class TestLaneConsistency:
                     (bytes(view), m.payload_bytes_zero_copy, m.payload_bytes_copied,
                      m.packets_in_order)
                 )
-            assert results[0] == results[1] == results[2]
+            assert results[0] == results[1]
             assert results[0][0] == b"".join(chunks)
             moved = results[0][1] if mode is WireMode.REVERSO else results[0][2]
             assert moved == sum(map(len, chunks))
+            n = len(chunks[0])
+            moved = (n, 0) if mode is WireMode.REVERSO else (0, n)
+            assert results[2] == (chunks[0], *moved, 1)
 
 
 def in_flight_server(mode, packets=4):
@@ -758,26 +772,33 @@ class TestControlLanes:
     @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("extra", ["close"])
     def test_other_frames_reach_process_plaintext(self, mode, extra, monkeypatch):
-        """A close, beside an ack and stream data or beside an ack alone,
-        is read in place too and applies with the rest of its packet."""
+        """A close beside an ack and stream data is read in place too and
+        applies with the rest of its packet. A second close beside an ack
+        alone then arrives while the endpoint drains and is discarded
+        (RFC 9000 §10.2.2)."""
         monkeypatch.setattr(wire, "parse_forward", fail)
         monkeypatch.setattr(wire, "parse_reversed", fail)
         server, sbuf = in_flight_server(mode), AppRecvBufMap()
         server.recv(seal(mode, C2S, 0, layout(mode, stream(0, b"ab"), [ack(1), CLOSE]), 1, 0), sbuf)
         assert server.closed and server.close_error == (9, b"bye")
+        before = receiver_state(server, sbuf)
         server.recv(seal(mode, C2S, 1, layout(mode, None, [ack(2), CLOSE])), sbuf)
-        assert sorted(server.unacked) == [0, 3]
+        assert receiver_state(server, sbuf) == before
+        assert sorted(server.unacked) == [0, 2, 3]
         assert bytes(server.stream_recv(1, sbuf)[0]) == b"ab"
-        assert server.closed and server.close_error == (9, b"bye")
-        assert sorted(server.ack_pending) == [0, 1]  # every one of them elicits an ack
+        # the stream data elicits an ack, the close does not (RFC 9000 §13.2.1)
+        assert sorted(server.ack_pending) == [0]
 
 
-# frames build_packet never writes
+# frames build_packet never writes; the stream frame without OFF (type
+# 0x08, stream 1) is given as bytes per layout, because the serializers
+# always set OFF
 OUTSIDE = {
     "len_stream": StreamFrame(stream_id=0, offset=0, data=b"hello", explicit_len=True),
     "ping": PingFrame(),
     "max_stream_data": wire.MaxStreamDataFrame(stream_id=1, maximum=1 << 20),
     "second_ack": ack(3),
+    "no_offset_stream": {WireMode.BASELINE: b"\x08\x01hello", WireMode.REVERSO: b"hello\x04\x08"},
 }
 
 
@@ -791,7 +812,10 @@ class TestAtomicity:
         server, sbuf = in_flight_server(mode), AppRecvBufMap()
         # in the walk's order: an ack of 0-2, a close, then the bad frame
         ctrl = [ack(2, (0, 3)), CLOSE]
-        ctrl = [OUTSIDE[bad], *ctrl] if mode is WireMode.REVERSO else [*ctrl, OUTSIDE[bad]]
+        outside = OUTSIDE[bad]
+        if isinstance(outside, dict):
+            outside = outside[mode]
+        ctrl = [outside, *ctrl] if mode is WireMode.REVERSO else [*ctrl, outside]
         # beside an anchor opening stream 1, and alone
         for pn, (frame, sid) in enumerate([(stream(0, b"hello"), 1), (None, 0)]):
             before = receiver_state(server, sbuf)
@@ -799,6 +823,25 @@ class TestAtomicity:
                 server.recv(seal(mode, C2S, pn, layout(mode, frame, ctrl), sid, 0), sbuf)
             assert receiver_state(server, sbuf) == before
         assert not sbuf.buffers and sbuf.spare is not None  # staged, never bound
+
+
+class TestDraining:
+    """An endpoint that has received a close drains (RFC 9000 §10.2.2):
+    it discards every datagram that arrives and sends nothing."""
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_packets_after_close_change_nothing(self, mode):
+        server, sbuf = in_flight_server(mode), AppRecvBufMap()
+        server.recv(seal(mode, C2S, 0, layout(mode, None, [ack(1), CLOSE])), sbuf)
+        assert server.closed and server.close_error == (9, b"bye")
+        before = receiver_state(server, sbuf)
+        received = server.metrics().bytes_received
+        # authenticated stream data that would open stream 1 and ack 0-3
+        gram = seal(mode, C2S, 1, layout(mode, stream(0, b"late"), [ack(3, (0, 4))]), 1, 0)
+        server.recv(gram, sbuf)
+        assert receiver_state(server, sbuf) == before
+        assert server.metrics().bytes_received == received + len(gram)
+        assert server.build_packet(bytearray(MAX_DATAGRAM)) is None
 
 
 class TestAckValidation:
@@ -838,8 +881,12 @@ class TestAckValidation:
         assert bytes(server.stream_recv(1, sbuf)[0]) == b"firstsecond"
         assert 1 in server.ack_pending
         assert server.closed is close
-        # packet-number truncation still counts from the real largest acked
         out = bytearray(MAX_DATAGRAM)
+        if close:
+            # draining: the ack owed for the data is never sent (RFC 9000 §10.2.2)
+            assert server.build_packet(out, now=0.0) is None
+            return
+        # packet-number truncation still counts from the real largest acked
         server.build_packet(out, now=0.0)
         assert header.unprotect_and_decode(
             mode, bytearray(out), server.send_keys, 3, lambda s: 0
