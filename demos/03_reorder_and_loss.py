@@ -1,11 +1,12 @@
 """Zero-copy under network misbehavior.
 
 Runs the simulator across increasing reorder probabilities and a lossy
-pipe, printing how the receive path degrades: every out-of-order
-fragment is copied once, to its offset in stream storage, and so is
-each packet that fills a gap, because it opens in the datagram rather
-than over the data received past it. The copied byte count is those
-bytes, and the ordered ratio falls with the reorder rate. Loss adds
+pipe, printing how the receive path degrades: an out-of-order packet
+still opens straight at its offset in stream storage, in the hole past
+the tail, and is not copied. Only a packet that fills a gap is copied
+once, because it opens in the datagram rather than over the data
+received past it; the copied byte count is those bytes. The ordered
+ratio falls with the reorder rate, the copied bytes far less. Loss adds
 retransmissions but the transfer still completes and verifies.
 
 Run: python3 demos/03_reorder_and_loss.py

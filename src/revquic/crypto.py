@@ -11,14 +11,15 @@ output exists, and then copies the plaintext into dest; inspection
 tools and demos use it, the receive paths do not.
 
 The receive paths in endpoint call decrypt_into, which writes the
-plaintext straight into its final place: the stream's contiguous tail
-on the zero-copy lanes, or the ciphertext region of the datagram itself
-(aliased exactly) on the in-place lanes. decrypt_into is not atomic: a
-failed tag check leaves unauthenticated bytes in the destination, which
-are neither the old contents nor zeros. The receive paths therefore
-only ever aim it at scratch space past a stream's contiguous_offset or
-at the caller's datagram, so a forged packet can never touch committed
-stream bytes.
+plaintext straight into its final place: the stream's storage at the
+header's offset (the tail or an unreceived hole past it) on the
+zero-copy lane, or the datagram's ciphertext region (aliased exactly)
+on the in-place lane. decrypt_into is not atomic: a failed tag check
+leaves unauthenticated bytes in the destination, neither the old
+contents nor zeros. The receive paths therefore aim it only at a hole
+past a stream's contiguous_offset that ends by the next received range,
+or at the caller's datagram, so a forged packet can never touch stream
+bytes already received.
 """
 
 from __future__ import annotations

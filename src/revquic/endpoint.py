@@ -2,10 +2,11 @@
 
 The receive pipeline is the measured artifact; each mode has one receive
 function. Reversed mode chooses the AEAD destination from the
-unauthenticated header alone: a packet continuing its stream's
-contiguous tail is opened straight into stream storage and committed
-there without a copy, unless it would reach data already received past
-the tail; anything else is opened in place in the datagram and its data
+unauthenticated header alone: a packet is opened straight into stream
+storage at the offset its header names, and recorded there without a
+copy, when its whole footprint fits a hole at or past the contiguous
+tail, in storage that already exists and short of any data received
+past it; anything else is opened in place in the datagram and its data
 copied once, to the offset its authenticated footer names. A new
 stream's buffer is bound only once the tag verifies and the anchor
 frame's footer agrees with the header. Baseline mode opens in place in
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import enum
 import time
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass, field, replace
 
@@ -342,8 +344,8 @@ class Connection:
     # without OFF, a second ack or stream frame, an unknown type) raises
     # ProtocolViolation. The whole packet is decoded and checked, its ack
     # by _check_ack, before any of it applies; then its stream data
-    # (committed on the spot when it continues its stream's contiguous
-    # tail, placed in storage through _deliver otherwise), its ack through
+    # (recorded where it was opened when reverso opened it at its offset,
+    # placed in storage through _deliver otherwise), its ack through
     # _on_ack, and its close, in that order. After a close, recv discards
     # each datagram unread.
 
@@ -375,44 +377,36 @@ class Connection:
         return blen
 
     def _recv_reverso(self, buf, blen: int, appbuf: AppRecvBufMap) -> int:
-        """The header alone picks the AEAD destination: a packet that
-        continues its stream's contiguous tail (or opens the stream at
-        offset 0) is opened straight onto that tail and committed there
+        """The header alone picks the AEAD destination: a packet whose
+        whole footprint fits a hole in its stream's storage, the tail
+        included, is opened straight at its offset and recorded there
         without a copy; any other packet is opened in place in the
         datagram and handed to _deliver. Returns the packet number once
         the packet has applied, -1 when its tag fails."""
         ks = self.recv_keys
-        hdr_len, pn, sid, off_t, off_mask = header.unprotect(
+        hdr_len, pn, sid, off, off_mask = header.unprotect(
             buf, ks, self.largest_received_pn, True
         )
         pt_len = blen - hdr_len - TAG_LEN
         sbuf = appbuf.buffers.get(sid)  # never holds stream 0
-        if sbuf is not None:
-            oref = sbuf.contiguous_offset
-            # truncation match decides continuation exactly: expanding
-            # the truncated offset against oref yields oref iff it is
-            # oref's truncation. The whole footprint, trailer and a failed
-            # tag's garbage included, must end by the first received
-            # range; a packet that reaches it opens in place instead
-            tail = (oref & off_mask) == off_t and (
-                not sbuf.starts or oref + pt_len <= sbuf.starts[0]
-            )
-        else:
-            # a zero truncated offset expands to 0 against a zero
-            # reference: first contact at the stream start
-            oref = 0
-            tail = sid != 0 and off_t == 0
-            if tail:
-                # staged; bound only once the packet checks out
-                sbuf = appbuf._materialize_spare()
-        if tail:
-            # a failed tag leaves garbage only past contiguous_offset
-            lo = oref - sbuf.base_offset
+        if sbuf is None and sid:
+            # staged; bound only once the packet checks out
+            sbuf = appbuf.spare or appbuf._materialize_spare()
+        # build_packet writes the whole offset into the header. Open at
+        # it when the whole footprint, trailer and a failed tag's garbage
+        # included, lies in a hole: at or past the tail, inside storage
+        # that exists (nothing grows before the tag verifies) and ending
+        # by the next received range
+        at_off = False
+        if sbuf is not None and off >= sbuf.contiguous_offset:
+            lo = off - sbuf.base_offset
             hi = lo + pt_len
-            if hi > len(sbuf.storage):
-                sbuf.ensure_room(hi)  # may rebase storage
-                lo = oref - sbuf.base_offset
-                hi = lo + pt_len
+            ends = sbuf.ends
+            at_off = hi <= len(sbuf.storage) and (
+                not ends or off >= ends[-1]
+                or off + pt_len <= sbuf.starts[bisect_right(ends, off)]
+            )
+        if at_off:
             store = sbuf.storage
             pt = sbuf.storage_view[lo:hi]
         else:
@@ -430,8 +424,8 @@ class Connection:
         # Walk back from the end: a padding run, a close, an ack, then
         # the anchor, the LEN-absent stream frame owning the start of the
         # plaintext, whose footer (offset, stream id, type) must restate
-        # the header's: the stream id in full, the offset as the tail on
-        # the tail lane and in its low bytes off it, never expanded.
+        # the header's: the stream id in full, the offset exactly where
+        # the packet opened at it and in its low bytes elsewhere.
         cur = hi
         t = store[cur - 1] if cur > lo else -1
         if not t:
@@ -478,24 +472,28 @@ class Connection:
             )
             cur -= n
             fin = t & 0x01
-            if tail:
-                if f_sid != sid or f_off != oref:
-                    raise _footer_mismatch(f_sid, f_off, sid, oref)
+            if at_off:
+                if f_sid != sid or f_off != off:
+                    raise _footer_mismatch(f_sid, f_off, sid, off)
+                in_order = off == sbuf.contiguous_offset
+                data_len = cur - lo
+                if sbuf.commit(off, off + data_len, fin):
+                    m.payload_bytes_zero_copy += data_len
+                    self.ack_pending.add(pn)
                 if sbuf is appbuf.spare:
                     appbuf.spare = None
                     appbuf.buffers[sid] = sbuf
-                data_len = cur - lo
-                sbuf.commit_zero_copy(oref + data_len, fin)
-                m.payload_bytes_zero_copy += data_len
-                m.packets_in_order += 1
-                self.ack_pending.add(pn)
+                if in_order:
+                    m.packets_in_order += 1
+                else:
+                    m.packets_out_of_order += 1
             else:
                 if sid == 0:
                     raise ProtocolViolation("stream frame in a control-only packet")
                 # the authenticated footer gives the offset in full; the
                 # header's truncated offset need only be its low bytes
-                if f_sid != sid or f_off & off_mask != off_t:
-                    raise _footer_mismatch(f_sid, f_off, sid, off_t)
+                if f_sid != sid or f_off & off_mask != off:
+                    raise _footer_mismatch(f_sid, f_off, sid, off)
                 if not self._deliver(appbuf, sid, f_off, pt[: cur - lo], fin):
                     self.ack_pending.add(pn)
         elif t < 0:

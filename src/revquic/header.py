@@ -11,9 +11,9 @@ Layout (byte offsets):
 
 The sid_len bits are reserved (00) in baseline mode. Length tags store
 length minus one. The wire stream id is the full (untruncated) id; its
-low 2 bits give the offset field's length. The offset is truncated like
-a packet number and the receiver expands it against the stream's highest
-contiguous received offset.
+low 2 bits give the offset field's length. build_packet truncates the
+offset against 0, so the field holds all of it; unprotect_and_decode
+(inspection) expands it against a reference like a packet number.
 
 Header protection XORs flags' low bits (5 in baseline, 7 in reverso) and
 every byte of the variable fields with a mask derived from a fixed-offset
@@ -192,11 +192,11 @@ def unprotect(packet, ks: crypto.KeySchedule, largest_pn: int, reverso: bool):
     Returns (header_length, packet_number, stream_id, truncated_offset,
     offset_mask); baseline headers carry no stream fields and report
     zeros for them. The packet number is expanded against largest_pn;
-    the offset stays truncated, because its reference is the stream's
-    contiguous offset, which only the caller can look up: it continues
-    that stream exactly when contiguous & offset_mask == truncated_offset.
-    Off the tail the receiver does not expand it either: it checks it
-    against the low bytes of the footer's authenticated offset.
+    the offset is returned as on the wire: build_packet truncates it
+    against 0, so it is the whole offset. The receiver opens the packet
+    there when its footprint fits a hole in the stream's storage, and
+    the authenticated footer must restate it exactly; elsewhere the
+    footer's offset need only have it as its low bytes.
     Nothing here is authenticated yet: every field is attacker-controlled
     until the AEAD open over the unprotected header succeeds.
     """

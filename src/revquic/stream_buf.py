@@ -1,15 +1,15 @@
 """Application-owned contiguous receive buffers.
 
 The receive path's goal is that stream data is written exactly once,
-into its final place. The AEAD open targets the stream's contiguous tail
-directly, and the footer bytes that follow the data are treated as
-scratch to be overwritten by the next packet. Any other authenticated
-fragment is copied once, to its own offset in the same storage: the
-stream keeps a sorted list of the ranges it has received past the tail,
-and the watermark moves over a range, without a copy, once the tail
-reaches it. Everything here exists to make that safe: before
-authentication the receiver may only write past the committed region,
-and below every received range; commitment happens after.
+into its final place. The AEAD open targets the header's offset in the
+stream's storage directly, the tail or a hole past it, leaving the
+footer bytes in the hole as scratch. A fragment opened elsewhere is
+copied once, to its own offset in the same storage. The stream keeps a
+sorted list of the ranges it has received past the tail, and the
+watermark moves over a range, without a copy, once the tail reaches it.
+Everything here exists to make that safe: before authentication the
+receiver may only write into a hole, in storage that already exists;
+commitment happens after.
 
 Buffer recycling: the map keeps one spare buffer. The receiver opens a
 new stream's first packet into it and binds it to the stream id only
@@ -93,17 +93,32 @@ class StreamRecvBuffer:
             raise FinalSizeError(f"final size {final_offset} below received {received}")
         self.fin_offset = final_offset
 
-    def commit_zero_copy(self, end: int, fin: bool) -> None:
-        """Advance the watermark to stream offset end over data decrypted
-        at the contiguous tail; the AEAD open wrote it, so nothing is
-        copied. The caller opened there only a footprint ending by the
-        first received range, so end, short of the footer, stays below it.
-        """
+    def commit(self, offset: int, end: int, fin) -> bool:
+        """Record [offset, end), which the AEAD open wrote into a hole at
+        or past the tail, as received without a copy. The footprint ended
+        by the next received range with the footer past the data, so end
+        stays short of that range: the data moves the watermark, extends
+        the range ending at offset or starts one. Returns False, recording
+        nothing, when end lies more than WINDOW past the tail: the
+        fragment is dropped, its packet unacknowledged."""
+        tail = self.contiguous_offset
+        if end - tail > WINDOW:
+            return False
         if fin:
             self.set_fin(end)
         elif self.fin_offset is not None and end > self.fin_offset:
-            raise FinalSizeError("data past final size")
-        self.contiguous_offset = end
+            raise FinalSizeError(f"data up to {end} past final size {self.fin_offset}")
+        if offset == tail:
+            self.contiguous_offset = end
+        elif offset < end:
+            ends = self.ends
+            k = bisect_right(ends, offset)
+            if k and ends[k - 1] == offset:
+                ends[k - 1] = end  # under loss, mostly the highest range
+            else:
+                self.starts.insert(k, offset)
+                ends.insert(k, end)
+        return True
 
     def place(self, offset: int, data, fin: bool) -> int:
         """Copy an authenticated fragment to offset - base_offset.

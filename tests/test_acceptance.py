@@ -147,8 +147,9 @@ def test_criterion_5_ordered_ratio_linkage():
         and again.payload_bytes_copied == r2.payload_bytes_copied
     )
     # reorder-only pipe delivers every byte exactly once, so the copied
-    # bytes are exactly those not opened onto the tail: the out-of-order
-    # fragments and the packets filling a gap, which open in the datagram
+    # bytes are exactly those not opened at their offset in storage: the
+    # packets filling a gap, whose footprint reaches the data past it, so
+    # they open in the datagram
     exact_copy_link = all(
         r.payload_bytes_copied == r.bytes_transferred - r.payload_bytes_zero_copy
         and r.retransmissions == 0

@@ -5,6 +5,8 @@ import zlib
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revquic import crypto, header, wire
 from revquic.endpoint import MAX_DATAGRAM, SEND_WINDOW, Connection, Role
@@ -410,6 +412,7 @@ class TestLossAndReordering:
         grams = self.build_all(client)
         assert len(grams) >= 2
         lost, rest = grams[0], grams[1:]
+        first = len(client.unacked[0][1].data)
         for g in rest:
             server.recv(bytearray(g), sbuf)
         assert server.metrics().packets_out_of_order == len(rest)
@@ -419,10 +422,11 @@ class TestLossAndReordering:
             server.recv(bytearray(g), sbuf)
         view, fin = server.stream_recv(1, sbuf)
         assert (bytes(view), fin) == (payload, True)
-        # every fragment landed past a gap, and the retransmission that
-        # fills it opens in place: its footer would land on the next range
+        # every fragment past the gap opened at its offset in storage; the
+        # retransmission that fills the gap opens in place, because its
+        # footer would land on the range past it, and is copied
         m = server.metrics()
-        assert (m.payload_bytes_copied, m.payload_bytes_zero_copy) == (len(payload), 0)
+        assert (m.payload_bytes_copied, m.payload_bytes_zero_copy) == (first, len(payload) - first)
 
     def test_replay_is_acked_and_dropped(self):
         client, server = pair(WireMode.REVERSO)
@@ -448,15 +452,16 @@ class TestLossAndReordering:
         first, late = (len(client.unacked[pn][1].data) for pn in (0, 1))
         for g in grams[2:]:
             server.recv(bytearray(g), sbuf)
-        # the bytes ahead of the gap were copied once, where they belong
-        assert server.metrics().payload_bytes_copied == 6000 - first - late
+        # the bytes ahead of the gap were opened where they belong, uncopied
+        m = server.metrics()
+        assert (m.payload_bytes_copied, m.payload_bytes_zero_copy) == (0, 6000 - first - late)
         server.recv(bytearray(grams[0]), sbuf)
         server.recv(bytearray(grams[1]), sbuf)
         m = server.metrics()
         # the first packet continued the tail below every range; the late
         # one filling the gap was opened in place and copied
-        assert m.packets_out_of_order == 3
-        assert (m.payload_bytes_copied, m.payload_bytes_zero_copy) == (6000 - first, first)
+        assert (m.packets_out_of_order, m.packets_in_order) == (3, 2)
+        assert (m.payload_bytes_copied, m.payload_bytes_zero_copy) == (late, 6000 - late)
         assert bytes(server.stream_recv(1, sbuf)[0]) == b"o" * 6000
 
 
@@ -507,15 +512,15 @@ class TestAdversarial:
     )
     def test_failed_open_never_writes_below_watermark(self, lane):
         """decrypt_into leaves unauthenticated bytes in its destination
-        when the tag fails. The tail lanes (stream 1 continuing, stream 2
-        opened at offset 0) must aim it past the contiguous watermark and
-        bind nothing until the tag verifies; the off-tail lanes (stream 1
-        past a gap, stream 2 first seen past offset 0) open in place in
-        the datagram and touch no storage at all. A range received past
-        the tail is kept like committed bytes: a packet continuing the
-        tail opens onto it only when its whole footprint ends by the
-        range (tail_below_range), and in the datagram when its footer
-        would reach it (tail_reaching_range)."""
+        when the tag fails. A packet opened at its offset in storage
+        (stream 1 continuing or past a gap, stream 2 first seen at or
+        past offset 0, into the staged spare) must aim it at a hole past
+        the contiguous watermark, change nothing outside its footprint
+        and bind nothing until the tag verifies. A range received past
+        the tail is kept like committed bytes: a packet opens below it
+        only when its whole footprint ends by the range
+        (tail_below_range), and in the datagram when its footer would
+        reach it (tail_reaching_range), touching no storage at all."""
         client, server = pair(WireMode.REVERSO)
         appbuf = AppRecvBufMap()
         out = bytearray(MAX_DATAGRAM)
@@ -549,7 +554,7 @@ class TestAdversarial:
         allocations = appbuf.allocations
         honest = bytes(gram)
         gram[-1] ^= 0x01  # corrupt the tag, leaving the header sample alone
-        hdr, _ = header.unprotect_and_decode(
+        hdr, hdr_len = header.unprotect_and_decode(
             WireMode.REVERSO, bytearray(gram), server.recv_keys, server.largest_received_pn,
             lambda sid: appbuf.get(sid).contiguous_offset if appbuf.get(sid) else 0,
         )
@@ -564,7 +569,7 @@ class TestAdversarial:
                 for s, e in zip(sbuf.starts, sbuf.ends)] == received
         assert set(appbuf.buffers) == {1}
         tail = header.SAMPLE_OFFSET  # past the longest header
-        if off_tail or lane == "tail_reaching_range":
+        if lane == "tail_reaching_range":
             assert bytes(sbuf.storage) == storage
             assert bytes(gram[tail:]) != pristine[tail:]  # opened over the ciphertext
             assert appbuf.spare is spare and appbuf.allocations == allocations
@@ -572,9 +577,17 @@ class TestAdversarial:
             # opened into storage, not over the ciphertext
             assert bytes(gram[tail:]) == pristine[tail:]
             if target == 1:
+                # only the hole the footprint covers changed
+                lo = hdr.offset - sbuf.base_offset
+                hi = lo + len(gram) - hdr_len - crypto.TAG_LEN
+                after = bytes(sbuf.storage)
+                assert watermark - sbuf.base_offset <= lo and hi <= len(storage)
+                assert (after[:lo], after[hi:]) == (storage[:lo], storage[hi:])
+                assert after[lo:hi] != storage[lo:hi]
                 assert appbuf.spare is spare and appbuf.allocations == allocations
             else:
                 # the spare staged for stream 2 stays unbound, for reuse
+                assert bytes(sbuf.storage) == storage
                 assert spare is None and appbuf.spare is not None
                 assert appbuf.allocations == allocations + 1
         if received:
@@ -891,3 +904,86 @@ class TestAckValidation:
         assert header.unprotect_and_decode(
             mode, bytearray(out), server.send_keys, 3, lambda s: 0
         )[0].pn_length == 1
+
+
+def stored(appbuf):
+    """Per stream: the consumed and contiguous offsets, the committed,
+    unconsumed bytes, and each received range with its bytes."""
+    return {
+        sid: (b.consumed_offset, b.contiguous_offset, bytes(b.readable_span()[0]),
+              [(lo, hi, bytes(b.storage[lo - b.base_offset : hi - b.base_offset]))
+               for lo, hi in zip(b.starts, b.ends)])
+        for sid, b in appbuf.buffers.items()
+    }
+
+
+def shuffled_transfer(mode, payload, seed, loss, dup, corrupt, capacity):
+    """An honest transfer of payload ({stream id: bytes}) through
+    Connection.recv in random order, with loss, duplicates and copies
+    whose tag is corrupted interleaved; the receiver's acks return
+    intact, and whatever stays unacked is retransmitted. Every
+    corrupted copy must leave each committed byte and each received
+    range as it was. Returns the bytes read per stream and the
+    receiver's metrics."""
+    rng = random.Random(seed)
+    client, server = pair(mode)
+    appbuf, client_buf = AppRecvBufMap(capacity), AppRecvBufMap()
+    for sid, data in payload.items():
+        client.stream_send(sid, data, fin=True)
+    got = {sid: bytearray() for sid in payload}
+    out = bytearray(MAX_DATAGRAM)
+    now = 0.0
+    while not client.send_done():
+        schedule = []
+        while (n := client.build_packet(out, now=now)) is not None:
+            gram = bytes(out[:n])
+            if rng.random() >= loss:
+                schedule += [(gram, False)] * (2 if rng.random() < dup else 1)
+            if rng.random() < corrupt:
+                schedule.append((gram[:-1] + bytes([gram[-1] ^ 0x01]), True))
+        rng.shuffle(schedule)
+        for gram, corrupted in schedule:
+            before = stored(appbuf) if corrupted else None
+            failures = server.metrics().decrypt_failures
+            server.recv(bytearray(gram), appbuf)
+            if corrupted:
+                assert stored(appbuf) == before
+                assert server.metrics().decrypt_failures == failures + 1
+            if rng.random() < 0.3:
+                for sid in server.readable():
+                    view, _ = server.stream_recv(sid, appbuf)
+                    got[sid] += view
+                    server.stream_consumed(sid, len(view), appbuf)
+        while (n := server.build_packet(out, now=now)) is not None:
+            client.recv(bytearray(out[:n]), client_buf)
+        now += 1.0  # past the retransmission timeout
+        client.on_timeout(now)
+    for sid in payload:
+        view, fin = server.stream_recv(sid, appbuf)
+        got[sid] += view
+        assert fin
+    return got, server.metrics()
+
+
+class TestShuffledDifferential:
+    """Both modes deliver the same bytes however the datagrams arrive,
+    and each delivered byte is counted once, copied or not."""
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(
+        sizes=st.lists(st.integers(0, 12_000), min_size=1, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+        loss=st.sampled_from([0.0, 0.1, 0.3]),
+        dup=st.sampled_from([0.0, 0.1, 0.3]),
+        corrupt=st.sampled_from([0.0, 0.2, 0.5]),
+        capacity=st.sampled_from([2048, 1 << 20]),
+    )
+    def test_modes_deliver_identical_bytes(self, sizes, seed, loss, dup, corrupt, capacity):
+        rng = random.Random(seed)
+        payload = {sid: rng.randbytes(n) for sid, n in enumerate(sizes, 1)}
+        delivered = {}
+        for mode in WireMode:
+            got, m = shuffled_transfer(mode, payload, seed, loss, dup, corrupt, capacity)
+            assert m.payload_bytes_copied + m.payload_bytes_zero_copy == sum(sizes)
+            delivered[mode] = got
+        assert delivered[WireMode.REVERSO] == delivered[WireMode.BASELINE] == payload

@@ -13,7 +13,7 @@ from revquic.mode import WireMode
 from revquic.stream_buf import WINDOW, AppRecvBufMap, StreamRecvBuffer
 from revquic.wire import StreamFrame
 
-from test_endpoint import C2S, SECRET, craft
+from test_endpoint import C2S, SECRET, craft, receiver_state
 
 
 def pour(buf: StreamRecvBuffer, data: bytes, fin: bool = False) -> None:
@@ -25,7 +25,7 @@ def pour(buf: StreamRecvBuffer, data: bytes, fin: bool = False) -> None:
     dest = tail - buf.base_offset
     buf.storage[dest : dest + len(data)] = data
     buf.storage[dest + len(data) : dest + len(data) + 8] = b"\xee" * 8
-    buf.commit_zero_copy(tail + len(data), fin)
+    assert buf.commit(tail, tail + len(data), fin)
 
 
 def arrive(buf: StreamRecvBuffer, data: bytes) -> None:
@@ -57,37 +57,49 @@ class Receiver:
         self.mode = mode
         self.pn = 0
 
-    def packet(self, sid, offset, data, hdr_sid=None):
-        frame = StreamFrame(stream_id=sid, offset=offset, data=data, explicit_len=False)
+    def packet(self, sid, offset, data, hdr_sid=None, fin=False, hdr_off=None):
+        frame = StreamFrame(stream_id=sid, offset=offset, data=data, fin=fin, explicit_len=False)
         self.pn += 1
-        # a full-width offset expands right against any contiguous offset
+        # a full-width offset, as build_packet writes it
         return craft(
             self.mode, C2S, self.pn, [frame],
-            hdr_sid=sid if hdr_sid is None else hdr_sid, hdr_off=offset, off_len=4,
+            hdr_sid=sid if hdr_sid is None else hdr_sid,
+            hdr_off=offset if hdr_off is None else hdr_off, off_len=4,
         )
 
     def recv(self, gram):
         self.conn.recv(gram, self.appbuf)
         return self.conn.metrics()
 
-    def send(self, sid, offset, data):
-        return self.recv(self.packet(sid, offset, data))
+    def send(self, sid, offset, data, fin=False):
+        return self.recv(self.packet(sid, offset, data, fin=fin))
+
+    def opens_in_storage(self, gram, error=None):
+        """Feed gram, which must raise error when one is given; returns
+        whether its ciphertext stayed untouched, that is, whether the
+        open aimed at stream storage rather than at the datagram."""
+        pristine = bytes(gram)
+        if error is None:
+            self.recv(gram)
+        else:
+            with pytest.raises(error):
+                self.recv(gram)
+        tail = header.SAMPLE_OFFSET  # past the longest header
+        return bytes(gram[tail:]) == pristine[tail:]
 
     def forge(self, sid, offset=0):
-        """A packet whose tag fails; returns the metrics and whether its
-        ciphertext stayed untouched (that is, whether the open aimed at
-        stream storage rather than at the datagram)."""
+        """A packet whose tag fails; returns the metrics and whether the
+        open aimed at stream storage."""
         gram = self.packet(sid, offset, b"f" * 100)
         gram[-1] ^= 0x01
-        pristine = bytes(gram)
-        m = self.recv(gram)
-        tail = header.SAMPLE_OFFSET  # past the longest header
-        return m, bytes(gram[tail:]) == pristine[tail:]
+        into_storage = self.opens_in_storage(gram)
+        return self.conn.metrics(), into_storage
 
 
 class TestDecryptionPlan:
-    """The header alone chooses where the AEAD opens: the contiguous
-    tail of the stream it names, or in place in the datagram."""
+    """The header alone chooses where the AEAD opens: at the offset it
+    names in the storage of the stream it names, when the whole
+    footprint fits a hole there, or in place in the datagram."""
 
     def test_tail_offset_is_zero_copy(self):
         r = Receiver()
@@ -101,7 +113,8 @@ class TestDecryptionPlan:
         r.send(4, 0, b"x" * 1300)
         m = r.send(4, 2400, b"z" * 500)
         assert m.packets_out_of_order == 1
-        assert m.payload_bytes_copied == 500
+        # opened into the hole at its offset: recorded, not copied
+        assert (m.payload_bytes_copied, m.payload_bytes_zero_copy) == (0, 1800)
         assert r.appbuf.get(4).contiguous_offset == 1300
         assert ranges(r.appbuf.get(4)) == [(2400, 2900)]
         assert at(r.appbuf.get(4), 2400, 2900) == b"z" * 500
@@ -109,11 +122,11 @@ class TestDecryptionPlan:
     def test_tail_reaching_a_range_is_placed(self):
         r = Receiver()
         r.send(4, 0, b"x" * 100)
-        r.send(4, 300, b"z" * 500)
+        r.send(4, 300, b"z" * 500)  # opened in the hole past the gap
         # the footer would land on the range: opened in the datagram
         m = r.send(4, 100, b"y" * 200)
-        assert (m.payload_bytes_zero_copy, m.payload_bytes_copied) == (100, 700)
-        assert m.packets_in_order == 2
+        assert (m.payload_bytes_zero_copy, m.payload_bytes_copied) == (600, 200)
+        assert (m.packets_in_order, m.packets_out_of_order) == (2, 1)
         buf = r.appbuf.get(4)
         assert (buf.contiguous_offset, ranges(buf)) == (800, [])
         assert bytes(buf.readable_span()[0]) == b"x" * 100 + b"y" * 200 + b"z" * 500
@@ -157,12 +170,23 @@ class TestDecryptionPlan:
             assert (1 << 30) not in r.appbuf.buffers
 
     def test_zero_copy_plan_grows_storage(self):
+        # a tail packet past capacity opens in the datagram; storage grows
+        # only once the tag verifies, for the copy
         r = Receiver(default_capacity=1024)
         before = r.appbuf.allocations
         m = r.send(4, 0, b"g" * 1300)
-        assert m.payload_bytes_zero_copy == 1300
+        assert (m.payload_bytes_zero_copy, m.payload_bytes_copied) == (0, 1300)
         assert r.appbuf.allocations == before + 1
         assert r.appbuf.get(4).capacity >= 1300
+
+    def test_forged_packet_past_capacity_grows_nothing(self):
+        r = Receiver(default_capacity=1024)
+        r.send(4, 0, b"x" * 1000)
+        buf, spare, before = r.appbuf.get(4), r.appbuf.spare, r.appbuf.allocations
+        m, into_storage = r.forge(4, 1000)  # continues the tail, footprint past 1024
+        assert m.decrypt_failures == 1 and not into_storage
+        assert (buf.capacity, r.appbuf.allocations, r.appbuf.spare) == (1024, before, spare)
+        assert bytes(buf.readable_span()[0]) == b"x" * 1000
 
     def test_fresh_stream_binds_spare(self):
         r = Receiver()
@@ -170,6 +194,92 @@ class TestDecryptionPlan:
         r.send(9, 0, b"x" * 100)
         assert r.appbuf.get(9) is spare
         assert r.appbuf.spare is None
+
+
+# a stream holding [0, 100) and the range [1000, 1100), and a 200-byte
+# packet at its tail, in the hole between, or past every range
+AT = {"tail": 100, "between_ranges": 400, "past_ranges": 1200}
+
+
+def two_ranges(r: Receiver) -> StreamRecvBuffer:
+    r.send(4, 0, b"x" * 100)
+    r.send(4, 1000, b"y" * 100)
+    return r.appbuf.get(4)
+
+
+class TestAtOffset:
+    """The checks a packet opened at its offset meets once its tag
+    verifies, at the tail and in a hole past it: the footer must restate
+    the header exactly, the window bounds the fragment, and the final
+    size bounds the data. A packet that fails one applies nothing."""
+
+    @pytest.mark.parametrize("where", list(AT))
+    @pytest.mark.parametrize("field", ["stream_id", "offset"])
+    def test_footer_disagreeing_with_header_raises(self, where, field):
+        r = Receiver()
+        two_ranges(r)
+        before = receiver_state(r.conn, r.appbuf)
+        off = AT[where]
+        if field == "stream_id":
+            gram = r.packet(5, off, b"d" * 200, hdr_sid=4)
+        else:
+            gram = r.packet(4, off + 1, b"d" * 200, hdr_off=off)
+        assert r.opens_in_storage(gram, ProtocolViolation)
+        assert receiver_state(r.conn, r.appbuf) == before
+        assert set(r.appbuf.buffers) == {4}
+
+    @pytest.mark.parametrize("where", list(AT))
+    def test_fragment_past_window_is_dropped_unacked(self, where, monkeypatch):
+        r = Receiver()
+        buf = two_ranges(r)
+        monkeypatch.setattr(stream_buf, "WINDOW", 150)  # the boundary, without 16 MiB of storage
+        before = r.conn.metrics()
+        m = r.send(4, AT[where], b"w" * 200)
+        assert (buf.contiguous_offset, ranges(buf), buf.fin_offset) == (100, [(1000, 1100)], None)
+        assert r.pn not in r.conn.ack_pending
+        assert (m.payload_bytes_zero_copy, m.payload_bytes_copied) == (
+            before.payload_bytes_zero_copy, before.payload_bytes_copied)
+        # within the window, the same offset opens there and is recorded
+        monkeypatch.setattr(stream_buf, "WINDOW", WINDOW)
+        m = r.send(4, AT[where], b"w" * 200)
+        assert m.payload_bytes_zero_copy == before.payload_bytes_zero_copy + 200
+        assert r.pn in r.conn.ack_pending
+
+    @pytest.mark.parametrize("where", ["tail", "hole"])
+    @pytest.mark.parametrize("order", ["fin_first", "data_first"])
+    def test_data_past_final_size_raises(self, where, order):
+        r = Receiver()
+        if order == "fin_first":
+            # the final size is known; the packet brings data past it
+            if where == "tail":
+                r.send(4, 0, b"x" * 100, fin=True)
+                off = 100
+            else:
+                r.send(4, 0, b"x" * 100)
+                r.send(4, 500, b"y" * 100, fin=True)
+                off = 700
+            gram = r.packet(4, off, b"d" * 200)
+        else:
+            # data lies past the final size the packet brings
+            two_ranges(r)
+            gram = r.packet(4, AT["tail" if where == "tail" else "between_ranges"], b"d" * 200, fin=True)
+        before = receiver_state(r.conn, r.appbuf)
+        fin = r.appbuf.get(4).fin_offset
+        assert r.opens_in_storage(gram, FinalSizeError)
+        assert receiver_state(r.conn, r.appbuf) == before
+        assert r.appbuf.get(4).fin_offset == fin
+
+
+    def test_empty_fin_in_a_hole_records_only_the_final_size(self):
+        r = Receiver()
+        r.send(4, 0, b"x" * 100)
+        assert r.opens_in_storage(r.packet(4, 300, b"", fin=True))
+        buf = r.appbuf.get(4)
+        assert (buf.contiguous_offset, ranges(buf), buf.fin_offset) == (100, [], 300)
+        assert r.conn.metrics().packets_out_of_order == 1 and r.pn in r.conn.ack_pending
+        r.send(4, 100, b"y" * 200)
+        assert bytes(buf.readable_span()[0]) == b"x" * 100 + b"y" * 200
+        assert buf.readable_span()[2] is True
 
 
 class TestCommitZeroCopy:
