@@ -3,9 +3,11 @@
 Builds a single stream packet, prints it byte by byte, then removes
 header protection and parses the plaintext to show where every field
 lives. The point to notice: in reverso mode the stream data starts at
-plaintext position 0 and the frame's bookkeeping (offset, stream id,
-type byte) trails it as a footer, so a receiver that decrypts the
-packet into the right place never has to move the data again.
+plaintext position 0, followed by one anchor type byte, and the header
+alone names its stream id and offset, so a receiver that decrypts the
+packet into the right place never has to move the data again. The
+header is the AEAD's associated data, so those fields are authenticated
+with the payload.
 
 Run: python3 demos/01_packet_anatomy.py
 """
@@ -32,7 +34,7 @@ def build(mode: WireMode, keys: crypto.KeySchedule) -> bytes:
     scratch = bytearray(256)
     if mode is WireMode.REVERSO:
         n = wire.serialize_reversed(frames, scratch)
-        while n < header.MIN_PLAINTEXT:  # padding goes right of the footer
+        while n < header.MIN_PLAINTEXT:  # padding goes right of the anchor
             frames.append(PaddingFrame())
             n = wire.serialize_reversed(frames, scratch)
     else:
@@ -64,8 +66,10 @@ def dissect(mode: WireMode, keys: crypto.KeySchedule, packet: bytes) -> None:
     crypto.open(keys, h.packet_number, bytes(work[:hdr_len]), memoryview(work)[hdr_len:], plaintext)
     hexdump("plaintext", bytes(plaintext))
     if mode is WireMode.REVERSO:
-        frames = wire.parse_reversed(plaintext)
-        print(f"  parsed right to left; data sits at positions 0..{len(DATA)}:")
+        # the header's stream id and offset locate the anchor
+        frames = wire.parse_reversed(plaintext, h.stream_id, h.offset)
+        print(f"  parsed right to left; data sits at positions 0..{len(DATA)}, "
+              f"anchor type byte {plaintext[len(DATA)]:#04x} at {len(DATA)}:")
         print(f"    {plaintext[: len(DATA)]!r}")
     else:
         frames = wire.parse_forward(plaintext)

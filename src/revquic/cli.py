@@ -332,7 +332,7 @@ def cmd_inspect(args) -> int:
     pt_len = crypto.open(keys, hdr.packet_number, packet[:hdr_len], ct, ct)
     plaintext = ct[:pt_len]
     if mode is WireMode.REVERSO:
-        frames = wire.parse_reversed(plaintext)
+        frames = wire.parse_reversed(plaintext, hdr.stream_id, hdr.offset)
         print(f"frames ({len(frames)}, right-to-left processing order):")
     else:
         frames = wire.parse_forward(plaintext)

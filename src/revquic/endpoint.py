@@ -1,23 +1,25 @@
 """Connection state machine: send and receive pipelines in both modes.
 
 The receive pipeline is the measured artifact; each mode has one receive
-function. Reversed mode chooses the AEAD destination from the
-unauthenticated header alone: a packet is opened straight into stream
-storage at the offset its header names, and recorded there without a
-copy, when its whole footprint fits a hole at or past the contiguous
-tail, in storage that already exists and short of any data received
-past it; anything else is opened in place in the datagram and its data
-copied once, to the offset its authenticated footer names. A new
-stream's buffer is bound only once the tag verifies and the anchor
-frame's footer agrees with the header. Baseline mode opens in place in
-the datagram buffer, decodes forward, and copies validated stream data
-into storage; that reassembly copy is the cost the reversed layout
-removes. In both modes the receiver reads exactly the layout
-build_packet writes, at most one stream frame (OFF set, LEN absent)
-beside at most one ack, one close and a padding run, where they lie and
-without frame objects; any other frame raises. A packet is decoded and
-checked in full before any of it applies, so one that raises leaves no
-state behind. A received close elicits no ack; the endpoint then drains,
+function. In reversed mode the header's stream id and offset are the one
+locator of a packet's stream data: the anchor frame is the data and one
+type byte, and the header, the AEAD's associated data, is authenticated
+with it. The receiver chooses the AEAD destination from the still
+unauthenticated header: a packet is opened straight into stream storage
+at the offset its header names, and recorded there without a copy, when
+its whole footprint fits a hole at or past the contiguous tail, in
+storage that already exists and short of any data received past it;
+anything else is opened in place in the datagram and its data copied
+once, to that same offset. A new stream's buffer is bound only once the
+tag verifies. Baseline mode opens in place in the datagram buffer,
+decodes forward, and copies validated stream data into storage; that
+reassembly copy is the cost the reversed layout removes. In both modes
+the receiver reads exactly the layout build_packet writes, at most one
+stream frame (baseline: OFF set, LEN absent; reverso: the anchor) beside
+at most one ack, one close and a padding run, where they lie and without
+frame objects; any other frame raises. A packet is decoded and checked
+in full before any of it applies, so one that raises leaves no state
+behind. A received close elicits no ack; the endpoint then drains,
 discarding what arrives and sending nothing (RFC 9000 §10.2.2).
 
 Reliability is deliberately minimal: fixed retransmission timeout, a
@@ -58,20 +60,18 @@ SEND_WINDOW = 64  # packets in flight
 DEFAULT_RTO = 0.25
 
 # the last stream offset reverso's header can carry: build_packet
-# truncates max(offset, bytes sent past it) + 1 against 0 into 4 bytes
+# truncates offset + 1 against 0 into 4 bytes
 MAX_REVERSO_OFFSET = (1 << 31) - 2
 
-# reserve worst-case header growth (pn and offset truncations can widen
-# between original send and retransmission); budgeting fragments against
-# this keeps boundaries stable across retransmits
+# reserve the header's worst-case packet number and offset widths (the
+# pn truncation can widen between original send and retransmission);
+# budgeting fragments against this keeps boundaries stable across
+# retransmits
 _PN_RESERVE = 4
 _OFF_RESERVE = 4
 
-
-def _footer_mismatch(f_sid: int, f_off: int, sid: int, offset: int) -> ProtocolViolation:
-    """The header's stream fields restate the anchor frame's footer; both
-    are authenticated, so disagreement is the peer's violation."""
-    return ProtocolViolation(f"footer ({f_sid}, {f_off}) disagrees with header ({sid}, {offset})")
+# the anchor's type with its FIN bit set, for one comparison per packet
+_ANCHOR_FIN = wire.TYPE_ANCHOR | wire.STREAM_FIN
 
 
 class Role(enum.Enum):
@@ -100,7 +100,7 @@ class _SendStream:
     next_offset: int = 0  # stream offset of queue[0]
     fin_queued: bool = False
     fin_sent: bool = False
-    frame_cost: int = 0  # fragment budget spent on the stream id, fixed per stream
+    frame_cost: int = 0  # fragment budget spent on the frame, fixed per stream
 
 
 @dataclass
@@ -154,11 +154,12 @@ class Connection:
             raise StreamIdOverflow(f"stream id {stream_id} outside [1, 2^30)")
         ss = self.send_streams.get(stream_id)
         if ss is None:
-            # the type byte, the stream id's varint and, in reverso, the
-            # wire stream id and the offset reserve in the header
-            cost = 1 + wire.forward_length(stream_id)
+            # the type byte, then the stream id's varint (baseline) or the
+            # header's wire stream id and offset reserve (reverso)
             if self.mode is WireMode.REVERSO:
-                cost += _OFF_RESERVE + header.wire_sid_length(stream_id)
+                cost = 1 + header.wire_sid_length(stream_id) + _OFF_RESERVE
+            else:
+                cost = 1 + wire.forward_length(stream_id)
             ss = _SendStream(stream_id, frame_cost=cost)
             self.send_streams[stream_id] = ss
             self._rr.append(stream_id)
@@ -182,14 +183,17 @@ class Connection:
         if len(self.unacked) >= SEND_WINDOW:
             return None
         room = MAX_DATAGRAM - (1 + header.DCID_LEN + _PN_RESERVE) - TAG_LEN - overhead
+        baseline = self.mode is WireMode.BASELINE
         for _ in range(len(self._rr)):
             sid = self._rr[0]
             self._rr.rotate(-1)
             ss = self.send_streams[sid]
             if not ss.queue and not (ss.fin_queued and not ss.fin_sent):
                 continue
-            # the offset's varint is the one part that grows
-            budget = room - ss.frame_cost - wire.forward_length(ss.next_offset)
+            # baseline's offset varint is the one part that grows
+            budget = room - ss.frame_cost
+            if baseline:
+                budget -= wire.forward_length(ss.next_offset)
             if budget <= 0:
                 continue
             # an empty queue here has a fin to send: a zero-length fragment
@@ -236,15 +240,16 @@ class Connection:
         send or the connection drains. At most one stream frame per
         packet; pending acks and a queued close ride along. No frame or
         header objects are built: header.pack_header writes the header
-        as one integer, wire.stream_fields, wire.ack_fields and
-        wire.close_fields give the frames' bytes and the data is copied
-        once, straight from the fragment into out. The plaintext is
-        sealed in place with encrypt_into and header.protect masks the
-        header as one integer window.
+        as one integer, wire.stream_fields (baseline), wire.ack_fields
+        and wire.close_fields give the frames' bytes and the data is
+        copied once, straight from the fragment into out. The plaintext
+        is sealed in place with encrypt_into and header.protect masks
+        the header as one integer window.
 
-        Reverso plaintext: stream data, its footer, ack, close, padding.
-        Baseline: ack, close, padding, then the stream frame, which owns
-        the remainder.
+        Reverso plaintext: stream data, the anchor's type byte, ack,
+        close, padding; the header carries the stream id and the whole
+        offset. Baseline: ack, close, padding, then the stream frame,
+        which owns the remainder.
         """
         if len(out) < MAX_DATAGRAM:
             raise BufferTooSmall(f"need {MAX_DATAGRAM}, got {len(out)}")
@@ -279,11 +284,12 @@ class Connection:
         off_len = 1
         if frag is not None:
             sid, offset, data = frag.stream_id, frag.offset, frag.data
-            fields = wire.stream_fields(sid, offset, len(data), frag.fin, False, reverso)
-            stream_len = len(fields) + len(data)
-            if reverso:  # baseline's header has no offset field
-                ahead = self.send_streams[sid].next_offset - offset
-                off_len = crypto.truncated_len(max(offset, ahead) + 1, 0)
+            if reverso:
+                stream_len = len(data) + 1
+                off_len = crypto.truncated_len(offset + 1, 0)
+            else:  # baseline's header has no offset field
+                fields = wire.stream_fields(sid, offset, len(data), frag.fin, False, False)
+                stream_len = len(fields) + len(data)
         else:
             sid = offset = stream_len = 0
         hdr = header.pack_header(reverso, pn, pn_len, sid, offset, off_len)
@@ -299,8 +305,8 @@ class Connection:
         if reverso and frag is not None:
             pos += len(data)
             view[hdr_len:pos] = data
-            view[pos : pos + len(fields)] = fields
-            pos += len(fields)
+            view[pos] = wire.TYPE_ANCHOR | frag.fin
+            pos += 1
         if ack is not None:
             view[pos : pos + len(ack)] = ack
             pos += len(ack)
@@ -336,18 +342,19 @@ class Connection:
     # One receive function per mode, and one route through each. Each
     # unprotects the header with header.unprotect, opens the AEAD with
     # decrypt_into, and walks exactly the layout build_packet writes: at
-    # most one stream frame (type 0x0C/0x0D), owning the rest of the
-    # plaintext, beside at most one ack, at most one close and a padding
-    # run. Each is read where it lies, without frame objects, because
-    # per-object interpreter cost dominates the per-packet budget. Any
-    # other frame (ping, max-stream-data, a stream frame with LEN or
-    # without OFF, a second ack or stream frame, an unknown type) raises
-    # ProtocolViolation. The whole packet is decoded and checked, its ack
-    # by _check_ack, before any of it applies; then its stream data
-    # (recorded where it was opened when reverso opened it at its offset,
-    # placed in storage through _deliver otherwise), its ack through
-    # _on_ack, and its close, in that order. After a close, recv discards
-    # each datagram unread.
+    # most one stream frame (baseline type 0x0C/0x0D, reverso's anchor
+    # 0x20/0x21), owning the rest of the plaintext, beside at most one
+    # ack, at most one close and a padding run. Each is read where it
+    # lies, without frame objects, because per-object interpreter cost
+    # dominates the per-packet budget. Any other frame (ping,
+    # max-stream-data, a stream frame with LEN or without OFF, or with
+    # fields in reverso, a second ack or stream frame, an unknown type)
+    # raises ProtocolViolation. The whole packet is decoded and checked,
+    # its ack by _check_ack, before any of it applies; then its stream
+    # data (recorded where it was opened when reverso opened it at its
+    # offset, placed in storage through _deliver otherwise), its ack
+    # through _on_ack, and its close, in that order. After a close, recv
+    # discards each datagram unread.
 
     def recv(self, datagram, appbuf: AppRecvBufMap) -> int:
         """Process one datagram; returns bytes consumed from it.
@@ -377,16 +384,15 @@ class Connection:
         return blen
 
     def _recv_reverso(self, buf, blen: int, appbuf: AppRecvBufMap) -> int:
-        """The header alone picks the AEAD destination: a packet whose
-        whole footprint fits a hole in its stream's storage, the tail
-        included, is opened straight at its offset and recorded there
-        without a copy; any other packet is opened in place in the
-        datagram and handed to _deliver. Returns the packet number once
-        the packet has applied, -1 when its tag fails."""
+        """The header locates the stream data and picks the AEAD
+        destination: a packet whose whole footprint fits a hole in its
+        stream's storage, the tail included, is opened straight at its
+        offset and recorded there without a copy; any other packet is
+        opened in place in the datagram and handed to _deliver at the
+        same offset. Returns the packet number once the packet has
+        applied, -1 when its tag fails."""
         ks = self.recv_keys
-        hdr_len, pn, sid, off, off_mask = header.unprotect(
-            buf, ks, self.largest_received_pn, True
-        )
+        hdr_len, pn, sid, off = header.unprotect(buf, ks, self.largest_received_pn, True)
         pt_len = blen - hdr_len - TAG_LEN
         sbuf = appbuf.buffers.get(sid)  # never holds stream 0
         if sbuf is None and sid:
@@ -422,10 +428,8 @@ class Connection:
             return -1
 
         # Walk back from the end: a padding run, a close, an ack, then
-        # the anchor, the LEN-absent stream frame owning the start of the
-        # plaintext, whose footer (offset, stream id, type) must restate
-        # the header's: the stream id in full, the offset exactly where
-        # the packet opened at it and in its low bytes elsewhere.
+        # the anchor's type byte, after the stream data that starts the
+        # plaintext. The authenticated header locates that data.
         cur = hi
         t = store[cur - 1] if cur > lo else -1
         if not t:
@@ -442,41 +446,11 @@ class Connection:
             acked = self._check_ack(largest, ranges)
             t = store[cur - 1] if cur > lo else -1
         m = self._metrics
-        if t | 0x01 == 0x0D:
-            # walk the anchor's footer back, stream id first, then offset
-            cur -= 1
-            if cur <= lo:
-                raise MalformedFrame("truncated reversed varint")
-            b = store[cur - 1]
-            if b == sid << 2:
-                # the header's stream id in its one-byte encoding: the
-                # header already decoded it, so comparing verifies it
-                f_sid = sid
-                cur -= 1
-            else:
-                n = _VLEN[b & 0x03]
-                if n > cur - lo:
-                    raise MalformedFrame("truncated reversed varint")
-                f_sid = int.from_bytes(store[cur - n : cur], "big") >> 2
-                cur -= n
-            if cur <= lo:
-                raise MalformedFrame("truncated reversed varint")
-            b = store[cur - 1]
-            n = _VLEN[b & 0x03]
-            if n > cur - lo:
-                raise MalformedFrame("truncated reversed varint")
-            f_off = (
-                b >> 2 if n == 1
-                else store[cur - 2] << 6 | b >> 2 if n == 2
-                else int.from_bytes(store[cur - n : cur], "big") >> 2
-            )
-            cur -= n
+        if t | 0x01 == _ANCHOR_FIN:
             fin = t & 0x01
+            data_len = cur - 1 - lo
             if at_off:
-                if f_sid != sid or f_off != off:
-                    raise _footer_mismatch(f_sid, f_off, sid, off)
                 in_order = off == sbuf.contiguous_offset
-                data_len = cur - lo
                 if sbuf.commit(off, off + data_len, fin):
                     m.payload_bytes_zero_copy += data_len
                     self.ack_pending.add(pn)
@@ -490,11 +464,7 @@ class Connection:
             else:
                 if sid == 0:
                     raise ProtocolViolation("stream frame in a control-only packet")
-                # the authenticated footer gives the offset in full; the
-                # header's truncated offset need only be its low bytes
-                if f_sid != sid or f_off & off_mask != off:
-                    raise _footer_mismatch(f_sid, f_off, sid, off)
-                if not self._deliver(appbuf, sid, f_off, pt[: cur - lo], fin):
+                if not self._deliver(appbuf, sid, off, pt[:data_len], fin):
                     self.ack_pending.add(pn)
         elif t < 0:
             # no stream data: a control-only packet
@@ -516,7 +486,7 @@ class Connection:
         layout removes. Returns the packet number once the packet has
         applied, -1 when its tag fails."""
         ks = self.recv_keys
-        hdr_len, pn, _, _, _ = header.unprotect(buf, ks, self.largest_received_pn, False)
+        hdr_len, pn, _, _ = header.unprotect(buf, ks, self.largest_received_pn, False)
         m = self._metrics
         end = blen - TAG_LEN
         try:

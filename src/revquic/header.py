@@ -11,9 +11,15 @@ Layout (byte offsets):
 
 The sid_len bits are reserved (00) in baseline mode. Length tags store
 length minus one. The wire stream id is the full (untruncated) id; its
-low 2 bits give the offset field's length. build_packet truncates the
-offset against 0, so the field holds all of it; unprotect_and_decode
-(inspection) expands it against a reference like a packet number.
+low 2 bits give the offset field's length. In reverso the header is the
+one locator of the packet's stream data: the anchor frame carries no
+stream id or offset, and the header, the AEAD's associated data, is
+authenticated with the payload. The receiver reads the offset field as
+the whole offset and never expands it; build_packet sizes the field to
+hold all of it. unprotect_and_decode (inspection) expands it against a
+reference like a packet number, which gives back the field's value
+whenever the field holds the whole offset and the reference lies below
+it.
 
 Header protection XORs flags' low bits (5 in baseline, 7 in reverso) and
 every byte of the variable fields with a mask derived from a fixed-offset
@@ -170,10 +176,9 @@ def _hdr_geometry(reverso: bool):
             sh_sid = (12 - lead) << 3  # shift placing the wire stream id at bit 0
             # keyed by the offset-length bits of the wire stream id:
             # header length, length of the fields after the dcid, shift
-            # placing the offset at bit 0, offset mask, shift placing the
-            # pn at bit 0
+            # placing the offset at bit 0, shift placing the pn at bit 0
             by_off = tuple(
-                (PN_OFFSET + lead + n, lead + n, sh_sid - (n << 3), _WMASK[n], (sid_len + n) << 3)
+                (PN_OFFSET + lead + n, lead + n, sh_sid - (n << 3), (sid_len + n) << 3)
                 for n in (1, 2, 3, 4)
             )
             rows.append((sh_sid, _WMASK[sid_len], win, win >> 1, ~(win - 1), by_off))
@@ -189,14 +194,10 @@ _BL_HDR = _hdr_geometry(False)
 def unprotect(packet, ks: crypto.KeySchedule, largest_pn: int, reverso: bool):
     """Remove protection in place and decode what the receiver routes on.
 
-    Returns (header_length, packet_number, stream_id, truncated_offset,
-    offset_mask); baseline headers carry no stream fields and report
-    zeros for them. The packet number is expanded against largest_pn;
-    the offset is returned as on the wire: build_packet truncates it
-    against 0, so it is the whole offset. The receiver opens the packet
-    there when its footprint fits a hole in the stream's storage, and
-    the authenticated footer must restate it exactly; elsewhere the
-    footer's offset need only have it as its low bytes.
+    Returns (header_length, packet_number, stream_id, offset); baseline
+    headers carry no stream fields and report zeros for them. The packet
+    number is expanded against largest_pn; the offset is returned as on
+    the wire, the whole offset of the packet's stream data.
     Nothing here is authenticated yet: every field is attacker-controlled
     until the AEAD open over the unprotected header succeeds.
     """
@@ -217,11 +218,11 @@ def unprotect(packet, ks: crypto.KeySchedule, largest_pn: int, reverso: bool):
             mask[1:13], "big"
         )
         wire_sid = (w >> sh_sid) & wm_sid
-        hdr_len, fields_len, sh_off, off_mask, sh_pn = by_off[wire_sid & 0x03]
-        fields = w >> sh_off  # pn, wire stream id, truncated offset
+        hdr_len, fields_len, sh_off, sh_pn = by_off[wire_sid & 0x03]
+        fields = w >> sh_off  # pn, wire stream id, offset
         pn_t = fields >> sh_pn
         sid = wire_sid >> 2
-        off_t = fields & off_mask
+        off = fields & _WMASK[(wire_sid & 0x03) + 1]
     else:
         flags = packet[0] ^ (mask[0] & _BASELINE_FLAG_MASK)
         if flags & 0x80 or not flags & _FIXED_BIT:
@@ -232,7 +233,7 @@ def unprotect(packet, ks: crypto.KeySchedule, largest_pn: int, reverso: bool):
         fields = pn_t = int.from_bytes(packet[PN_OFFSET:hdr_len], "big") ^ int.from_bytes(
             mask[1:mask_end], "big"
         )
-        sid = off_t = off_mask = 0
+        sid = off = 0
     # the unprotected header is the AEAD's associated data
     packet[0] = flags
     packet[PN_OFFSET:hdr_len] = fields.to_bytes(fields_len, "big")
@@ -246,7 +247,7 @@ def unprotect(packet, ks: crypto.KeySchedule, largest_pn: int, reverso: bool):
         pn -= win
     if pn >= _MAX62:
         pn -= win
-    return hdr_len, pn, sid, off_t, off_mask
+    return hdr_len, pn, sid, off
 
 
 def unprotect_and_decode(
@@ -263,7 +264,7 @@ def unprotect_and_decode(
     authenticated yet.
     """
     reverso = mode is WireMode.REVERSO
-    hdr_len, pn, sid, off_t, off_mask = unprotect(packet, ks, reference_pn, reverso)
+    hdr_len, pn, sid, off = unprotect(packet, ks, reference_pn, reverso)
     flags = packet[0]
     h = ShortHeader(
         packet_number=pn,
@@ -272,10 +273,9 @@ def unprotect_and_decode(
         pn_length=(flags & 0x03) + 1,
     )
     if reverso:
-        off_len = off_mask.bit_length() >> 3
+        # what the header holds past the packet number and the wire stream id
+        off_len = hdr_len - PN_OFFSET - h.pn_length - ((flags >> 3) & 0x03) - 1
         h.stream_id = sid
         h.off_length = off_len
-        h.offset = crypto.expand_int(
-            off_t.to_bytes(off_len, "big"), reference_offset_lookup(sid)
-        )
+        h.offset = crypto.expand_int(off.to_bytes(off_len, "big"), reference_offset_lookup(sid))
     return h, hdr_len

@@ -3,13 +3,14 @@
 The receive path's goal is that stream data is written exactly once,
 into its final place. The AEAD open targets the header's offset in the
 stream's storage directly, the tail or a hole past it, leaving the
-footer bytes in the hole as scratch. A fragment opened elsewhere is
-copied once, to its own offset in the same storage. The stream keeps a
-sorted list of the ranges it has received past the tail, and the
-watermark moves over a range, without a copy, once the tail reaches it.
-Everything here exists to make that safe: before authentication the
-receiver may only write into a hole, in storage that already exists;
-commitment happens after.
+anchor's type byte and any trailing control frames in the hole as
+scratch. A fragment opened elsewhere is copied once, through the
+storage's memoryview, to its own offset in the same storage. The
+stream keeps a sorted list of the ranges it has received past the
+tail, and the watermark moves over a range, without a copy, once the
+tail reaches it. Everything here exists to make that safe: before
+authentication the receiver may only write into a hole, in storage
+that already exists; commitment happens after.
 
 Buffer recycling: the map keeps one spare buffer. The receiver opens a
 new stream's first packet into it and binds it to the stream id only
@@ -96,11 +97,12 @@ class StreamRecvBuffer:
     def commit(self, offset: int, end: int, fin) -> bool:
         """Record [offset, end), which the AEAD open wrote into a hole at
         or past the tail, as received without a copy. The footprint ended
-        by the next received range with the footer past the data, so end
-        stays short of that range: the data moves the watermark, extends
-        the range ending at offset or starts one. Returns False, recording
-        nothing, when end lies more than WINDOW past the tail: the
-        fragment is dropped, its packet unacknowledged."""
+        by the next received range with the anchor's type byte past the
+        data, so end stays short of that range: the data moves the
+        watermark, extends the range ending at offset or starts one.
+        Returns False, recording nothing, when end lies more than WINDOW
+        past the tail: the fragment is dropped, its packet
+        unacknowledged."""
         tail = self.contiguous_offset
         if end - tail > WINDOW:
             return False
@@ -144,10 +146,10 @@ class StreamRecvBuffer:
             base = self.base_offset
         starts = self.starts
         if offset == tail and not starts:
-            # in order with nothing pending. Bytearray slice assignment
-            # copies data through a temporary; a write through
-            # storage_view would not (ROADMAP item 2)
-            self.storage[tail - base : end - base] = data
+            # in order with nothing pending: one write through the view.
+            # A bytearray slice assignment would first copy a view source
+            # into a temporary, a copy the meter would not count
+            self.storage_view[tail - base : end - base] = data
             self.contiguous_offset = end
             return n
         dst = self.storage_view

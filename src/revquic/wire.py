@@ -7,23 +7,27 @@ and must therefore be the final frame.
 
 Reversed layout: each frame's fields are serialized in reverse order so
 the type byte comes last and a parser can walk right to left. Integer
-fields use the reversed varint (tag in the final byte). A stream frame
-without LEN owns everything to its LEFT, so its data occupies plaintext
-positions [0, data_len) with the footer (offset, stream id, type) after
-it; that placement is what lets the receiver decrypt a packet directly
-to the stream's contiguous position and treat the data as already in
-place. Control frames and padding follow the footer and parse backward
-independently, so padding never interferes with the LEN-absent rule.
+fields use the reversed varint (tag in the final byte). The stream data
+that owns the rest of the plaintext is the anchor: its data occupies
+plaintext positions [0, data_len) and a single type byte, TYPE_ANCHOR
+with the FIN bit, follows it. The anchor has no fields: the packet
+header's stream id and offset, which the AEAD authenticates as
+associated data, locate it. That placement is what lets the receiver
+decrypt a packet directly to the stream's position and treat the data
+as already in place. Control frames and padding follow the anchor and
+parse backward independently, so padding never interferes with it.
 
 Frame type values follow the conventional registrations: padding 0x00,
 ping 0x01, ack 0x02, stream 0x08 with OFF 0x04 / LEN 0x02 / FIN 0x01,
-max-stream-data 0x11, connection-close 0x1c. The type is always a single
-byte in both layouts.
+max-stream-data 0x11, connection-close 0x1c. The anchor, reversed layout
+only, is 0x20 with FIN 0x01, a value RFC 9000 leaves unassigned. The
+type is always a single byte in both layouts.
 
 Every frame type has one encoder, which states its layout once for both
 orders: stream_fields for a stream frame's fields, ack_fields for an ack,
-close_fields for a connection close and _pack for max-stream-data. The
-sender calls the first three directly. The receive paths read an ack in
+close_fields for a connection close and _pack for max-stream-data; the
+anchor is its type byte. The sender calls stream_fields (baseline),
+ack_fields and close_fields directly. The receive paths read an ack in
 place with take_ack_forward or take_ack_reversed and a close with
 take_close_forward or take_close_reversed, the decoders the parsers
 call, and skip a padding run with padding_end or padding_start. The
@@ -68,6 +72,7 @@ STREAM_LEN = 0x02
 STREAM_FIN = 0x01
 TYPE_MAX_STREAM_DATA = 0x11
 TYPE_CONNECTION_CLOSE = 0x1C
+TYPE_ANCHOR = 0x20  # reversed layout only; | STREAM_FIN
 
 MAX_ACK_RANGES = 32
 
@@ -104,7 +109,8 @@ class StreamFrame:
     data: object  # bytes-like; views stay views until a copy is required
     fin: bool = False
     # LEN bit on the wire; None lets the serializer decide (absent only
-    # for the frame that owns the remainder)
+    # for the frame that owns the remainder, which in the reversed layout
+    # is the anchor: its stream id and offset travel in the header)
     explicit_len: bool | None = None
 
 
@@ -153,9 +159,10 @@ def stream_fields(
 ) -> bytes:
     """A stream frame's bytes other than its data, the one stream-frame
     encoder. Forward: type, stream id, offset, [length]; the data
-    follows. Reversed: [length], offset, stream id, type; the data
-    precedes them, so a LEN-absent frame's data starts the plaintext.
-    The offset is always written, in both layouts."""
+    follows. Reversed: length, offset, stream id, type; the data
+    precedes them. The offset is always written, in both layouts. The
+    reversed layout's LEN-absent stream data is the anchor instead,
+    which has no fields."""
     t = TYPE_STREAM | STREAM_OFF | (STREAM_LEN if explicit else 0) | (STREAM_FIN if fin else 0)
     return _pack(t, (stream_id, offset, data_len) if explicit else (stream_id, offset), reverso)
 
@@ -307,8 +314,11 @@ def _resolve_explicit(frames: list[Frame], mode: WireMode) -> list[bool]:
 def _frame_bytes(f: Frame, explicit: bool, reverso: bool) -> bytes:
     """One frame's bytes in one layout, from its one encoder; explicit is
     a stream frame's LEN bit. A stream frame's data precedes its fields
-    in reverso and follows them in baseline."""
+    in reverso and follows them in baseline; a LEN-absent one in reverso
+    is the anchor, its data and one type byte."""
     if isinstance(f, StreamFrame):
+        if reverso and not explicit:
+            return bytes(f.data) + bytes((TYPE_ANCHOR | (STREAM_FIN if f.fin else 0),))
         fields = stream_fields(f.stream_id, f.offset, len(f.data), f.fin, explicit, reverso)
         return bytes(f.data) + fields if reverso else fields + bytes(f.data)
     if isinstance(f, AckFrame):
@@ -353,8 +363,10 @@ def serialize_reversed(frames: list[Frame], out) -> int:
     """Write frames for right-to-left parsing; returns total length.
 
     frames[0] must be the stream frame if one is zero-copy eligible
-    (LEN absent); its data lands at position 0. Later frames append after
-    the footer in list order; a backward parser yields them in reverse,
+    (LEN absent): it is written as the anchor, its data at position 0
+    and then its type byte. Its stream id and offset are not written;
+    the caller puts them in the packet header. Later frames append after
+    the anchor in list order; a backward parser yields them in reverse,
     which carries no semantic weight for control frames.
     """
     return _serialize(frames, out, WireMode.REVERSO)
@@ -413,9 +425,11 @@ def _take_forward(buf, pos: int) -> tuple[int, int]:
         raise MalformedFrame("truncated varint") from None
 
 
-def parse_reversed(plaintext) -> list[Frame]:
+def parse_reversed(plaintext, stream_id: int = 0, offset: int = 0) -> list[Frame]:
     """Parse right to left; frames return in processing order, so the
-    zero-copy stream frame, when present, is LAST in the returned list.
+    anchor, when present, is LAST in the returned list, as a LEN-absent
+    StreamFrame at stream_id and offset, the packet header's fields.
+    A stream frame with fields must have LEN set.
 
     Every iteration moves the cursor at least one byte left, so arbitrary
     input terminates; any structural problem raises rather than looping.
@@ -432,23 +446,24 @@ def parse_reversed(plaintext) -> list[Frame]:
         elif t == TYPE_ACK:
             largest, delay, ranges, cur = take_ack_reversed(plaintext, 0, cur)
             frames.append(AckFrame(largest_acked=largest, ack_delay=delay, ranges=ranges))
-        elif TYPE_STREAM <= t <= TYPE_STREAM | STREAM_OFF | STREAM_LEN | STREAM_FIN:
+        elif t | STREAM_FIN == TYPE_ANCHOR | STREAM_FIN:
+            # owns everything to the left; ends the walk
+            frames.append(StreamFrame(stream_id, offset, plaintext[:cur], bool(t & STREAM_FIN), False))
+            cur = 0
+        elif t | STREAM_OFF | STREAM_FIN == TYPE_STREAM | STREAM_OFF | STREAM_LEN | STREAM_FIN:
             sid, c = _take_reversed(plaintext, cur)
             cur -= c
-            offset = 0
+            off = 0
             if t & STREAM_OFF:
-                offset, c = _take_reversed(plaintext, cur)
+                off, c = _take_reversed(plaintext, cur)
                 cur -= c
-            if t & STREAM_LEN:
-                dlen, c = _take_reversed(plaintext, cur)
-                cur -= c
-                if dlen > cur:
-                    raise MalformedFrame("stream data extends past cursor")
-            else:
-                dlen = cur  # owns everything to the left; ends the walk
+            dlen, c = _take_reversed(plaintext, cur)
+            cur -= c
+            if dlen > cur:
+                raise MalformedFrame("stream data extends past cursor")
             data = plaintext[cur - dlen : cur]
             cur -= dlen
-            frames.append(StreamFrame(sid, offset, data, bool(t & STREAM_FIN), bool(t & STREAM_LEN)))
+            frames.append(StreamFrame(sid, off, data, bool(t & STREAM_FIN), True))
         elif t == TYPE_MAX_STREAM_DATA:
             sid, c = _take_reversed(plaintext, cur)
             cur -= c

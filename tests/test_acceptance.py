@@ -15,7 +15,7 @@ import time
 import zlib
 
 from revquic import cli, crypto, harness, header, wire
-from revquic.endpoint import Connection, Role
+from revquic.endpoint import MAX_REVERSO_OFFSET, Connection, Role
 from revquic.errors import (
     MalformedFrame,
     MalformedHeader,
@@ -185,9 +185,12 @@ def test_criterion_6_wire_round_trips():
         anchor = None
         if mode is WireMode.REVERSO:
             if rng.random() < 0.8:
+                # the header is the anchor's one locator, so it carries
+                # the whole offset: at most MAX_REVERSO_OFFSET, in a field
+                # at least as wide as build_packet writes it
                 anchor = StreamFrame(
                     stream_id=rng.getrandbits(rng.choice((4, 12, 29))) or 1,
-                    offset=rng.getrandbits(rng.choice((6, 20, 40))),
+                    offset=min(rng.getrandbits(rng.choice((6, 20, 31))), MAX_REVERSO_OFFSET),
                     data=rng.randbytes(rng.randint(0, 64)),
                     fin=rng.random() < 0.2,
                     explicit_len=False,
@@ -195,7 +198,7 @@ def test_criterion_6_wire_round_trips():
                 frames.insert(0, anchor)
                 h.stream_id = anchor.stream_id
                 h.offset = anchor.offset
-                h.off_length = rng.randint(1, 4)
+                h.off_length = rng.randint(crypto.truncated_len(anchor.offset + 1, 0), 4)
         elif rng.random() < 0.8:
             anchor = StreamFrame(
                 stream_id=rng.getrandbits(12) or 1,
@@ -231,7 +234,7 @@ def test_criterion_6_wire_round_trips():
             if (got.stream_id, got.offset) != (h.stream_id, h.offset):
                 failures += 1
                 continue
-            parsed = wire.parse_reversed(bytes(body[:n]))
+            parsed = wire.parse_reversed(bytes(body[:n]), got.stream_id, got.offset)
             expect = list(reversed(frames[1:])) + [frames[0]] if anchor else list(reversed(frames))
         else:
             parsed = wire.parse_forward(bytes(body[:n]))

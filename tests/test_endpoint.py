@@ -424,7 +424,7 @@ class TestLossAndReordering:
         assert (bytes(view), fin) == (payload, True)
         # every fragment past the gap opened at its offset in storage; the
         # retransmission that fills the gap opens in place, because its
-        # footer would land on the range past it, and is copied
+        # anchor's type byte would land on the range past it, and is copied
         m = server.metrics()
         assert (m.payload_bytes_copied, m.payload_bytes_zero_copy) == (first, len(payload) - first)
 
@@ -629,33 +629,38 @@ class TestAdversarial:
                 pass
             assert zlib.crc32(bytes(server.stream_recv(1, sbuf)[0])) == committed
 
-    def test_footer_stream_id_mismatch(self):
+    @pytest.mark.parametrize("state", ["first_contact", "holding_100"])
+    def test_short_header_offset_is_read_whole(self, state):
+        """The header's offset is the whole offset, read the same way in
+        every receiver state: offset 300 written into a 1-byte field
+        arrives as 44, its low byte, and the data lands at 44 whether
+        the stream is new (a range past the tail, opened at its offset)
+        or already holds [0, 100) (the bytes past 100 placed)."""
         _, server = pair(WireMode.REVERSO)
-        appbuf = AppRecvBufMap()
-        spare = appbuf.spare
-        frame = StreamFrame(stream_id=2, offset=0, data=b"x" * 40, explicit_len=False)
-        gram = craft(WireMode.REVERSO, C2S, 0, [frame], hdr_sid=1, hdr_off=0)
-        with pytest.raises(ProtocolViolation):
-            server.recv(gram, appbuf)
-        # authenticated but inconsistent: the first contact binds nothing
-        assert not appbuf.buffers
-        assert appbuf.spare is spare
-
-    @pytest.mark.parametrize("hdr_off", [100, 300], ids=["tail", "off_tail"])
-    def test_footer_offset_mismatch(self, hdr_off):
-        """A footer naming offset 40 under a header naming the tail (100)
-        or a point past it (300) raises and applies nothing."""
-        client, server = pair(WireMode.REVERSO)
         sbuf = AppRecvBufMap()
-        client.stream_send(1, b"k" * 100)
-        out = bytearray(MAX_DATAGRAM)
-        n = client.build_packet(out)
-        server.recv(bytearray(out[:n]), sbuf)
+        if state == "holding_100":
+            server.recv(craft(WireMode.REVERSO, C2S, 0, [stream(0, b"k" * 100)], 1, 0), sbuf)
+        data = bytes(range(100))
+        gram = craft(WireMode.REVERSO, C2S, 1, [stream(300, data)], 1, 300, off_len=1)
+        server.recv(gram, sbuf)
+        buf = sbuf.get(1)
+        if state == "first_contact":
+            assert (buf.contiguous_offset, buf.starts, buf.ends) == (0, [44], [144])
+            assert bytes(buf.storage[44:144]) == data
+        else:
+            assert (buf.contiguous_offset, buf.starts) == (144, [])
+            assert bytes(server.stream_recv(1, sbuf)[0]) == b"k" * 100 + data[56:]
+        assert 1 in server.ack_pending
+
+    def test_reverso_refuses_a_stream_frame_with_fields(self):
+        """The reverso anchor is one type byte; the LEN-absent stream
+        frame that carried a footer (offset, stream id, type 0x0C) is
+        outside the layout and applies nothing."""
+        server, sbuf = in_flight_server(WireMode.REVERSO), AppRecvBufMap()
         before = receiver_state(server, sbuf)
-        frame = StreamFrame(stream_id=1, offset=40, data=b"x" * 40, explicit_len=False)
-        gram = craft(WireMode.REVERSO, C2S, 1, [frame], hdr_sid=1, hdr_off=hdr_off)
-        with pytest.raises(ProtocolViolation, match="disagrees with header"):
-            server.recv(gram, sbuf)
+        pt = layout(WireMode.REVERSO, None, [b"hello\x00\x04\x0c"])
+        with pytest.raises(ProtocolViolation, match="outside the packet layout"):
+            server.recv(seal(WireMode.REVERSO, C2S, 0, pt, 1, 0), sbuf)
         assert receiver_state(server, sbuf) == before
 
     def test_stream_frame_inside_control_packet(self):

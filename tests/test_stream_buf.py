@@ -3,12 +3,18 @@ recycling, and the receive-side destination choice that feeds them."""
 
 import random
 import zlib
+from dataclasses import replace
 
 import pytest
 
-from revquic import header, stream_buf
+from revquic import header, stream_buf, wire
 from revquic.endpoint import Connection, Role
-from revquic.errors import ConsumeOutOfRange, FinalSizeError, ProtocolViolation
+from revquic.errors import (
+    ConsumeOutOfRange,
+    FinalSizeError,
+    ProtocolViolation,
+    StreamIdOverflow,
+)
 from revquic.mode import WireMode
 from revquic.stream_buf import WINDOW, AppRecvBufMap, StreamRecvBuffer
 from revquic.wire import StreamFrame
@@ -18,7 +24,8 @@ from test_endpoint import C2S, SECRET, craft, receiver_state
 
 def pour(buf: StreamRecvBuffer, data: bytes, fin: bool = False) -> None:
     """Write data at the contiguous tail as a successful decrypt would,
-    then commit it (footer scratch of 8 bytes past the data)."""
+    then commit it (8 bytes of scratch past the data stand for the
+    anchor's type byte and trailing frames)."""
     tail = buf.contiguous_offset
     assert not buf.starts or tail + len(data) + 8 <= buf.starts[0], "footprint reaches a range"
     buf.ensure_room(tail - buf.base_offset + len(data) + 8)
@@ -123,7 +130,7 @@ class TestDecryptionPlan:
         r = Receiver()
         r.send(4, 0, b"x" * 100)
         r.send(4, 300, b"z" * 500)  # opened in the hole past the gap
-        # the footer would land on the range: opened in the datagram
+        # the anchor's type byte would land on the range: opened in the datagram
         m = r.send(4, 100, b"y" * 200)
         assert (m.payload_bytes_zero_copy, m.payload_bytes_copied) == (600, 200)
         assert (m.packets_in_order, m.packets_out_of_order) == (2, 1)
@@ -159,15 +166,14 @@ class TestDecryptionPlan:
         assert r.appbuf.spare is spare
 
     def test_stream_id_out_of_range(self):
-        for mode in WireMode:
-            r = Receiver(mode)
-            # the reverso header cannot name it, so it names stream 1 and
-            # the anchor's footer disagrees; the baseline header has no
-            # stream id
-            gram = r.packet(1 << 30, 0, b"x" * 40, hdr_sid=1)
-            with pytest.raises(ProtocolViolation):
-                r.recv(gram)
-            assert (1 << 30) not in r.appbuf.buffers
+        # the baseline frame carries it and the receiver refuses it
+        r = Receiver(WireMode.BASELINE)
+        with pytest.raises(ProtocolViolation):
+            r.send(1 << 30, 0, b"x" * 40)
+        assert (1 << 30) not in r.appbuf.buffers
+        # the reverso header, the anchor's one locator, cannot name it
+        with pytest.raises(StreamIdOverflow):
+            header.pack_header(True, 0, 1, 1 << 30, 0, 4)
 
     def test_zero_copy_plan_grows_storage(self):
         # a tail packet past capacity opens in the datagram; storage grows
@@ -201,6 +207,22 @@ class TestDecryptionPlan:
 AT = {"tail": 100, "between_ranges": 400, "past_ranges": 1200}
 
 
+def alter_header(gram, stream_id=None, offset=None):
+    """gram, sealed, with its header's stream id or offset rewritten in
+    place (same field widths) and the header protection reapplied."""
+    gram = bytearray(gram)
+    h, hdr_len = header.unprotect_and_decode(WireMode.REVERSO, gram, C2S, 0, lambda s: 0)
+    h = replace(
+        h, stream_id=h.stream_id if stream_id is None else stream_id,
+        offset=h.offset if offset is None else offset,
+    )
+    hb = header.encode_header(WireMode.REVERSO, h)
+    assert len(hb) == hdr_len
+    gram[:hdr_len] = hb
+    header.protect_header(WireMode.REVERSO, gram, C2S)
+    return gram
+
+
 def two_ranges(r: Receiver) -> StreamRecvBuffer:
     r.send(4, 0, b"x" * 100)
     r.send(4, 1000, b"y" * 100)
@@ -209,24 +231,41 @@ def two_ranges(r: Receiver) -> StreamRecvBuffer:
 
 class TestAtOffset:
     """The checks a packet opened at its offset meets once its tag
-    verifies, at the tail and in a hole past it: the footer must restate
-    the header exactly, the window bounds the fragment, and the final
-    size bounds the data. A packet that fails one applies nothing."""
+    verifies, at the tail and in a hole past it: the header, which
+    locates the data, is authenticated with it, the window bounds the
+    fragment, and the final size bounds the data. A packet that fails
+    one applies nothing."""
 
-    @pytest.mark.parametrize("where", list(AT))
+    @pytest.mark.parametrize("where", [*AT, "reaching_range"])
     @pytest.mark.parametrize("field", ["stream_id", "offset"])
-    def test_footer_disagreeing_with_header_raises(self, where, field):
+    def test_altered_header_fails_the_tag(self, where, field):
+        """A header whose stream id or offset changed after sealing fails
+        the tag, whichever lane the packet takes: first contact (another
+        stream id), at its offset in storage, or in the datagram (a
+        footprint reaching the range at 1000). Nothing changes: committed
+        bytes, received ranges, the watermark, the spare, acks owed."""
         r = Receiver()
         two_ranges(r)
+        spare = r.appbuf.spare
         before = receiver_state(r.conn, r.appbuf)
-        off = AT[where]
+        off = AT.get(where, 850)
+        gram = r.packet(4, off, b"d" * 200)
         if field == "stream_id":
-            gram = r.packet(5, off, b"d" * 200, hdr_sid=4)
+            gram = alter_header(gram, stream_id=5)
         else:
-            gram = r.packet(4, off + 1, b"d" * 200, hdr_off=off)
-        assert r.opens_in_storage(gram, ProtocolViolation)
-        assert receiver_state(r.conn, r.appbuf) == before
+            gram = alter_header(gram, offset=off + 1)
+        in_datagram = where == "reaching_range" and field == "offset"
+        assert r.opens_in_storage(gram) is not in_datagram
+        after = receiver_state(r.conn, r.appbuf)
+        m = after[3]
+        assert m.decrypt_failures == before[3].decrypt_failures + 1
+        assert after[:3] + (replace(m, decrypt_failures=0),) + after[4:] == before
         assert set(r.appbuf.buffers) == {4}
+        if field == "stream_id":
+            # first contact staged a spare and left it unbound, for reuse
+            assert spare is None and r.appbuf.spare is not None
+        else:
+            assert r.appbuf.spare is spare
 
     @pytest.mark.parametrize("where", list(AT))
     def test_fragment_past_window_is_dropped_unacked(self, where, monkeypatch):
@@ -295,7 +334,7 @@ class TestCommitZeroCopy:
         buf = StreamRecvBuffer()
         pour(buf, b"a" * 100)
         assert buf.place(1300, b"s" * 500, False) == 500
-        pour(buf, b"b" * 1192)  # the 8 footer bytes end right at the range
+        pour(buf, b"b" * 1192)  # the 8 scratch bytes end right at the range
         assert (buf.contiguous_offset, ranges(buf)) == (1292, [(1300, 1800)])
         buf.place(1292, b"c" * 8, False)
         assert (buf.contiguous_offset, ranges(buf)) == (1800, [])
@@ -306,8 +345,8 @@ class TestCommitZeroCopy:
         r = Receiver()
         r.send(4, 0, b"a" * 100)
         buf = r.appbuf.get(4)
-        # scratch footer past the watermark: offset 0, stream id 4, type
-        assert bytes(buf.storage[100:103]) == bytes([0x00, 4 << 2, 0x0C])
+        # scratch past the watermark: the anchor's type byte
+        assert buf.storage[100] == wire.TYPE_ANCHOR
         assert buf.contiguous_offset == 100
         r.send(4, 100, b"b" * 200)
         assert buf.storage[100] == ord("b")

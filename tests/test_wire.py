@@ -52,10 +52,16 @@ def random_stream(rng, explicit):
 
 class TestGoldenVectors:
     def test_reversed_stream_owner(self):
+        # the anchor: its data, then one type byte; the header carries
+        # the stream id and offset
         out = bytearray(16)
         f = StreamFrame(stream_id=1, offset=0, data=b"AB", fin=False, explicit_len=False)
         n = wire.serialize_reversed([f], out)
-        assert bytes(out[:n]) == bytes([0x41, 0x42, 0x00, 0x04, 0x0C])
+        assert bytes(out[:n]) == bytes([0x41, 0x42, 0x20])
+        f.fin = True
+        n = wire.serialize_reversed([f], out)
+        assert bytes(out[:n]) == bytes([0x41, 0x42, 0x21])
+        assert wire.parse_reversed(bytes(out[:n]), 1, 0) == [f]
 
     def test_stream_fields_both_layouts(self):
         # stream id 64 and offset 2**14 need two- and four-byte varints
@@ -107,7 +113,7 @@ class TestFrameWireSize:
         assert wire.frame_wire_size(PingFrame(), WireMode.BASELINE) == 1
         assert wire.frame_wire_size(PaddingFrame(), WireMode.REVERSO) == 1
         f = StreamFrame(stream_id=1, offset=0, data=b"AB", explicit_len=False)
-        assert wire.frame_wire_size(f, WireMode.REVERSO) == 5
+        assert wire.frame_wire_size(f, WireMode.REVERSO) == 3
 
     def test_agrees_with_serializer(self):
         rng = random.Random(11)
@@ -144,7 +150,7 @@ class TestSerializerBytes:
             owner = [random_stream(rng, False)] if rng.random() < 0.5 else []
             h.update(out[: wire.serialize_forward(frames + owner, out)])
             h.update(out[: wire.serialize_reversed(owner + frames, out)])
-        assert h.hexdigest() == "3cb7441ac5d6eeb83b9ed43d76ed77b7cbc7bc6a4c2b21192f8364c0c90c5f7c"
+        assert h.hexdigest() == "6e790938b9bd9785b3a8753cb4221f1e8f6b1d28afeeb9a1972167372dd0b259"
 
 
 class TestRoundTrips:
@@ -174,7 +180,9 @@ class TestRoundTrips:
                     rng.randint(1 if owner else 0, len(frames)), random_stream(rng, True)
                 )
             n = wire.serialize_reversed(frames, out)
-            got = wire.parse_reversed(bytes(out[:n]))
+            # the owner is the anchor, located by the header's fields
+            located = (frames[0].stream_id, frames[0].offset) if owner else ()
+            got = wire.parse_reversed(bytes(out[:n]), *located)
             # backward walk yields list order reversed, owner frame last
             if owner:
                 assert got == list(reversed(frames[1:])) + [frames[0]]
@@ -228,6 +236,10 @@ class TestErrors:
             wire.parse_forward(b"\x3f")
         with pytest.raises(UnknownFrameType):
             wire.parse_reversed(b"\x3f")
+        # in reverso a LEN-absent stream frame is the anchor, never one
+        # with fields
+        with pytest.raises(UnknownFrameType):
+            wire.parse_reversed(b"hello\x00\x04\x0c")
 
     def test_truncated_fields(self):
         with pytest.raises(MalformedFrame):
