@@ -56,7 +56,7 @@ def dissect(mode: WireMode, keys: crypto.KeySchedule, packet: bytes) -> None:
     hexdump("on the wire (header protected, payload sealed)", packet)
 
     work = bytearray(packet)
-    h, hdr_len = header.unprotect_and_decode(mode, work, keys, 0, lambda sid: 0)
+    h, hdr_len = header.unprotect_and_decode(mode, work, keys, 0)
     print(f"  header ({hdr_len} bytes): flags={work[0]:#04x} pn={h.packet_number}", end="")
     if mode is WireMode.REVERSO:
         print(f" stream_id={h.stream_id} offset={h.offset}", end="")

@@ -320,9 +320,7 @@ def cmd_inspect(args) -> int:
     secret = _parse_secret(args.secret)
     keys = crypto.derive_keys(secret, args.direction)
     packet = bytearray(bytes.fromhex(args.hex))
-    hdr, hdr_len = header_mod.unprotect_and_decode(
-        mode, packet, keys, args.pn_ref, lambda sid: args.off_ref
-    )
+    hdr, hdr_len = header_mod.unprotect_and_decode(mode, packet, keys, args.pn_ref)
     print(f"header ({hdr_len} bytes, {mode.value}):")
     print(f"  packet_number={hdr.packet_number} (pn_length={hdr.pn_length})")
     print(f"  dcid={hdr.dcid.hex()} key_phase={hdr.key_phase}")
@@ -390,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["baseline", "reverso"], required=True)
     p.add_argument("--secret", required=True)
     p.add_argument("--pn-ref", type=int, default=0, dest="pn_ref")
-    p.add_argument("--off-ref", type=int, default=0, dest="off_ref")
     p.add_argument("--direction", choices=["c2s", "s2c"], default="c2s")
     p.set_defaults(func=cmd_inspect)
 

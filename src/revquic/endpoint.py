@@ -23,9 +23,11 @@ behind. A received close elicits no ack; the endpoint then drains,
 discarding what arrives and sending nothing (RFC 9000 §10.2.2).
 
 Reliability is deliberately minimal: fixed retransmission timeout, a
-fixed in-flight window, ack-every-data-packet. Fragment boundaries are
-chosen so a retransmission always fits a full-size datagram even with
-worst-case header growth, which keeps offsets dense and makes spurious
+fixed in-flight window, ack-every-data-packet. A stream's queued bytes
+stay in one send buffer until acked; a fragment is a span of it, copied
+once into its datagram on every send. Fragment boundaries are chosen so
+a retransmission always fits a full-size datagram even with worst-case
+header growth, which keeps offsets dense and makes spurious
 retransmissions exactly identifiable (entirely below the contiguous
 watermark).
 """
@@ -70,8 +72,17 @@ MAX_REVERSO_OFFSET = (1 << 31) - 2
 _PN_RESERVE = 4
 _OFF_RESERVE = 4
 
+# a fresh fragment's room before the frame's own cost
+_ROOM = MAX_DATAGRAM - (1 + header.DCID_LEN + _PN_RESERVE) - TAG_LEN
+_Span = tuple[int, int, int, bool]  # a fragment: stream id, offset, length, fin
+
 # the anchor's type with its FIN bit set, for one comparison per packet
 _ANCHOR_FIN = wire.TYPE_ANCHOR | wire.STREAM_FIN
+
+# a send buffer drops its acked prefix once this many bytes per span then
+# in flight have been sent: the scan of those spans costs a fixed share
+# of each byte sent, and the buffer stays near the bytes in flight
+_RELEASE_PER_SPAN = 512
 
 
 class Role(enum.Enum):
@@ -95,20 +106,18 @@ class Metrics:
 
 @dataclass
 class _SendStream:
+    """buf: the stream's bytes from base_offset, at or below its lowest
+    unacked byte, to the end of queued data."""
+
     stream_id: int
-    queue: bytearray = field(default_factory=bytearray)
-    next_offset: int = 0  # stream offset of queue[0]
+    buf: bytearray = field(default_factory=bytearray)
+    base_offset: int = 0  # stream offset of buf[0]
+    next_offset: int = 0  # first byte never sent
+    release_at: int = 0  # next_offset that triggers the next release
     fin_queued: bool = False
     fin_sent: bool = False
     frame_cost: int = 0  # fragment budget spent on the frame, fixed per stream
-
-
-@dataclass
-class _Fragment:
-    stream_id: int
-    offset: int
-    data: bytes
-    fin: bool
+    sid_len: int = 0  # reverso: header.wire_sid_length(stream_id)
 
 
 class Connection:
@@ -136,15 +145,15 @@ class Connection:
         self.largest_received_pn = 0
         self.largest_peer_acked = 0
         self.send_streams: dict[int, _SendStream] = {}
-        self.unacked: dict[int, tuple[float, _Fragment]] = {}
+        self.unacked: dict[int, tuple[float, _Span]] = {}  # pn -> (sent, span)
         self.ack_pending: set[int] = set()
         self.rto = DEFAULT_RTO
         self.closed = False
         self.close_error: tuple[int, bytes] | None = None
         self._metrics = Metrics()
-        self._retransmit: deque[_Fragment] = deque()
+        self._retransmit: deque[_Span] = deque()
         self._close_queued: tuple[int, bytes] | None = None
-        self._rr: deque[int] = deque()  # round-robin stream order
+        self._rr: deque[_SendStream] = deque()  # round-robin stream order
         self._appbuf: AppRecvBufMap | None = None
 
     # --- sending ---
@@ -157,18 +166,18 @@ class Connection:
             # the type byte, then the stream id's varint (baseline) or the
             # header's wire stream id and offset reserve (reverso)
             if self.mode is WireMode.REVERSO:
-                cost = 1 + header.wire_sid_length(stream_id) + _OFF_RESERVE
+                sid_len = header.wire_sid_length(stream_id)
+                ss = _SendStream(stream_id, frame_cost=1 + sid_len + _OFF_RESERVE, sid_len=sid_len)
             else:
-                cost = 1 + wire.forward_length(stream_id)
-            ss = _SendStream(stream_id, frame_cost=cost)
+                ss = _SendStream(stream_id, frame_cost=1 + wire.forward_length(stream_id))
             self.send_streams[stream_id] = ss
-            self._rr.append(stream_id)
+            self._rr.append(ss)
         if ss.fin_queued:
             raise SendAfterFin(f"stream {stream_id} already finished")
-        end = ss.next_offset + len(ss.queue) + len(data)
+        end = ss.base_offset + len(ss.buf) + len(data)
         if self.mode is WireMode.REVERSO and end > MAX_REVERSO_OFFSET:
             raise TruncationRangeError(f"stream {stream_id} would end past offset {MAX_REVERSO_OFFSET}")
-        ss.queue += data
+        ss.buf += data
         if fin:
             ss.fin_queued = True
         return len(data)
@@ -176,48 +185,66 @@ class Connection:
     def queue_close(self, error_code: int = 0, reason: bytes = b"") -> None:
         self._close_queued = (error_code, reason)
 
-    def _next_fragment(self, overhead: int) -> _Fragment | None:
-        """Pick a fresh data fragment round-robin across streams,
-        budgeted against worst-case header growth so a later
-        retransmission of it can never overflow a datagram."""
+    def _next_fragment(self, overhead: int) -> _Span | None:
+        """Pick a fresh span (stream id, offset, length, fin) round-robin
+        across streams, budgeted against worst-case header growth so a
+        later retransmission of it can never overflow a datagram. Its
+        bytes stay where they are, in the stream's send buffer."""
         if len(self.unacked) >= SEND_WINDOW:
             return None
-        room = MAX_DATAGRAM - (1 + header.DCID_LEN + _PN_RESERVE) - TAG_LEN - overhead
+        room = _ROOM - overhead
         baseline = self.mode is WireMode.BASELINE
-        for _ in range(len(self._rr)):
-            sid = self._rr[0]
-            self._rr.rotate(-1)
-            ss = self.send_streams[sid]
-            if not ss.queue and not (ss.fin_queued and not ss.fin_sent):
+        rr = self._rr
+        for _ in range(len(rr)):
+            ss = rr[0]
+            rr.rotate(-1)
+            offset = ss.next_offset
+            queued = ss.base_offset + len(ss.buf) - offset
+            if not queued and not (ss.fin_queued and not ss.fin_sent):
                 continue
             # baseline's offset varint is the one part that grows
             budget = room - ss.frame_cost
             if baseline:
-                budget -= wire.forward_length(ss.next_offset)
+                budget -= wire.forward_length(offset)
             if budget <= 0:
                 continue
-            # an empty queue here has a fin to send: a zero-length fragment
-            n = min(len(ss.queue), budget)
-            with memoryview(ss.queue) as queued:
-                data = bytes(queued[:n])
-            del ss.queue[:n]
-            fin = ss.fin_queued and not ss.queue
-            offset = ss.next_offset
-            ss.next_offset += n
+            # nothing queued here means a fin to send: a zero-length span
+            n = queued if queued < budget else budget
+            fin = ss.fin_queued and n == queued
+            ss.next_offset = end = offset + n
             if fin:
                 ss.fin_sent = True
-            return _Fragment(sid, offset, data, fin)
+            if end >= ss.release_at:
+                self._release(ss, offset)
+            return ss.stream_id, offset, n, fin
         return None
+
+    def _release(self, ss: _SendStream, low: int) -> None:
+        """Drop the prefix of ss's send buffer below low and below every
+        span of it still in flight, and set the next release. Called only
+        while no span awaits retransmission: build_packet sends those
+        first."""
+        sid = ss.stream_id
+        for _, span in self.unacked.values():
+            if span[0] == sid and span[1] < low:
+                low = span[1]
+        del ss.buf[: low - ss.base_offset]
+        ss.base_offset = low
+        ss.release_at = ss.next_offset + _RELEASE_PER_SPAN * (len(self.unacked) + 1)
 
     def _build_ack(self) -> tuple[int, list[tuple[int, int]]] | None:
         """The pending packet numbers as (largest, ranges) for
         wire.ack_fields, or None when nothing awaits an ack."""
-        if not self.ack_pending:
+        pending = self.ack_pending
+        if not pending:
             return None
-        pns = sorted(self.ack_pending, reverse=True)
-        ranges: list[tuple[int, int]] = []
-        cursor = pns[0]
-        largest = pns[0]
+        largest = max(pending)
+        if largest - min(pending) < len(pending):  # one range, the common case
+            self.ack_pending = set()
+            return largest, [(0, len(pending))]
+        pns = sorted(pending, reverse=True)
+        ranges = []
+        cursor = largest
         i = 0
         while i < len(pns) and len(ranges) < wire.MAX_ACK_RANGES:
             top = pns[i]
@@ -238,13 +265,14 @@ class Connection:
 
         Returns the datagram length, or None when there is nothing to
         send or the connection drains. At most one stream frame per
-        packet; pending acks and a queued close ride along. No frame or
-        header objects are built: header.pack_header writes the header
-        as one integer, wire.stream_fields (baseline), wire.ack_fields
-        and wire.close_fields give the frames' bytes and the data is
-        copied once, straight from the fragment into out. The plaintext
-        is sealed in place with encrypt_into and header.protect masks
-        the header as one integer window.
+        packet; pending acks and a queued close ride along. No frame,
+        fragment or header objects are built: a fragment's data is
+        copied once, from its span of the send buffer straight into out;
+        wire.stream_fields (baseline), wire.ack_fields and
+        wire.close_fields give the frames' bytes; the header is one
+        integer from header.pack_header. The plaintext is sealed in place
+        with encrypt_into, and header.protect writes the masked header
+        into out once.
 
         Reverso plaintext: stream data, the anchor's type byte, ack,
         close, padding; the header carries the stream id and the whole
@@ -262,50 +290,55 @@ class Connection:
         ack = close = None
         ctrl_len = 0
         if self._retransmit:
-            # a retransmitted fragment was budgeted without companions;
-            # acks and close wait for the next packet so it always fits
-            frag = self._retransmit.popleft()
+            # a retransmitted span was budgeted without companions; acks
+            # and close wait for the next packet so it always fits
+            span = self._retransmit.popleft()
         else:
-            pending = self._build_ack()
-            if pending is not None:
-                ack = wire.ack_fields(pending[0], 0, pending[1], reverso)
+            if self.ack_pending:
+                largest, ranges = self._build_ack()
+                ack = wire.ack_fields(largest, 0, ranges, reverso)
                 ctrl_len = len(ack)
             if self._close_queued is not None:
                 close = wire.close_fields(*self._close_queued, reverso)
                 ctrl_len += len(close)
                 self._close_queued = None
-            frag = self._next_fragment(ctrl_len)
-            if frag is None and not ctrl_len:
+            span = self._next_fragment(ctrl_len)
+            if span is None and not ctrl_len:
                 return None
 
         pn = self.next_pn
         self.next_pn = pn + 1
-        pn_len = crypto.truncated_len(max(pn - self.largest_peer_acked, 0) + 1, 0)
-        off_len = 1
-        if frag is not None:
-            sid, offset, data = frag.stream_id, frag.offset, frag.data
+        pn_len = crypto.truncated_len(pn + 1, self.largest_peer_acked)
+        hdr_len = header.PN_OFFSET + pn_len
+        off_len = sid_len = 1
+        if span is not None:
+            sid, offset, n, fin = span
+            ss = self.send_streams[sid]
+            lo = offset - ss.base_offset
+            data = memoryview(ss.buf)[lo : lo + n]
             if reverso:
-                stream_len = len(data) + 1
+                stream_len = n + 1
                 off_len = crypto.truncated_len(offset + 1, 0)
+                sid_len = ss.sid_len
             else:  # baseline's header has no offset field
-                fields = wire.stream_fields(sid, offset, len(data), frag.fin, False, False)
-                stream_len = len(fields) + len(data)
+                fields = wire.stream_fields(sid, offset, n, fin, False, False)
+                stream_len = len(fields) + n
         else:
             sid = offset = stream_len = 0
-        hdr = header.pack_header(reverso, pn, pn_len, sid, offset, off_len)
-        hdr_len = len(hdr)
+        if reverso:
+            hdr_len += sid_len + off_len
+        hdr = header.pack_header(reverso, pn, pn_len, sid, offset, off_len, 0, 0, sid_len)
         pad = header.MIN_PLAINTEXT - ctrl_len - stream_len
         end = hdr_len + ctrl_len + stream_len + max(pad, 0)
         total = end + TAG_LEN
         assert total <= MAX_DATAGRAM
 
         view = memoryview(out)
-        view[:hdr_len] = hdr
         pos = hdr_len
-        if reverso and frag is not None:
-            pos += len(data)
+        if reverso and span is not None:
+            pos += n
             view[hdr_len:pos] = data
-            view[pos] = wire.TYPE_ANCHOR | frag.fin
+            view[pos] = wire.TYPE_ANCHOR | fin
             pos += 1
         if ack is not None:
             view[pos : pos + len(ack)] = ack
@@ -316,22 +349,23 @@ class Connection:
         if pad > 0:
             view[pos : pos + pad] = bytes(pad)
             pos += pad
-        if not reverso and frag is not None:
+        if not reverso and span is not None:
             view[pos : pos + len(fields)] = fields
             view[pos + len(fields) : end] = data
         ks = self.send_keys
         ks._aead.encrypt_into(
-            (ks._iv_int ^ pn).to_bytes(12, "big"), view[hdr_len:end], hdr, view[hdr_len:total]
+            (ks._iv_int ^ pn).to_bytes(12, "big"), view[hdr_len:end], hdr.to_bytes(hdr_len, "big"),
+            view[hdr_len:total],
         )
-        header.protect(view[:total], ks, hdr_len, reverso)
+        header.protect(view, ks, hdr, hdr_len, reverso)
 
-        if frag is not None:
-            self.unacked[pn] = (now, frag)
+        if span is not None:
+            self.unacked[pn] = (now, span)
         self._metrics.bytes_sent += total
         return total
 
     def on_timeout(self, now: float) -> None:
-        """Re-queue fragments of packets unacked past the timeout."""
+        """Re-queue the spans of packets unacked past the timeout."""
         expired = [pn for pn, (sent, _) in self.unacked.items() if now - sent >= self.rto]
         for pn in sorted(expired):
             self._retransmit.append(self.unacked.pop(pn)[1])
@@ -646,10 +680,14 @@ class Connection:
         return replace(self._metrics)
 
     def send_done(self) -> bool:
-        """All queued data sent and acknowledged."""
-        return (
-            not self._retransmit
-            and not self.unacked
-            and all(not s.queue and (s.fin_sent or not s.fin_queued) for s in self.send_streams.values())
-        )
+        """All queued data sent and acknowledged; the send buffers, then
+        holding only acked bytes, are released."""
+        streams = self.send_streams.values()
+        if self._retransmit or self.unacked or any(
+                ss.next_offset < ss.base_offset + len(ss.buf) or ss.fin_queued and not ss.fin_sent
+                for ss in streams):
+            return False
+        for ss in streams:
+            self._release(ss, ss.next_offset)
+        return True
 

@@ -14,12 +14,10 @@ length minus one. The wire stream id is the full (untruncated) id; its
 low 2 bits give the offset field's length. In reverso the header is the
 one locator of the packet's stream data: the anchor frame carries no
 stream id or offset, and the header, the AEAD's associated data, is
-authenticated with the payload. The receiver reads the offset field as
-the whole offset and never expands it; build_packet sizes the field to
-hold all of it. unprotect_and_decode (inspection) expands it against a
-reference like a packet number, which gives back the field's value
-whenever the field holds the whole offset and the reference lies below
-it.
+authenticated with the payload. The offset field is the whole offset:
+writers size it from offset + 1 against 0, and every reader, the
+receiver and unprotect_and_decode alike, takes it as it stands and never
+expands it.
 
 Header protection XORs flags' low bits (5 in baseline, 7 in reverso) and
 every byte of the variable fields with a mask derived from a fixed-offset
@@ -28,19 +26,18 @@ possible protected region (4+4+4), so both modes share one code path and
 the mask never covers its own sample. Builders must pad plaintexts so
 ciphertexts reach the sample window.
 
-Both directions treat the fields after the dcid as one big-endian integer
-and XOR it with the mask bytes as another: protect on the sender, which
-knows the header length, and unprotect on the receiver, which unmasks
-the maximal window because it learns the lengths only from the unmasked
-flags. pack_header writes the unprotected header the same way, as one
-integer through int.to_bytes.
+Both directions XOR the mask into the header as big-endian integers:
+protect on the sender, which knows the header length, and unprotect on
+the receiver, which unmasks the maximal window because it learns the
+lengths only from the unmasked flags.
+pack_header builds the unprotected header as that integer; the sender
+seals with its bytes as associated data and protect writes it, masked,
+into the packet once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
 from . import crypto
 from .errors import MalformedHeader, PacketTooShortForSampling, StreamIdOverflow
 from .mode import WireMode
@@ -80,76 +77,78 @@ def wire_sid_length(stream_id: int) -> int:
     return 1 if stream_id < 1 << 6 else 2 if stream_id < 1 << 14 else 3 if stream_id < 1 << 22 else 4
 
 
-def header_length(mode: WireMode, h: ShortHeader, reference_pn: int = 0, reference_offset: int = 0) -> int:
+def _off_length(h: ShortHeader) -> int:
+    """As set, or sized as build_packet sizes it, to the whole offset."""
+    return h.off_length or crypto.truncated_len(h.offset + 1, 0)
+
+
+def header_length(mode: WireMode, h: ShortHeader, reference_pn: int = 0) -> int:
     """Encoded size, resolving any unset length fields to minimal."""
-    pn_len = h.pn_length or crypto.truncated_len(h.packet_number, reference_pn)
-    n = PN_OFFSET + pn_len
+    n = PN_OFFSET + (h.pn_length or crypto.truncated_len(h.packet_number, reference_pn))
     if mode is WireMode.REVERSO:
-        off_len = h.off_length or crypto.truncated_len(h.offset, reference_offset)
-        n += wire_sid_length(h.stream_id) + off_len
+        n += wire_sid_length(h.stream_id) + _off_length(h)
     return n
 
 
-def encode_header(mode: WireMode, h: ShortHeader, reference_pn: int = 0, reference_offset: int = 0) -> bytes:
+def encode_header(mode: WireMode, h: ShortHeader, reference_pn: int = 0) -> bytes:
     """Serialize the unprotected header.
 
-    pn_length/off_length default to the minimal truncation against the
-    given references; callers may force longer fields (senders do, to
-    guarantee retransmissions never outgrow the original budget).
+    pn_length defaults to the minimal truncation against reference_pn,
+    off_length to the whole offset's; callers may force longer fields
+    (senders do, to guarantee retransmissions never outgrow the original
+    budget).
     """
     if len(h.dcid) != DCID_LEN:
         raise MalformedHeader(f"dcid must be {DCID_LEN} bytes")
     pn_len = h.pn_length or crypto.truncated_len(h.packet_number, reference_pn)
     reverso = mode is WireMode.REVERSO
-    off_len = (h.off_length or crypto.truncated_len(h.offset, reference_offset)) if reverso else 1
-    return pack_header(
-        reverso, h.packet_number, pn_len, h.stream_id, h.offset, off_len,
-        int.from_bytes(h.dcid, "big"), h.key_phase,
+    v = pack_header(
+        reverso, h.packet_number, pn_len, h.stream_id, h.offset,
+        _off_length(h) if reverso else 1, int.from_bytes(h.dcid, "big"), h.key_phase,
     )
+    return v.to_bytes(header_length(mode, h, reference_pn), "big")
 
 
 def pack_header(
     reverso: bool, pn: int, pn_len: int, stream_id: int = 0, offset: int = 0,
-    off_len: int = 1, dcid: int = 0, key_phase: int = 0,
-) -> bytes:
-    """The unprotected header, built as one integer: flags, dcid, the
-    packet number's low pn_len bytes and, in reverso, the wire stream id
-    and the offset's low off_len bytes."""
+    off_len: int = 1, dcid: int = 0, key_phase: int = 0, sid_len: int = 0,
+) -> int:
+    """The unprotected header as one integer of PN_OFFSET + pn_len bytes
+    (+ sid_len + off_len in reverso): flags, dcid, the packet number's low
+    pn_len bytes and, in reverso, the wire stream id and the offset's low
+    off_len bytes. sid_len, if given, is wire_sid_length(stream_id)."""
     flags = _FIXED_BIT | (key_phase & 1) << 2 | (pn_len - 1)
     if reverso:
-        sid_len = wire_sid_length(stream_id)
+        sid_len = sid_len or wire_sid_length(stream_id)
         flags |= (sid_len - 1) << 3
         tail_len = sid_len + off_len
         tail = (stream_id << 2 | (off_len - 1)) << (off_len << 3) | (offset & _WMASK[off_len])
     else:
         tail_len = tail = 0
-    v = ((flags << (DCID_LEN << 3) | dcid) << (pn_len << 3) | (pn & _WMASK[pn_len])) << (tail_len << 3) | tail
-    return v.to_bytes(PN_OFFSET + pn_len + tail_len, "big")
+    return ((flags << (DCID_LEN << 3) | dcid) << (pn_len << 3) | (pn & _WMASK[pn_len])) << (tail_len << 3) | tail
 
 
-def protect(packet, ks: crypto.KeySchedule, hdr_len: int, reverso: bool) -> None:
-    """Mask the header of a sealed packet in place (sender side).
-
-    The fields after the dcid, hdr_len - PN_OFFSET bytes, are XORed with
-    the mask as one integer window; the flags' low bits take mask[0].
-    The mask is sampled from the ciphertext, so the packet must already
-    hold header plus sealed payload.
+def protect(packet, ks: crypto.KeySchedule, hdr: int, hdr_len: int, reverso: bool) -> None:
+    """Write header hdr, pack_header's integer of hdr_len bytes, masked
+    into packet[:hdr_len] (sender side): the fields after the dcid take
+    mask[1:] as one integer window, the flags' low bits mask[0]. The
+    mask is sampled from the ciphertext, so the packet must already hold
+    the sealed payload past hdr_len.
     """
     if len(packet) < SAMPLE_OFFSET + SAMPLE_LEN:
         raise PacketTooShortForSampling(
             f"packet of {len(packet)} bytes cannot reach the sample window"
         )
     mask = ks._hp.update(packet[SAMPLE_OFFSET : SAMPLE_OFFSET + SAMPLE_LEN])
-    n = hdr_len - PN_OFFSET
-    w = int.from_bytes(packet[PN_OFFSET:hdr_len], "big") ^ int.from_bytes(mask[1 : n + 1], "big")
-    packet[PN_OFFSET:hdr_len] = w.to_bytes(n, "big")
-    packet[0] ^= mask[0] & (_REVERSO_FLAG_MASK if reverso else _BASELINE_FLAG_MASK)
+    flag_mask = mask[0] & (_REVERSO_FLAG_MASK if reverso else _BASELINE_FLAG_MASK)
+    hdr ^= flag_mask << ((hdr_len - 1) << 3) | int.from_bytes(mask[1 : hdr_len - DCID_LEN], "big")
+    packet[:hdr_len] = hdr.to_bytes(hdr_len, "big")
 
 
 def protect_header(mode: WireMode, packet, ks: crypto.KeySchedule) -> None:
-    """protect for a packet whose header length is read from its own
-    unprotected fields. XOR makes this its own inverse, but the receive
-    side must use unprotect, which reads lengths in unmasked order.
+    """protect for a packet whose header, written unprotected, gives its
+    own length. XOR makes this its own inverse, but the receive side
+    must use unprotect, which reads lengths in unmasked order.
     """
     flags = packet[0]
     hdr_len = PN_OFFSET + (flags & 0x03) + 1
@@ -157,7 +156,7 @@ def protect_header(mode: WireMode, packet, ks: crypto.KeySchedule) -> None:
     if reverso and len(packet) >= SAMPLE_OFFSET:  # shorter: protect raises
         sid_len = ((flags >> 3) & 0x03) + 1
         hdr_len += sid_len + (packet[hdr_len + sid_len - 1] & 0x03) + 1
-    protect(packet, ks, hdr_len, reverso)
+    protect(packet, ks, int.from_bytes(packet[:hdr_len], "big"), hdr_len, reverso)
 
 
 def _hdr_geometry(reverso: bool):
@@ -251,17 +250,13 @@ def unprotect(packet, ks: crypto.KeySchedule, largest_pn: int, reverso: bool):
 
 
 def unprotect_and_decode(
-    mode: WireMode,
-    packet,
-    ks: crypto.KeySchedule,
-    reference_pn: int,
-    reference_offset_lookup: Callable[[int], int],
+    mode: WireMode, packet, ks: crypto.KeySchedule, reference_pn: int
 ) -> tuple[ShortHeader, int]:
     """Remove protection in place and decode the whole header.
 
-    Returns (header, header_length); the offset is expanded against
-    reference_offset_lookup(stream_id). Like unprotect, nothing here is
-    authenticated yet.
+    Returns (header, header_length); the offset is the field's value,
+    the whole offset, as the receiver reads it. Like unprotect, nothing
+    here is authenticated yet.
     """
     reverso = mode is WireMode.REVERSO
     hdr_len, pn, sid, off = unprotect(packet, ks, reference_pn, reverso)
@@ -277,5 +272,5 @@ def unprotect_and_decode(
         off_len = hdr_len - PN_OFFSET - h.pn_length - ((flags >> 3) & 0x03) - 1
         h.stream_id = sid
         h.off_length = off_len
-        h.offset = crypto.expand_int(off.to_bytes(off_len, "big"), reference_offset_lookup(sid))
+        h.offset = off
     return h, hdr_len

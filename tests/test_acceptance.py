@@ -221,9 +221,7 @@ def test_criterion_6_wire_round_trips():
         pristine = bytes(packet)
 
         header.protect_header(mode, packet, keys)
-        got, hdr_len = header.unprotect_and_decode(
-            mode, packet, keys, max(pn - 1, 0), lambda s: max(h.offset - 1, 0)
-        )
+        got, hdr_len = header.unprotect_and_decode(mode, packet, keys, max(pn - 1, 0))
         if bytes(packet) != pristine or hdr_len != len(hdr_bytes):
             failures += 1
             continue

@@ -18,6 +18,7 @@ from revquic import cli, crypto, header, harness, wire
 from revquic.endpoint import MAX_DATAGRAM, Connection, Role
 from revquic.harness import PipeConfig
 from revquic.mode import WireMode
+from test_send_buffer import span_data
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "build_packet_golden.txt"
 SECRET = b"\x5a" * 32
@@ -85,7 +86,8 @@ def run_case(mode: WireMode, name: str) -> tuple[Connection, list[bytes]]:
     conn.next_pn = case.get("pn", 0)
     for sid, first, size, fin in case.get("sends", []):
         conn.stream_send(sid, payload(name, sid, size), fin=fin)
-        conn.send_streams[sid].next_offset = first
+        ss = conn.send_streams[sid]
+        ss.base_offset = ss.next_offset = first
     conn.ack_pending = set(case.get("acks", []))
     if "close" in case:
         conn.queue_close(*case["close"])
@@ -160,9 +162,8 @@ def test_every_shape_opens(mode, name):
     for d in dgrams:
         assert header.SAMPLE_OFFSET + header.SAMPLE_LEN <= len(d) <= MAX_DATAGRAM
         packet = bytearray(d)
-        # the reverso header holds the whole offset: expanding it against
-        # 0 gives it back
-        hdr, hdr_len = header.unprotect_and_decode(mode, packet, ks, pn - 1, lambda sid: 0)
+        # the reverso header holds the whole offset, read as it stands
+        hdr, hdr_len = header.unprotect_and_decode(mode, packet, ks, pn - 1)
         assert hdr.packet_number == pn
         pn += 1
         ct = memoryview(packet)[hdr_len:]
@@ -221,9 +222,9 @@ def test_real_datagrams_round_trip(mode, capsys):
     assert len(dgrams) == 3
     ks = crypto.derive_keys(SECRET, "c2s")
     for pn, d in enumerate(dgrams):
-        frag = conn.unacked[pn][1]
+        span = conn.unacked[pn][1]
         packet = bytearray(d)
-        hdr, hdr_len = header.unprotect_and_decode(mode, packet, ks, pn - 1, lambda sid: 0)
+        hdr, hdr_len = header.unprotect_and_decode(mode, packet, ks, pn - 1)
         ct = memoryview(packet)[hdr_len:]
         pt = ct[: crypto.open(ks, pn, packet[:hdr_len], ct, ct)]
         if mode is WireMode.REVERSO:
@@ -231,18 +232,19 @@ def test_real_datagrams_round_trip(mode, capsys):
         else:
             frames = wire.parse_forward(pt)
         [got] = [f for f in frames if isinstance(f, wire.StreamFrame)]
+        sid, offset, _, fin = span
         assert (got.stream_id, got.offset, bytes(got.data), got.fin) == (
-            frag.stream_id, frag.offset, frag.data, frag.fin)
+            sid, offset, span_data(conn, span), fin)
         acks = [f for f in frames if isinstance(f, wire.AckFrame)]
         assert acks == ([wire.AckFrame(largest_acked=9, ranges=[(0, 1), (3, 2)])] if pn == 1 else [])
-    frag = conn.unacked[1][1]
+    _, offset, n, _ = conn.unacked[1][1]
     assert cli.main(["inspect", "--hex", dgrams[1].hex(), "--mode", mode.value,
                      "--secret", SECRET.hex(), "--pn-ref", "0"]) == 0
     shown = capsys.readouterr().out
-    assert f"Stream id=70 offset={frag.offset} len={len(frag.data)} fin=False" in shown
+    assert f"Stream id=70 offset={offset} len={n} fin=False" in shown
     assert "AckFrame(largest_acked=9, ack_delay=0, ranges=[(0, 1), (3, 2)])" in shown
     if mode is WireMode.REVERSO:
-        assert f"stream_id=70 offset={frag.offset} " in shown
+        assert f"stream_id=70 offset={offset} " in shown
 
 
 def test_reverso_fragment_budget_and_worst_case_retransmission():
@@ -254,34 +256,35 @@ def test_reverso_fragment_budget_and_worst_case_retransmission():
     conn = Connection(WireMode.REVERSO, Role.CLIENT, SECRET)
     sid, first = header.MAX_STREAM_ID, (1 << 31) - 2 - 4000
     conn.stream_send(sid, b"w" * 3000)
-    conn.send_streams[sid].next_offset = first
+    ss = conn.send_streams[sid]
+    ss.base_offset = ss.next_offset = first
     out = bytearray(MAX_DATAGRAM)
     n = conn.build_packet(out, now=0.0)
-    frag = conn.unacked[0][1]
+    span = conn.unacked[0][1]
     room = MAX_DATAGRAM - (1 + header.DCID_LEN + 4) - crypto.TAG_LEN
-    assert len(frag.data) == room - (1 + header.wire_sid_length(sid) + 4)
+    assert span[2] == room - (1 + header.wire_sid_length(sid) + 4)
     assert n == MAX_DATAGRAM - 3  # the packet number took 1 of its 4 bytes
     conn.unacked.clear()
     conn.next_pn = 1 << 28  # nothing acked: the packet number needs 4 bytes
-    conn._retransmit.append(frag)
+    conn._retransmit.append(span)
     assert conn.build_packet(out, now=1.0) == MAX_DATAGRAM
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
 def test_packet_number_and_in_flight_record(mode):
     """After build_packet returns, next_pn - 1 is the packet's number and
-    unacked maps it to the fragment it carried; an ack-only packet is
-    not in flight."""
+    unacked maps it to the span it carried; an ack-only packet is not in
+    flight."""
     conn = Connection(mode, Role.CLIENT, SECRET)
     conn.stream_send(3, b"x" * 2000, fin=True)
     out = bytearray(MAX_DATAGRAM)
     offset = 0
     while (n := conn.build_packet(out, now=2.0)) is not None:
-        sent, frag = conn.unacked[conn.next_pn - 1]
+        sent, (sid, off, length, fin) = conn.unacked[conn.next_pn - 1]
         assert sent == 2.0
-        assert (frag.stream_id, frag.offset) == (3, offset)
-        offset += len(frag.data)
-    assert offset == 2000 and frag.fin
+        assert (sid, off) == (3, offset)
+        offset += length
+    assert offset == 2000 and fin
     conn.ack_pending = {0}
     assert conn.build_packet(out, now=3.0) is not None
     assert conn.next_pn - 1 not in conn.unacked

@@ -153,9 +153,7 @@ class TestSending:
         server.recv(bytearray(out[:n]), sbuf)
         n = server.build_packet(out)
         assert n is not None
-        h, _ = header.unprotect_and_decode(
-            WireMode.REVERSO, bytearray(out[:n]), client.recv_keys, 0, lambda s: 0
-        )
+        h, _ = header.unprotect_and_decode(WireMode.REVERSO, bytearray(out[:n]), client.recv_keys, 0)
         assert h.stream_id == 0
         cbuf = AppRecvBufMap()
         client.recv(bytearray(out[:n]), cbuf)
@@ -196,8 +194,7 @@ class TestSending:
         while (n := client.build_packet(out)) is not None:
             copy = bytearray(out[:n])
             h, _ = header.unprotect_and_decode(
-                WireMode.BASELINE, bytearray(out[:n]), server.recv_keys,
-                pns[-1] if pns else 0, lambda s: 0,
+                WireMode.BASELINE, bytearray(out[:n]), server.recv_keys, pns[-1] if pns else 0
             )
             pns.append(h.packet_number)
             server.recv(copy, appbuf)
@@ -208,20 +205,19 @@ class TestSending:
         offsets reverso's header can hold; its frame carries it whole."""
         client, server = pair(WireMode.BASELINE)
         client.stream_send(1, b"y" * 100)
-        client.send_streams[1].next_offset = 1 << 31
+        ss = client.send_streams[1]
+        ss.base_offset = ss.next_offset = 1 << 31
         client.ack_pending = {5}
         out = bytearray(MAX_DATAGRAM)
         n = client.build_packet(out, now=1.0)
         packet = bytearray(out[:n])
-        h, hdr_len = header.unprotect_and_decode(
-            WireMode.BASELINE, packet, server.recv_keys, -1, lambda s: 0
-        )
+        h, hdr_len = header.unprotect_and_decode(WireMode.BASELINE, packet, server.recv_keys, -1)
         ct = memoryview(packet)[hdr_len:]
         pt_len = crypto.open(server.recv_keys, h.packet_number, packet[:hdr_len], ct, ct)
         ack, *_, frame = wire.parse_forward(ct[:pt_len])
         assert (ack.largest_acked, ack.ranges) == (5, [(0, 1)])
         assert (frame.stream_id, frame.offset, bytes(frame.data)) == (1, 1 << 31, b"y" * 100)
-        assert client.unacked[0][1].offset == 1 << 31
+        assert client.unacked[0][1] == (1, 1 << 31, 100, False)
 
     def test_reverso_refuses_a_stream_past_its_header_offset(self):
         """Reverso's header truncates the offset against 0 into 4 bytes,
@@ -231,16 +227,16 @@ class TestSending:
         client, _ = pair(WireMode.REVERSO)
         client.stream_send(1, b"y" * 100)
         ss = client.send_streams[1]
-        ss.next_offset = limit - 100
+        ss.base_offset = ss.next_offset = limit - 100
         with pytest.raises(TruncationRangeError):
             client.stream_send(1, b"z")
-        assert (bytes(ss.queue), ss.next_offset, ss.fin_queued) == (b"y" * 100, limit - 100, False)
+        assert (bytes(ss.buf), ss.next_offset, ss.fin_queued) == (b"y" * 100, limit - 100, False)
         # a stream ending at the limit, fin included, still goes out
         client.stream_send(1, b"", fin=True)
         out = bytearray(MAX_DATAGRAM)
         while client.build_packet(out) is not None:
             pass
-        assert [frag.offset for _, frag in client.unacked.values()] == [limit - 100]
+        assert [span for _, span in client.unacked.values()] == [(1, limit - 100, 100, True)]
         assert ss.fin_sent and ss.next_offset == limit
 
 
@@ -412,7 +408,7 @@ class TestLossAndReordering:
         grams = self.build_all(client)
         assert len(grams) >= 2
         lost, rest = grams[0], grams[1:]
-        first = len(client.unacked[0][1].data)
+        first = client.unacked[0][1][2]  # the lost span's length
         for g in rest:
             server.recv(bytearray(g), sbuf)
         assert server.metrics().packets_out_of_order == len(rest)
@@ -449,7 +445,7 @@ class TestLossAndReordering:
         client.stream_send(1, b"o" * 6000, fin=True)
         grams = self.build_all(client)
         assert len(grams) == 5
-        first, late = (len(client.unacked[pn][1].data) for pn in (0, 1))
+        first, late = (client.unacked[pn][1][2] for pn in (0, 1))  # span lengths
         for g in grams[2:]:
             server.recv(bytearray(g), sbuf)
         # the bytes ahead of the gap were opened where they belong, uncopied
@@ -532,7 +528,8 @@ class TestAdversarial:
         watermark = sbuf.contiguous_offset
         target = 2 if lane.endswith("first_contact") else 1
         if target == 2:
-            client.send_streams[1].queue.clear()  # next packets open stream 2
+            ss = client.send_streams[1]
+            del ss.buf[ss.next_offset - ss.base_offset :]  # next packets open stream 2
             client.stream_send(2, b"y" * 3000)
         off_tail = lane.startswith("off_tail")
         if off_tail:
@@ -555,8 +552,7 @@ class TestAdversarial:
         honest = bytes(gram)
         gram[-1] ^= 0x01  # corrupt the tag, leaving the header sample alone
         hdr, hdr_len = header.unprotect_and_decode(
-            WireMode.REVERSO, bytearray(gram), server.recv_keys, server.largest_received_pn,
-            lambda sid: appbuf.get(sid).contiguous_offset if appbuf.get(sid) else 0,
+            WireMode.REVERSO, bytearray(gram), server.recv_keys, server.largest_received_pn
         )
         assert hdr.stream_id == target
         assert (hdr.offset == (watermark if target == 1 else 0)) is not off_tail
@@ -906,9 +902,7 @@ class TestAckValidation:
             return
         # packet-number truncation still counts from the real largest acked
         server.build_packet(out, now=0.0)
-        assert header.unprotect_and_decode(
-            mode, bytearray(out), server.send_keys, 3, lambda s: 0
-        )[0].pn_length == 1
+        assert header.unprotect_and_decode(mode, bytearray(out), server.send_keys, 3)[0].pn_length == 1
 
 
 def stored(appbuf):

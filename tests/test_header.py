@@ -85,7 +85,7 @@ class TestProtection:
                 offset=1 << 20,
                 off_length=4,
             )
-            enc = header.encode_header(mode, h, reference_offset=1 << 20)
+            enc = header.encode_header(mode, h)
             pkt = padded(enc, rng)
             before = bytes(pkt)
             header.protect_header(mode, pkt, KS)
@@ -104,12 +104,12 @@ class TestProtection:
     def test_unprotect_restores_header_bytes(self):
         rng = random.Random(3)
         h = ShortHeader(packet_number=4096, pn_length=2, stream_id=12, offset=640, off_length=2)
-        enc = header.encode_header(WireMode.REVERSO, h, reference_offset=640)
+        enc = header.encode_header(WireMode.REVERSO, h)
         pkt = padded(enc, rng)
         header.protect_header(WireMode.REVERSO, pkt, KS)
         assert bytes(pkt[: len(enc)]) != enc  # actually masked
         got, hlen = header.unprotect_and_decode(
-            WireMode.REVERSO, pkt, KS, reference_pn=4095, reference_offset_lookup=lambda sid: 640
+            WireMode.REVERSO, pkt, KS, reference_pn=4095
         )
         assert hlen == len(enc)
         assert bytes(pkt[:hlen]) == enc  # mask is its own inverse
@@ -136,37 +136,45 @@ class TestProtection:
             enc = header.encode_header(mode, h)
             pkt = padded(enc, rng, payload_len=28)
             header.protect_header(mode, pkt, KS)
-            got, hlen = header.unprotect_and_decode(
-                mode,
-                pkt,
-                KS,
-                reference_pn=max(pn - 1, 0),
-                reference_offset_lookup=lambda s: max(offset - 1, 0),
-            )
+            got, hlen = header.unprotect_and_decode(mode, pkt, KS, reference_pn=max(pn - 1, 0))
             assert hlen == len(enc)
             assert got.packet_number == pn
             assert got.key_phase == h.key_phase
             assert got.dcid == h.dcid
             if mode is WireMode.REVERSO:
                 assert got.stream_id == sid
-                assert got.offset == offset
+                # the field is read whole: an offset wider than it comes
+                # back as its low off_len bytes
+                assert got.offset == offset & ((1 << 8 * off_len) - 1)
 
     def test_unknown_stream_expands_against_zero(self):
         h = ShortHeader(packet_number=1, pn_length=1, stream_id=42, offset=0)
         enc = header.encode_header(WireMode.REVERSO, h)
         pkt = padded(enc)
         header.protect_header(WireMode.REVERSO, pkt, KS)
-        got, _ = header.unprotect_and_decode(
-            WireMode.REVERSO, pkt, KS, reference_pn=0, reference_offset_lookup=lambda s: 0
-        )
+        got, _ = header.unprotect_and_decode(WireMode.REVERSO, pkt, KS, reference_pn=0)
         assert got.offset == 0
+
+    @pytest.mark.parametrize("offset, off_len", [(0, 1), (0x7E, 1), (0x7F, 2), (3945, 2),
+                                                 ((1 << 24) - 2, 4), ((1 << 31) - 2, 4)])
+    def test_offset_field_holds_the_whole_offset(self, offset, off_len):
+        """encode_header sizes the offset field as build_packet does,
+        from offset + 1 against 0, and unprotect_and_decode reads it
+        whole, as the receiver does, with no reference to expand it
+        against."""
+        h = ShortHeader(packet_number=1, pn_length=1, stream_id=42, offset=offset)
+        assert header.header_length(WireMode.REVERSO, h) == header.PN_OFFSET + 1 + 1 + off_len
+        pkt = padded(header.encode_header(WireMode.REVERSO, h))
+        header.protect_header(WireMode.REVERSO, pkt, KS)
+        got, hlen = header.unprotect_and_decode(WireMode.REVERSO, pkt, KS, reference_pn=0)
+        assert (got.offset, got.off_length, hlen) == (offset, off_len, header.PN_OFFSET + 2 + off_len)
 
     def test_too_short_for_sample(self):
         with pytest.raises(PacketTooShortForSampling):
             header.protect_header(WireMode.BASELINE, bytearray(36), KS)
         with pytest.raises(PacketTooShortForSampling):
             header.unprotect_and_decode(
-                WireMode.BASELINE, bytearray(36), KS, 0, lambda s: 0
+                WireMode.BASELINE, bytearray(36), KS, 0
             )
 
     def test_sample_window_constants(self):
@@ -191,7 +199,7 @@ class TestMalformed:
 
         pkt = self.craft(WireMode.REVERSO, set_form)
         with pytest.raises(MalformedHeader):
-            header.unprotect_and_decode(WireMode.REVERSO, pkt, KS, 0, lambda s: 0)
+            header.unprotect_and_decode(WireMode.REVERSO, pkt, KS, 0)
 
     def test_fixed_bit_rejected(self):
         def clear_fixed(enc):
@@ -199,7 +207,7 @@ class TestMalformed:
 
         pkt = self.craft(WireMode.REVERSO, clear_fixed)
         with pytest.raises(MalformedHeader):
-            header.unprotect_and_decode(WireMode.REVERSO, pkt, KS, 0, lambda s: 0)
+            header.unprotect_and_decode(WireMode.REVERSO, pkt, KS, 0)
 
     def test_baseline_reserved_bits_rejected(self):
         def set_reserved(enc):
@@ -211,4 +219,4 @@ class TestMalformed:
         pkt = padded(bytes(enc))
         header.protect_header(WireMode.BASELINE, pkt, KS)
         with pytest.raises(MalformedHeader):
-            header.unprotect_and_decode(WireMode.BASELINE, pkt, KS, 0, lambda s: 0)
+            header.unprotect_and_decode(WireMode.BASELINE, pkt, KS, 0)

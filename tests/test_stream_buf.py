@@ -207,7 +207,7 @@ def alter_header(gram, stream_id=None, offset=None):
     """gram, sealed, with its header's stream id or offset rewritten in
     place (same field widths) and the header protection reapplied."""
     gram = bytearray(gram)
-    h, hdr_len = header.unprotect_and_decode(WireMode.REVERSO, gram, C2S, 0, lambda s: 0)
+    h, hdr_len = header.unprotect_and_decode(WireMode.REVERSO, gram, C2S, 0)
     h = replace(
         h, stream_id=h.stream_id if stream_id is None else stream_id,
         offset=h.offset if offset is None else offset,
