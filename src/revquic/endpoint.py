@@ -24,9 +24,10 @@ discarding what arrives and sending nothing (RFC 9000 §10.2.2).
 
 Reliability is deliberately minimal: fixed retransmission timeout, a
 fixed in-flight window, ack-every-data-packet. A stream's queued bytes
-stay in one send buffer until acked; a fragment is a span of it, copied
-once into its datagram on every send. Fragment boundaries are chosen so
-a retransmission always fits a full-size datagram even with worst-case
+stay in its send buffer, one piece per stream_send call, until a whole
+piece is acked; a fragment is a span of the buffer, copied once into its
+datagram on every send. Fragment boundaries are chosen so a
+retransmission always fits a full-size datagram even with worst-case
 header growth, which keeps offsets dense and makes spurious
 retransmissions exactly identifiable (entirely below the contiguous
 watermark).
@@ -79,9 +80,13 @@ _Span = tuple[int, int, int, bool]  # a fragment: stream id, offset, length, fin
 # the anchor's type with its FIN bit set, for one comparison per packet
 _ANCHOR_FIN = wire.TYPE_ANCHOR | wire.STREAM_FIN
 
-# a send buffer drops its acked prefix once this many bytes per span then
+# the padding source: a packet pads its plaintext to at most MIN_PLAINTEXT
+_ZEROS = memoryview(bytes(header.MIN_PLAINTEXT))
+
+# a send buffer drops its acked pieces once this many bytes per span then
 # in flight have been sent: the scan of those spans costs a fixed share
-# of each byte sent, and the buffer stays near the bytes in flight
+# of each byte sent, and the buffer stays near the bytes in flight plus
+# one piece
 _RELEASE_PER_SPAN = 512
 
 
@@ -106,18 +111,44 @@ class Metrics:
 
 @dataclass
 class _SendStream:
-    """buf: the stream's bytes from base_offset, at or below its lowest
-    unacked byte, to the end of queued data."""
+    """pieces: the stream's bytes from base_offset, at or below its lowest
+    unacked byte, to the end of queued data, one bytes object per
+    stream_send call; a piece is dropped whole once it is all acked, so
+    releasing never copies the bytes still queued."""
 
     stream_id: int
-    buf: bytearray = field(default_factory=bytearray)
-    base_offset: int = 0  # stream offset of buf[0]
+    pieces: list[bytes] = field(default_factory=list)
+    size: int = 0  # bytes in pieces
+    base_offset: int = 0  # stream offset of pieces[0][0]
     next_offset: int = 0  # first byte never sent
     release_at: int = 0  # next_offset that triggers the next release
     fin_queued: bool = False
     fin_sent: bool = False
     frame_cost: int = 0  # fragment budget spent on the frame, fixed per stream
     sid_len: int = 0  # reverso: header.wire_sid_length(stream_id)
+
+    def span(self, offset: int, n: int):
+        """The n queued bytes from stream offset offset: a view of the
+        piece that holds them, or, for a span that crosses pieces, the
+        join of its parts."""
+        lo = offset - self.base_offset
+        pieces = iter(self.pieces)
+        for p in pieces:
+            if lo < len(p):
+                break
+            lo -= len(p)
+        else:
+            return b""  # a fin alone, past every queued byte
+        if lo + n <= len(p):
+            return memoryview(p)[lo : lo + n]
+        parts = [memoryview(p)[lo:]]
+        n -= len(p) - lo
+        for p in pieces:
+            parts.append(memoryview(p)[:n])
+            n -= len(p)
+            if n <= 0:
+                break
+        return b"".join(parts)
 
 
 class Connection:
@@ -174,10 +205,17 @@ class Connection:
             self._rr.append(ss)
         if ss.fin_queued:
             raise SendAfterFin(f"stream {stream_id} already finished")
-        end = ss.base_offset + len(ss.buf) + len(data)
+        end = ss.base_offset + ss.size + len(data)
         if self.mode is WireMode.REVERSO and end > MAX_REVERSO_OFFSET:
             raise TruncationRangeError(f"stream {stream_id} would end past offset {MAX_REVERSO_OFFSET}")
-        ss.buf += data
+        if data:
+            # copied once, bytes included, so the send buffer owns what it
+            # holds: a kept caller object places the buffer's memory by
+            # the caller's allocations, which made lossy round-trip tails
+            # differ from one process to the next (see CHANGES.md)
+            piece = bytes(memoryview(data))
+            ss.pieces.append(piece)
+            ss.size += len(piece)
         if fin:
             ss.fin_queued = True
         return len(data)
@@ -199,7 +237,7 @@ class Connection:
             ss = rr[0]
             rr.rotate(-1)
             offset = ss.next_offset
-            queued = ss.base_offset + len(ss.buf) - offset
+            queued = ss.base_offset + ss.size - offset
             if not queued and not (ss.fin_queued and not ss.fin_sent):
                 continue
             # baseline's offset varint is the one part that grows
@@ -220,17 +258,29 @@ class Connection:
         return None
 
     def _release(self, ss: _SendStream, low: int) -> None:
-        """Drop the prefix of ss's send buffer below low and below every
-        span of it still in flight, and set the next release. Called only
-        while no span awaits retransmission: build_packet sends those
-        first."""
-        sid = ss.stream_id
-        for _, span in self.unacked.values():
-            if span[0] == sid and span[1] < low:
-                low = span[1]
-        del ss.buf[: low - ss.base_offset]
-        ss.base_offset = low
-        ss.release_at = ss.next_offset + _RELEASE_PER_SPAN * (len(self.unacked) + 1)
+        """Drop the pieces of ss's send buffer that end by low and by
+        every span of it still in flight, and set the next release. A
+        piece is dropped whole, never cut, so nothing queued is copied.
+        Called only while no span awaits retransmission: build_packet
+        sends those first."""
+        pieces = ss.pieces
+        if pieces and ss.base_offset + len(pieces[0]) <= low:
+            sid = ss.stream_id
+            for _, span in self.unacked.values():
+                if span[0] == sid and span[1] < low:
+                    low = span[1]
+            base, i = ss.base_offset, 0
+            while i < len(pieces) and base + len(pieces[i]) <= low:
+                base += len(pieces[i])
+                i += 1
+            del pieces[:i]
+            ss.size -= base - ss.base_offset
+            ss.base_offset = base
+        # nothing more can go before a fragment reaches the first piece's end
+        ss.release_at = max(
+            ss.next_offset + _RELEASE_PER_SPAN * (len(self.unacked) + 1),
+            ss.base_offset + len(pieces[0]) if pieces else 0,
+        )
 
     def _build_ack(self) -> tuple[int, list[tuple[int, int]]] | None:
         """The pending packet numbers as (largest, ranges) for
@@ -239,9 +289,10 @@ class Connection:
         if not pending:
             return None
         largest = max(pending)
-        if largest - min(pending) < len(pending):  # one range, the common case
-            self.ack_pending = set()
-            return largest, [(0, len(pending))]
+        n = len(pending)
+        if n == 1 or largest - min(pending) < n:  # one range, the common case
+            pending.clear()
+            return largest, [(0, n)]
         pns = sorted(pending, reverse=True)
         ranges = []
         cursor = largest
@@ -314,8 +365,7 @@ class Connection:
         if span is not None:
             sid, offset, n, fin = span
             ss = self.send_streams[sid]
-            lo = offset - ss.base_offset
-            data = memoryview(ss.buf)[lo : lo + n]
+            data = ss.span(offset, n)
             if reverso:
                 stream_len = n + 1
                 off_len = crypto.truncated_len(offset + 1, 0)
@@ -347,7 +397,7 @@ class Connection:
             view[pos : pos + len(close)] = close
             pos += len(close)
         if pad > 0:
-            view[pos : pos + pad] = bytes(pad)
+            view[pos : pos + pad] = _ZEROS[:pad]
             pos += pad
         if not reverso and span is not None:
             view[pos : pos + len(fields)] = fields
@@ -626,9 +676,10 @@ class Connection:
         than closing keeps perfbench's replays working, which feed a
         capture's datagrams, acks included, to a fresh receiver that has
         sent nothing."""
-        span = 0
-        for gap, length in ranges:
-            span += gap + length
+        if len(ranges) == 1:  # one range, the common case
+            span = ranges[0][0] + ranges[0][1]
+        else:
+            span = sum(gap + length for gap, length in ranges)
         if span > largest + 1:
             raise MalformedFrame(f"ack ranges reach {largest + 1 - span}, below packet number 0")
         return largest < self.next_pn
@@ -638,6 +689,13 @@ class Connection:
         descending from largest, as wire.ack_fields writes them."""
         if largest > self.largest_peer_acked:
             self.largest_peer_acked = largest
+        pop = self.unacked.pop
+        if len(ranges) == 1 and ranges[0][1] <= 2 * SEND_WINDOW:
+            # one range, the common case
+            top = largest - ranges[0][0]
+            for pn in range(top - ranges[0][1] + 1, top + 1):
+                pop(pn, None)
+            return
         cursor = largest
         for gap, length in ranges:
             cursor -= gap
@@ -649,7 +707,7 @@ class Connection:
                     del self.unacked[pn]
             else:
                 for pn in range(lo, cursor + 1):
-                    self.unacked.pop(pn, None)
+                    pop(pn, None)
             cursor -= length
 
     # --- application surface ---
@@ -684,7 +742,7 @@ class Connection:
         holding only acked bytes, are released."""
         streams = self.send_streams.values()
         if self._retransmit or self.unacked or any(
-                ss.next_offset < ss.base_offset + len(ss.buf) or ss.fin_queued and not ss.fin_sent
+                ss.next_offset < ss.base_offset + ss.size or ss.fin_queued and not ss.fin_sent
                 for ss in streams):
             return False
         for ss in streams:

@@ -30,12 +30,18 @@ anchor is its type byte. The sender calls stream_fields (baseline),
 ack_fields and close_fields directly. The receive paths read an ack in
 place with take_ack_forward or take_ack_reversed and a close with
 take_close_forward or take_close_reversed, the decoders the parsers
-call, and skip a padding run with padding_end or padding_start. The
-frame dataclasses, the serializers, the parsers and frame_wire_size are
-the reference codec: inspection, demos and tests use them, the
-connection does not. Both serializers are one loop over _frame_bytes,
-which takes each frame's bytes from its encoder, and frame_wire_size is
-the length of those bytes.
+call, and skip a padding run with padding_end or padding_start. An ack
+costs about what the header costs: each ack decoder reads the ack's
+bytes nearest its type byte, at most 8, as one integer and peels a
+one-range ack (delay 0, gap 0, the ack build_packet sends whenever the
+numbers it acknowledges are consecutive) off it by shifts, from the top
+in the forward layout and from the tag end in the reversed one; other
+acks are read field by field. ack_fields writes that ack as one
+formula. The frame dataclasses, the serializers, the parsers and
+frame_wire_size are the reference codec: inspection, demos and tests
+use them, the connection does not. Both serializers are one loop over
+_frame_bytes, which takes each frame's bytes from its encoder, and
+frame_wire_size is the length of those bytes.
 """
 
 from __future__ import annotations
@@ -171,7 +177,23 @@ def ack_fields(largest: int, delay: int, ranges, reverso: bool) -> bytes:
     """An ack frame's bytes, the one ack encoder. Forward: type, largest
     acknowledged, ack delay, range count, then each range's gap and
     length. Reversed: the same fields as reversed varints in the
-    opposite order, type last."""
+    opposite order, type last.
+
+    A one-range ack with delay 0 and gap 0, the one build_packet writes
+    whenever the pending numbers are consecutive, is one formula: the
+    largest and the length by their tags around the three one-byte
+    fields 00 01 00 (reversed: 00 04 00), written with one to_bytes."""
+    if not delay and len(ranges) == 1 and largest >= 0:
+        gap, length = ranges[0]
+        if not gap and length >= 0:
+            a = _length_class(largest)
+            b = _length_class(length)
+            n, m = _CLASS_LEN[a] << 3, _CLASS_LEN[b] << 3
+            if reverso:
+                acc = (((length << 2 | b) << 24 | 0x000400) << n | largest << 2 | a) << 8 | TYPE_ACK
+            else:
+                acc = ((TYPE_ACK << n | a << (n - 2) | largest) << 24 | 0x000100) << m | b << (m - 2) | length
+            return acc.to_bytes(((n + m) >> 3) + 4, "big")
     values = [largest, delay, len(ranges)]
     for gap, length in ranges:
         values += gap, length
@@ -190,7 +212,27 @@ def close_fields(code: int, reason, reverso: bool) -> bytes:
 def take_ack_forward(buf, pos: int, end: int) -> tuple[int, int, list[tuple[int, int]], int]:
     """Decode the forward ack whose fields start at pos, just past its
     type byte, reading nothing at or past end; the one forward ack
-    decoder. Returns (largest, delay, ranges, position past the frame)."""
+    decoder. Returns (largest, delay, ranges, position past the frame).
+
+    The ack's first bytes, at most 8 inside [pos, end), are read as one
+    big-endian integer, and a one-range ack with delay 0 and gap 0 that
+    fits them is peeled off it from the top: largest by its tag, the
+    three one-byte fields 00 01 00 as one constant, then the length by
+    its tag. Any other ack, or one cut short, is read field by field."""
+    w = end - pos if end - pos < 8 else 8
+    if w > 4:
+        x = int.from_bytes(buf[pos : pos + w], "big")
+        tag = x >> ((w << 3) - 2)
+        n = _CLASS_LEN[tag]
+        s = (w - n - 3) << 3  # bits below delay, count and gap
+        if s > 0 and (x >> s) & 0xFFFFFF == 0x000100:
+            t = (x >> (s - 2)) & 0x03
+            m = _CLASS_LEN[t]
+            if m << 3 <= s:
+                return (
+                    (x >> (s + 24)) & (_CLASS_MAX[tag] - 1), 0,
+                    [(0, (x >> (s - (m << 3))) & (_CLASS_MAX[t] - 1))], pos + n + 3 + m,
+                )
     vals: list[int] = []
     need = 3
     while len(vals) < need:
@@ -214,7 +256,25 @@ def take_ack_forward(buf, pos: int, end: int) -> tuple[int, int, list[tuple[int,
 def take_ack_reversed(buf, lo: int, end: int) -> tuple[int, int, list[tuple[int, int]], int]:
     """Decode the reversed ack whose fields end at end, just below its
     type byte, reading nothing below lo; the one reversed ack decoder.
-    Returns (largest, delay, ranges, position where the frame starts)."""
+    Returns (largest, delay, ranges, position where the frame starts).
+
+    The ack's last bytes, at most 8 inside [lo, end), are read as one
+    big-endian integer, and a one-range ack with delay 0 and gap 0 that
+    fits them is peeled off it from the tag end: largest by its tag, the
+    three one-byte fields 00 04 00 as one constant, then the length by
+    its tag. Any other ack, or one cut short, is read field by field."""
+    w = end - lo if end - lo < 8 else 8
+    if w > 4:
+        x = int.from_bytes(buf[end - w : end], "big")
+        n = _CLASS_LEN[x & 0x03] << 3
+        if (x >> n) & 0xFFFFFF == 0x000400:
+            y = x >> (n + 24)
+            m = _CLASS_LEN[y & 0x03] << 3
+            if n + 24 + m <= w << 3:
+                return (
+                    (x & ((1 << n) - 1)) >> 2, 0, [(0, (y & ((1 << m) - 1)) >> 2)],
+                    end - ((n + 24 + m) >> 3),
+                )
     vals: list[int] = []
     need = 3
     while len(vals) < need:

@@ -230,7 +230,7 @@ class TestSending:
         ss.base_offset = ss.next_offset = limit - 100
         with pytest.raises(TruncationRangeError):
             client.stream_send(1, b"z")
-        assert (bytes(ss.buf), ss.next_offset, ss.fin_queued) == (b"y" * 100, limit - 100, False)
+        assert (b"".join(ss.pieces), ss.next_offset, ss.fin_queued) == (b"y" * 100, limit - 100, False)
         # a stream ending at the limit, fin included, still goes out
         client.stream_send(1, b"", fin=True)
         out = bytearray(MAX_DATAGRAM)
@@ -529,7 +529,9 @@ class TestAdversarial:
         target = 2 if lane.endswith("first_contact") else 1
         if target == 2:
             ss = client.send_streams[1]
-            del ss.buf[ss.next_offset - ss.base_offset :]  # next packets open stream 2
+            # drop stream 1's unsent bytes: the next packets open stream 2
+            ss.size = ss.next_offset - ss.base_offset
+            ss.pieces[0] = ss.pieces[0][: ss.size]
             client.stream_send(2, b"y" * 3000)
         off_tail = lane.startswith("off_tail")
         if off_tail:

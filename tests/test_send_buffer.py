@@ -29,9 +29,8 @@ def span_data(conn: Connection, span) -> bytes:
     build_packet reads them."""
     sid, offset, n, _ = span
     ss = conn.send_streams[sid]
-    lo = offset - ss.base_offset
-    assert lo >= 0, "span released while still needed"
-    return bytes(ss.buf[lo : lo + n])
+    assert offset >= ss.base_offset, "span released while still needed"
+    return bytes(ss.span(offset, n))
 
 
 class Channel:
@@ -119,7 +118,7 @@ def test_spans_name_the_queued_bytes_under_loss(mode, sizes, per_span, loss, dup
     assert {sid: bytes(b) for sid, b in got.items()} == payloads
     for sid, data in payloads.items():
         assert sbuf.get(sid).fin_offset == len(data)
-    assert all(not ss.buf and ss.base_offset == ss.next_offset == len(payloads[sid])
+    assert all(not ss.pieces and not ss.size and ss.base_offset == ss.next_offset == len(payloads[sid])
                for sid, ss in client.send_streams.items())
 
 
@@ -179,6 +178,38 @@ def test_long_lived_stream_memory_is_bounded(mode):
     pair.echo(messages[2000:9000])
     late = pair.traced_echo(messages[9000:])
     assert pair.client.send_streams[1].next_offset == sum(map(len, messages))
-    assert len(pair.client.send_streams[1].buf) <= 64 * 1024
-    assert len(pair.server.send_streams[2].buf) <= 64 * 1024
+    assert pair.client.send_streams[1].size <= 64 * 1024
+    assert pair.server.send_streams[2].size <= 64 * 1024
     assert late <= early + 16 * 1024, (early, late)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sizes=st.lists(st.integers(0, 40), max_size=12), seed=st.integers(0, 2**32 - 1))
+def test_span_reads_across_any_number_of_pieces(sizes, seed):
+    """A span names the queued bytes at its offset whether it lies in one
+    piece or crosses several; every argument is queued as a copy, and a
+    piece is released only whole."""
+    rng = random.Random(seed)
+    conn = Connection(WireMode.REVERSO, Role.CLIENT, SECRET)
+    chunks = [rng.randbytes(n) for n in sizes]
+    as_bytes = [rng.random() < 0.5 for _ in chunks]
+    for chunk, is_bytes in zip(chunks, as_bytes):
+        conn.stream_send(1, chunk if is_bytes else bytearray(chunk))
+    conn.stream_send(1, b"", fin=True)
+    ss = conn.send_streams[1]
+    whole = b"".join(chunks)
+    queued = [c for c in chunks if c]
+    assert ss.size == len(whole) and len(ss.pieces) == len(queued)
+    for piece, chunk in zip(ss.pieces, queued):
+        assert piece == chunk and piece is not chunk
+    for _ in range(50):
+        offset = rng.randint(0, len(whole))
+        n = rng.randint(0, len(whole) - offset)
+        assert bytes(ss.span(offset, n)) == whole[offset : offset + n]
+    low = rng.randint(0, len(whole))
+    ss.next_offset = len(whole)
+    conn._release(ss, low)
+    held = b"".join(ss.pieces)
+    assert ss.base_offset <= low and ss.base_offset + ss.size == len(whole)
+    assert held == whole[ss.base_offset :]
+    assert not ss.pieces or ss.base_offset + len(ss.pieces[0]) > low

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revquic import wire
+from revquic import varint, wire
 from revquic.errors import (
     BufferTooSmall,
     EncodingOverflow,
     FrameOrderViolation,
     MalformedFrame,
+    TruncatedVarInt,
     UnknownFrameType,
 )
 from revquic.mode import WireMode
@@ -377,6 +378,120 @@ class TestAckCodec:
         for reverso in (False, True):
             with pytest.raises(EncodingOverflow):
                 wire.ack_fields(-1, 0, [(0, 1)], reverso)
+
+
+# --- the ack decoders against an oracle of their own ---
+#
+# parse_forward and parse_reversed call the same decoders, so agreeing
+# with them cannot catch a wrong shortcut in a decoder. This oracle reads
+# an ack field by field with the varint module's decoders, from a copy
+# of exactly the bytes the decoder may read.
+
+
+def _oracle_forward(buf, pos: int, end: int):
+    data = bytes(buf[:end])
+
+    def take():
+        nonlocal pos
+        try:
+            v, n = varint.decode_forward(data, pos)
+        except TruncatedVarInt:
+            raise MalformedFrame("truncated varint") from None
+        pos += n
+        return v
+
+    largest, delay, count = take(), take(), take()
+    if count > wire.MAX_ACK_RANGES:
+        raise MalformedFrame(f"{count} ack ranges exceeds cap {wire.MAX_ACK_RANGES}")
+    ranges = [(take(), take()) for _ in range(count)]
+    return largest, delay, ranges, pos
+
+
+def _oracle_reversed(buf, lo: int, end: int):
+    data = bytes(buf[lo:end])
+    cur = len(data)
+
+    def take():
+        nonlocal cur
+        try:
+            v, n = varint.decode_reversed_backward(data, cur)
+        except TruncatedVarInt:
+            raise MalformedFrame("truncated reversed varint") from None
+        cur -= n
+        return v
+
+    largest, delay, count = take(), take(), take()
+    if count > wire.MAX_ACK_RANGES:
+        raise MalformedFrame(f"{count} ack ranges exceeds cap {wire.MAX_ACK_RANGES}")
+    ranges = [(take(), take()) for _ in range(count)]
+    return largest, delay, ranges, lo + cur
+
+
+def _outcome(fn, *args):
+    """What fn returns, or the message of the MalformedFrame it raises."""
+    try:
+        return fn(*args)
+    except MalformedFrame as exc:
+        return "raised", str(exc)
+
+
+ZERO_OR = st.just(0) | BOUNDARY
+# one-range acks at every width of largest and length, delay and gap
+# zero or not, and acks of 2-32 ranges
+ONE_RANGE = st.tuples(BOUNDARY, ZERO_OR, st.tuples(ZERO_OR, BOUNDARY).map(lambda r: [r]))
+MANY_RANGES = st.tuples(
+    VALUE, ZERO_OR, st.lists(st.tuples(ZERO_OR, VALUE), min_size=2, max_size=wire.MAX_ACK_RANGES)
+)
+ACKS = ONE_RANGE | MANY_RANGES
+FOREIGN = st.binary(max_size=8) | st.sampled_from([b"\x00\x01\x00\x01", b"\x00\x04\x00\x04", b"\x01" * 8])
+
+
+class TestAckOracle:
+    @CODEC
+    @given(ack=ACKS, before=FOREIGN, after=FOREIGN)
+    def test_decoders_match_the_oracle_in_place(self, ack, before, after):
+        """Bounded exactly at the ack's edges inside foreign bytes, each
+        decoder returns what the oracle reads and what ack_fields wrote."""
+        largest, delay, ranges = ack
+        fwd = wire.ack_fields(largest, delay, ranges, False)
+        buf = memoryview(before + fwd + after)
+        start, end = len(before), len(before) + len(fwd)
+        got = wire.take_ack_forward(buf, start + 1, end)
+        assert got == _oracle_forward(buf, start + 1, end) == (largest, delay, ranges, end)
+
+        rev = wire.ack_fields(largest, delay, ranges, True)
+        buf = memoryview(before + rev + after)
+        end = len(before) + len(rev) - 1
+        got = wire.take_ack_reversed(buf, start, end)
+        assert got == _oracle_reversed(buf, start, end) == (largest, delay, ranges, start)
+
+    @CODEC
+    @given(ack=ACKS, before=FOREIGN, after=FOREIGN)
+    def test_every_truncation_matches_the_oracle(self, ack, before, after):
+        """An ack cut at any point, foreign bytes beyond the cut, gives
+        the oracle's result or the oracle's MalformedFrame message."""
+        largest, delay, ranges = ack
+        fwd = wire.ack_fields(largest, delay, ranges, False)
+        for k in range(1, len(fwd) + 1):  # the type byte and k - 1 field bytes
+            buf = memoryview(before + fwd[:k] + after)
+            start, end = len(before), len(before) + k
+            assert _outcome(wire.take_ack_forward, buf, start + 1, end) == _outcome(
+                _oracle_forward, buf, start + 1, end
+            )
+        rev = wire.ack_fields(largest, delay, ranges, True)
+        for k in range(1, len(rev) + 1):
+            buf = memoryview(before + rev[len(rev) - k :] + after)
+            start, end = len(before), len(before) + k - 1
+            assert _outcome(wire.take_ack_reversed, buf, start, end) == _outcome(
+                _oracle_reversed, buf, start, end
+            )
+
+    @CODEC
+    @given(largest=VALUE, length=VALUE, reverso=st.booleans())
+    def test_one_range_ack_fields_is_pack(self, largest, length, reverso):
+        assert wire.ack_fields(largest, 0, [(0, length)], reverso) == wire._pack(
+            wire.TYPE_ACK, (largest, 0, 1, 0, length), reverso
+        )
 
 
 # --- the close codec: close_fields and the shared decoders ---
