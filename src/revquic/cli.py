@@ -51,6 +51,7 @@ SIMULATE_COLUMNS = (
     "ordered_ratio",
     "decrypt_failures",
     "retransmissions",
+    "bytes_moved",
 )
 
 _RECV_TIMEOUT = 0.05
@@ -132,6 +133,7 @@ def _report_row(r: TransferReport) -> list:
         round(r.ordered_ratio, 6),
         r.decrypt_failures,
         r.retransmissions,
+        r.bytes_moved,
     ]
 
 

@@ -26,7 +26,7 @@ from heapq import heappop, heappush
 from .crypto import derive_keys
 from .endpoint import MAX_DATAGRAM, Connection, Role
 from .mode import WireMode
-from .stream_buf import AppRecvBufMap
+from .stream_buf import DEFAULT_CAPACITY, AppRecvBufMap
 
 TICK = 0.001  # virtual seconds per simulator step
 STALL_LIMIT = 600.0  # virtual seconds before a stuck transfer aborts
@@ -64,6 +64,7 @@ class TransferReport:
     ordered_ratio: float
     decrypt_failures: int
     retransmissions: int
+    bytes_moved: int  # the receiver's storage growth copies, beside the meter
 
 
 @dataclass
@@ -230,6 +231,7 @@ def run_transfer(
         ordered_ratio=m.packets_in_order / data_packets if data_packets else 1.0,
         decrypt_failures=m.decrypt_failures,
         retransmissions=sender.metrics().retransmissions,
+        bytes_moved=appbuf.bytes_moved,
     )
 
 
@@ -255,6 +257,8 @@ class _PreparedBatch:
             sender.unacked.clear()  # sidestep the in-flight window
         self.work = [bytearray(p) for p in self.pristine]
         self.bytes_per_rep = sum(len(p) for p in self.pristine)
+        # storage that holds the whole batch, so no repetition times growth
+        self.capacity = max(DEFAULT_CAPACITY, self.bytes_per_rep)
         # both directions derived once; receivers are rebuilt per rep
         self.recv_keys = (
             derive_keys(_HARNESS_SECRET, "s2c"),
@@ -263,7 +267,7 @@ class _PreparedBatch:
 
     def fresh_receiver(self):
         conn = Connection(self.mode, Role.SERVER, _HARNESS_SECRET, keys=self.recv_keys)
-        return conn, AppRecvBufMap()
+        return conn, AppRecvBufMap(self.capacity)
 
     def restore(self) -> None:
         for w, p in zip(self.work, self.pristine):

@@ -12,6 +12,17 @@ tail reaches it. Everything here exists to make that safe: before
 authentication the receiver may only write into a hole, in storage
 that already exists; commitment happens after.
 
+Storage size: a stream starts with DEFAULT_CAPACITY, 256 KiB, the
+smallest power of two that holds two full send windows (2 x SEND_WINDOW
+x MAX_DATAGRAM = 172 800 B). A stream whose application keeps up never
+outgrows it, so in-order data always opens at its offset. A stream that
+holds more (a gap pending under loss, an application that does not
+consume) grows by doubling in ensure_room, only after the tag verifies;
+until then a packet past the capacity opens in the datagram and is
+copied. Every new stream's first storage is zero-filled before its first
+packet can open into it, so this size sets the cost of first contact
+and the memory each stream holds whether it uses it or not.
+
 Buffer recycling: the map keeps one spare buffer. The receiver opens a
 new stream's first packet into it and binds it to the stream id only
 once the packet authenticates, so a flood of forged first-packets costs
@@ -24,7 +35,7 @@ from bisect import bisect_left, bisect_right
 
 from .errors import ConsumeOutOfRange, FinalSizeError
 
-DEFAULT_CAPACITY = 1 << 20
+DEFAULT_CAPACITY = 1 << 18  # two send windows, rounded up to a power of two
 WINDOW = 16 << 20  # a fragment ending further past the tail is dropped
 
 
@@ -53,6 +64,7 @@ class StreamRecvBuffer:
         self.starts: list[int] = []
         self.ends: list[int] = []
         self.grows = 0  # storage reallocations, summed by AppRecvBufMap
+        self.bytes_moved = 0  # bytes ensure_room copied into grown storage
 
     @property
     def capacity(self) -> int:
@@ -82,6 +94,7 @@ class StreamRecvBuffer:
         self.storage_view = view
         self.base_offset = self.consumed_offset
         self.grows += 1
+        self.bytes_moved += hi - lo
         return 1
 
     def set_fin(self, final_offset: int) -> None:
@@ -232,10 +245,20 @@ class AppRecvBufMap:
         Reallocation is counted where it happens, in ensure_room and
         consume, so every receive lane of both modes reports it alike.
         """
+        return self._created + sum(b.grows for b in self._held())
+
+    @property
+    def bytes_moved(self) -> int:
+        """Bytes copied by every storage reallocation, summed as
+        allocations sums them: what buffer growth moves beside the
+        protocol's own copies."""
+        return sum(b.bytes_moved for b in self._held())
+
+    def _held(self) -> list[StreamRecvBuffer]:
         held = list(self.buffers.values())
         if self.spare is not None:
             held.append(self.spare)
-        return self._created + sum(b.grows for b in held)
+        return held
 
     def _materialize_spare(self) -> StreamRecvBuffer:
         spare = self.spare

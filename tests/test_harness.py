@@ -5,7 +5,7 @@ import random
 import pytest
 
 from revquic import cli, harness
-from revquic.endpoint import MAX_DATAGRAM
+from revquic.endpoint import MAX_DATAGRAM, SEND_WINDOW
 from revquic.harness import (
     PipeConfig,
     _Pipe,
@@ -16,6 +16,20 @@ from revquic.harness import (
     sweep_modes,
 )
 from revquic.mode import WireMode
+from revquic.stream_buf import DEFAULT_CAPACITY, AppRecvBufMap
+
+
+def recording_maps(monkeypatch) -> list[AppRecvBufMap]:
+    """Every AppRecvBufMap the harness creates from now on, in order."""
+    made: list[AppRecvBufMap] = []
+
+    class Recorded(AppRecvBufMap):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(harness, "AppRecvBufMap", Recorded)
+    return made
 
 
 class TestPipe:
@@ -148,6 +162,26 @@ class TestRunTransfer:
         with pytest.raises(ValueError):
             run_transfer(WireMode.REVERSO, 1024, n_streams=0)
 
+    def test_first_storage_holds_two_send_windows(self):
+        assert DEFAULT_CAPACITY >= 2 * SEND_WINDOW * MAX_DATAGRAM
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_clean_transfer_never_grows(self, mode, monkeypatch):
+        # an application that keeps up never holds more than the first
+        # storage, so in-order reverso data always opens at its offset
+        maps = recording_maps(monkeypatch)
+        r = run_transfer(mode, 4 << 20)
+        receiver = maps[0]  # created before the sender's
+        assert (receiver.allocations, receiver.bytes_moved, r.bytes_moved) == (1, 0, 0)
+        if mode is WireMode.REVERSO:
+            assert (r.payload_bytes_copied, r.payload_bytes_zero_copy) == (0, 4 << 20)
+
+    def test_report_carries_bytes_moved(self, monkeypatch):
+        maps = recording_maps(monkeypatch)
+        cfg = PipeConfig(seed=0, reorder_prob=0.1, loss_prob=0.02, duplicate_prob=0.01)
+        r = run_transfer(WireMode.REVERSO, 4 << 20, 8, cfg)
+        assert r.bytes_moved == maps[0].bytes_moved > 0
+
     def test_report_invariants(self):
         r = run_transfer(
             WireMode.REVERSO,
@@ -172,6 +206,19 @@ class TestBench:
             assert m.payload_bytes_copied == 0
             # streams drained after the clock stopped
             assert conn.readable() == []
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_batch_past_first_storage_never_grows(self, mode):
+        # storage is sized to the batch, so a repetition times no growth
+        # and every reverso packet opens at its offset
+        prep = _PreparedBatch(mode, DEFAULT_CAPACITY // MAX_DATAGRAM + 20)
+        assert prep.bytes_per_rep > DEFAULT_CAPACITY
+        conn, appbuf = prep.fresh_receiver()
+        prep.restore()
+        prep.run_once(conn, appbuf)
+        assert (appbuf.allocations, appbuf.bytes_moved) == (1, 0)
+        if mode is WireMode.REVERSO:
+            assert conn.metrics().payload_bytes_copied == 0
 
     def test_batch_result_shape(self):
         (res,) = bench_modes(2, (WireMode.REVERSO,), repetitions=6, scenario="smoke")

@@ -2,13 +2,14 @@
 recycling, and the receive-side destination choice that feeds them."""
 
 import random
+import tracemalloc
 import zlib
 from dataclasses import replace
 
 import pytest
 
 from revquic import header, stream_buf, wire
-from revquic.endpoint import Connection, Role
+from revquic.endpoint import MAX_DATAGRAM, Connection, Role
 from revquic.errors import (
     ConsumeOutOfRange,
     FinalSizeError,
@@ -16,7 +17,7 @@ from revquic.errors import (
     StreamIdOverflow,
 )
 from revquic.mode import WireMode
-from revquic.stream_buf import WINDOW, AppRecvBufMap, StreamRecvBuffer
+from revquic.stream_buf import DEFAULT_CAPACITY, WINDOW, AppRecvBufMap, StreamRecvBuffer
 from revquic.wire import StreamFrame
 
 from test_endpoint import C2S, SECRET, craft, receiver_state
@@ -575,14 +576,62 @@ class TestSpanAndConsume:
     def test_grown_storage_shrinks_once_emptied(self):
         buf = StreamRecvBuffer(1024)
         buf.place(1500, b"r" * 100, False)
-        assert buf.capacity == 2048
+        assert (buf.capacity, buf.bytes_moved) == (2048, 0)  # nothing received below
         buf.place(0, b"a" * 1500, False)
         buf.consume(1000)
         assert buf.capacity == 2048  # bytes remain unconsumed
         buf.consume(600)
-        assert (buf.capacity, buf.base_offset, buf.grows) == (1024, 1600, 2)
+        # the shrink reallocates but moves nothing
+        assert (buf.capacity, buf.base_offset, buf.grows, buf.bytes_moved) == (1024, 1600, 2, 0)
         assert buf.place(1600, b"n" * 10, False) == 10
         assert bytes(buf.readable_span()[0]) == b"n" * 10
+
+
+class TestGrowthMeter:
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_growth_counts_the_bytes_it_moves(self, mode):
+        r = Receiver(mode, default_capacity=1024)
+        r.send(4, 0, b"a" * 600)
+        r.send(8, 0, b"b" * 500)
+        r.conn.stream_consumed(8, 200, r.appbuf)
+        assert r.appbuf.bytes_moved == 0
+        # past the capacity: storage doubles after the tag verifies and
+        # moves [consumed, highest received end) into the new storage
+        r.send(4, 1500, b"c" * 300)
+        r.send(8, 1200, b"d" * 200)
+        s4, s8 = r.appbuf.get(4), r.appbuf.get(8)
+        assert (s4.grows, s4.bytes_moved, s8.grows, s8.bytes_moved) == (1, 600, 1, 300)
+        assert (r.appbuf.bytes_moved, r.appbuf.allocations) == (900, 4)
+        # the gap filler fits the grown storage: nothing more moves
+        r.send(4, 600, b"e" * 900)
+        assert r.appbuf.bytes_moved == 900
+        assert bytes(s4.readable_span()[0]) == b"a" * 600 + b"e" * 900 + b"c" * 300
+
+
+class TestStorageSize:
+    def test_one_byte_streams_cost_first_storage_each(self):
+        # one send window of one-byte streams from an authenticated peer:
+        # memory follows the first storage's size, one buffer per stream
+        client = Connection(WireMode.REVERSO, Role.CLIENT, SECRET)
+        server = Connection(WireMode.REVERSO, Role.SERVER, SECRET)
+        out = bytearray(MAX_DATAGRAM)
+        for sid in range(1, 65):
+            client.stream_send(sid, b"x", fin=True)
+        grams = []
+        while (n := client.build_packet(out)) is not None:
+            grams.append(bytearray(out[:n]))
+        assert len(grams) == 64
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            appbuf = AppRecvBufMap()
+            for gram in grams:
+                server.recv(gram, appbuf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(appbuf.buffers) == 64 and appbuf.allocations == 64
+        assert peak - start <= 64 * DEFAULT_CAPACITY + (1 << 20)
 
 
 class TestRecycling:
