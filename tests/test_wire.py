@@ -494,6 +494,115 @@ class TestAckOracle:
         )
 
 
+# --- the field readers against the varint module's decoders ---
+
+
+def _oracle_take_forward(buf, pos: int, end: int, k: int):
+    data = bytes(buf[:end])
+    vals = []
+    for _ in range(k):
+        try:
+            v, n = varint.decode_forward(data, pos)
+        except TruncatedVarInt:
+            raise MalformedFrame("truncated varint") from None
+        vals.append(v)
+        pos += n
+    return vals + [pos]
+
+
+def _oracle_take_reversed(buf, lo: int, end: int, k: int):
+    data = bytes(buf[lo:end])
+    cur = len(data)
+    vals = []
+    for _ in range(k):
+        try:
+            v, n = varint.decode_reversed_backward(data, cur)
+        except TruncatedVarInt:
+            raise MalformedFrame("truncated reversed varint") from None
+        vals.append(v)
+        cur -= n
+    return vals + [lo + cur]
+
+
+def _failure(parse, blob):
+    """The type and message of what parse raises on blob, or None."""
+    try:
+        parse(blob)
+    except (MalformedFrame, UnknownFrameType) as exc:
+        return type(exc).__name__, str(exc)
+    return None
+
+
+class TestFieldReaders:
+    @CODEC
+    @given(values=st.lists(BOUNDARY, max_size=4), before=FOREIGN, after=FOREIGN)
+    def test_every_cut_matches_the_oracle(self, values, before, after):
+        """0-4 fields of every width, cut at every byte with foreign bytes
+        beyond the cut and before the start: each reader returns the
+        oracle's values and position, or raises the oracle's message."""
+        k = len(values)
+        fwd = b"".join(map(varint.encode_forward, values))
+        for cut in range(len(fwd) + 1):
+            buf = memoryview(before + fwd[:cut] + after)
+            pos, end = len(before), len(before) + cut
+            got = _outcome(wire.take_forward, buf, pos, end, k)
+            assert got == _outcome(_oracle_take_forward, buf, pos, end, k)
+        assert got == values + [end]
+        # the reversed reader meets the last-written field first
+        rev = b"".join(map(varint.encode_reversed, reversed(values)))
+        for cut in range(len(rev) + 1):
+            buf = memoryview(before + rev[len(rev) - cut :] + after)
+            lo, end = len(before), len(before) + cut
+            got = _outcome(wire.take_reversed, buf, lo, end, k)
+            assert got == _outcome(_oracle_take_reversed, buf, lo, end, k)
+        assert got == values + [lo]
+
+    @CODEC
+    @given(sid=BOUNDARY, offset=BOUNDARY, data=st.binary(max_size=8))
+    def test_stream_frame_cuts_raise_their_messages(self, sid, offset, data):
+        """A stream frame of every OFF/LEN/FIN combination, cut at every
+        byte, raises the message of the part the cut falls in."""
+        for t in range(wire.TYPE_STREAM, wire.TYPE_STREAM + 8):
+            fields = [sid] + [offset] * bool(t & wire.STREAM_OFF) + [len(data)] * bool(t & wire.STREAM_LEN)
+            head = bytes([t]) + b"".join(map(varint.encode_forward, fields))
+            blob = head + data
+            for cut in range(1, len(blob) + 1):
+                if cut < len(head):
+                    want = "MalformedFrame", "truncated varint"
+                elif cut < len(blob) and t & wire.STREAM_LEN:
+                    want = "MalformedFrame", "stream data extends past plaintext"
+                else:
+                    want = None  # complete, or LEN absent: the frame owns the rest
+                assert _failure(wire.parse_forward, blob[:cut]) == want
+            tail = b"".join(map(varint.encode_reversed, reversed(fields))) + bytes([t])
+            blob = data + tail
+            for cut in range(1, len(blob) + 1):
+                if not t & wire.STREAM_LEN:
+                    want = "UnknownFrameType", f"type 0x{t:02x}"  # only the anchor lacks LEN
+                elif cut < len(tail):
+                    want = "MalformedFrame", "truncated reversed varint"
+                elif cut < len(blob):
+                    want = "MalformedFrame", "stream data extends past cursor"
+                else:
+                    want = None
+                assert _failure(wire.parse_reversed, blob[len(blob) - cut :]) == want
+
+    @CODEC
+    @given(sid=BOUNDARY, maximum=BOUNDARY)
+    def test_max_stream_data_cuts_raise_their_messages(self, sid, maximum):
+        frame = MaxStreamDataFrame(stream_id=sid, maximum=maximum)
+        fwd = _serialized(frame, False)
+        for cut in range(1, len(fwd)):
+            assert _failure(wire.parse_forward, fwd[:cut]) == ("MalformedFrame", "truncated varint")
+        assert wire.parse_forward(fwd) == [frame]
+        rev = _serialized(frame, True)
+        for cut in range(1, len(rev)):
+            assert _failure(wire.parse_reversed, rev[len(rev) - cut :]) == (
+                "MalformedFrame", "truncated reversed varint"
+            )
+        assert wire.parse_reversed(rev) == [frame]
+
+
 # --- the close codec: close_fields and the shared decoders ---
 
 REASON = st.binary(max_size=40)
