@@ -1,21 +1,25 @@
 """Anatomy of one protected packet in each wire mode.
 
-Builds a single stream packet, prints it byte by byte, then removes
-header protection and parses the plaintext to show where every field
-lives. The point to notice: in reverso mode the stream data starts at
-plaintext position 0, followed by one anchor type byte, and the header
-alone names its stream id and offset, so a receiver that decrypts the
-packet into the right place never has to move the data again. The
-header is the AEAD's associated data, so those fields are authenticated
-with the payload.
+Builds a single stream packet with Connection.build_packet and prints it
+byte by byte. Then it removes header protection on a copy to show the
+header fields, and hands the datagram to a receiver to show where the
+plaintext lands. The point to notice: in reverso mode the stream data
+starts at plaintext position 0, followed by one anchor type byte, and
+the header alone names its stream id and offset, so the receiver
+decrypts the packet straight into the stream's storage at that offset
+and never moves the data again. The header is the AEAD's associated
+data, so those fields are authenticated with the payload. In baseline
+mode the receiver decrypts in place in the datagram and then copies the
+data out of its stream frame.
 
 Run: python3 demos/01_packet_anatomy.py
 """
 
-from revquic import crypto, header, wire
-from revquic.header import ShortHeader
+from revquic import header
+from revquic.crypto import TAG_LEN
+from revquic.endpoint import MAX_DATAGRAM, Connection, Role
 from revquic.mode import WireMode
-from revquic.wire import PaddingFrame, StreamFrame
+from revquic.stream_buf import AppRecvBufMap
 
 SECRET = bytes(range(32))
 DATA = b"hello, wire format"
@@ -28,62 +32,53 @@ def hexdump(label: str, blob: bytes) -> None:
         print(f"    {i:4d}  {row.hex(' ')}")
 
 
-def build(mode: WireMode, keys: crypto.KeySchedule) -> bytes:
-    frame = StreamFrame(stream_id=1, offset=0, data=DATA, fin=True, explicit_len=False)
-    frames = [frame]
-    scratch = bytearray(256)
-    if mode is WireMode.REVERSO:
-        n = wire.serialize_reversed(frames, scratch)
-        while n < header.MIN_PLAINTEXT:  # padding goes right of the anchor
-            frames.append(PaddingFrame())
-            n = wire.serialize_reversed(frames, scratch)
-    else:
-        n = wire.serialize_forward(frames, scratch)
-        while n < header.MIN_PLAINTEXT:  # the trailing frame owns the tail
-            frames.insert(0, PaddingFrame())
-            n = wire.serialize_forward(frames, scratch)
-    h = ShortHeader(packet_number=7, pn_length=1, stream_id=1, offset=0)
-    hb = header.encode_header(mode, h)
-    packet = bytearray(len(hb) + n + crypto.TAG_LEN)
-    packet[: len(hb)] = hb
-    crypto.seal(keys, 7, hb, scratch[:n], memoryview(packet)[len(hb) :])
-    header.protect_header(mode, packet, keys)
-    return bytes(packet)
+def build(mode: WireMode) -> bytes:
+    sender = Connection(mode, Role.CLIENT, SECRET)
+    sender.stream_send(1, DATA, fin=True)
+    out = bytearray(MAX_DATAGRAM)
+    return bytes(out[: sender.build_packet(out)])
 
 
-def dissect(mode: WireMode, keys: crypto.KeySchedule, packet: bytes) -> None:
+def dissect(mode: WireMode, packet: bytes) -> None:
     print(f"\n== {mode.value} ==")
     hexdump("on the wire (header protected, payload sealed)", packet)
 
+    reverso = mode is WireMode.REVERSO
+    receiver = Connection(mode, Role.SERVER, SECRET)
     work = bytearray(packet)
-    h, hdr_len = header.unprotect_and_decode(mode, work, keys, 0)
-    print(f"  header ({hdr_len} bytes): flags={work[0]:#04x} pn={h.packet_number}", end="")
-    if mode is WireMode.REVERSO:
-        print(f" stream_id={h.stream_id} offset={h.offset}", end="")
+    hdr_len, pn, sid, offset = header.unprotect(work, receiver.recv_keys, 0, reverso)
+    print(f"  header ({hdr_len} bytes): flags={work[0]:#04x} pn={pn}", end="")
+    if reverso:
+        print(f" stream_id={sid} offset={offset}", end="")
     print()
 
-    plaintext = bytearray(len(work) - hdr_len - crypto.TAG_LEN)
-    crypto.open(keys, h.packet_number, bytes(work[:hdr_len]), memoryview(work)[hdr_len:], plaintext)
-    hexdump("plaintext", bytes(plaintext))
-    if mode is WireMode.REVERSO:
-        # the header's stream id and offset locate the anchor
-        frames = wire.parse_reversed(plaintext, h.stream_id, h.offset)
-        print(f"  parsed right to left; data sits at positions 0..{len(DATA)}, "
-              f"anchor type byte {plaintext[len(DATA)]:#04x} at {len(DATA)}:")
-        print(f"    {plaintext[: len(DATA)]!r}")
+    appbuf = AppRecvBufMap()
+    datagram = bytearray(packet)
+    receiver.recv(datagram, appbuf)
+    pt_len = len(packet) - hdr_len - TAG_LEN
+    if reverso:
+        # opened at the header's offset in the stream's storage; the
+        # anchor's type byte and the padding past the data are scratch
+        sbuf = appbuf.get(sid)
+        lo = offset - sbuf.base_offset
+        plaintext = bytes(sbuf.storage[lo : lo + pt_len])
+        hexdump(f"plaintext, as opened into stream {sid}'s storage at offset {offset}", plaintext)
+        print(f"  walked right to left; data sits at positions 0..{len(DATA)}, "
+              f"anchor type byte {plaintext[len(DATA)]:#04x} at {len(DATA)}")
     else:
-        frames = wire.parse_forward(plaintext)
-        print(f"  parsed left to right; data sits at positions "
-              f"{len(plaintext) - len(DATA)}..{len(plaintext)}:")
-        print(f"    {plaintext[len(plaintext) - len(DATA):]!r}")
-    for f in frames:
-        print(f"    {f}")
+        plaintext = bytes(datagram[hdr_len : hdr_len + pt_len])
+        hexdump("plaintext, as opened in place in the datagram", plaintext)
+        print(f"  walked left to right; padding, then the stream frame, whose data "
+              f"sits at positions {pt_len - len(DATA)}..{pt_len}")
+    view, fin = receiver.stream_recv(1, appbuf)
+    m = receiver.metrics()
+    print(f"  stream 1 reads {bytes(view)!r} fin={fin}: {m.payload_bytes_zero_copy} bytes "
+          f"committed where they were opened, {m.payload_bytes_copied} copied")
 
 
 def main() -> None:
-    for mode, label in ((WireMode.BASELINE, "c2s"), (WireMode.REVERSO, "c2s")):
-        keys = crypto.derive_keys(SECRET, label)
-        dissect(mode, keys, build(mode, keys))
+    for mode in (WireMode.BASELINE, WireMode.REVERSO):
+        dissect(mode, build(mode))
 
 
 if __name__ == "__main__":

@@ -9,10 +9,9 @@ the connection state machine, a deterministic pipe simulator, and a
 benchmark harness that quantifies the difference.
 """
 
-from .crypto import KeySchedule, derive_keys, expand_int, truncate_int
+from .crypto import KeySchedule, derive_keys
 from .endpoint import Connection, Metrics, Role
 from .errors import (
-    AuthenticationFailed,
     EncodingOverflow,
     FinalSizeError,
     MalformedFrame,
@@ -28,53 +27,32 @@ from .harness import (
     run_transfer,
     sweep_modes,
 )
-from .header import ShortHeader
 from .mode import WireMode, parse_mode
 from .stream_buf import AppRecvBufMap, StreamRecvBuffer
-from .wire import (
-    AckFrame,
-    ConnectionCloseFrame,
-    Frame,
-    MaxStreamDataFrame,
-    PaddingFrame,
-    PingFrame,
-    StreamFrame,
-)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AckFrame",
     "AppRecvBufMap",
-    "AuthenticationFailed",
     "BatchResult",
     "Connection",
-    "ConnectionCloseFrame",
     "EncodingOverflow",
     "FinalSizeError",
-    "Frame",
     "KeySchedule",
     "MalformedFrame",
     "MalformedHeader",
-    "MaxStreamDataFrame",
     "Metrics",
-    "PaddingFrame",
-    "PingFrame",
     "PipeConfig",
     "ProtocolViolation",
     "Role",
-    "ShortHeader",
-    "StreamFrame",
     "StreamRecvBuffer",
     "TransferReport",
     "TransportError",
     "WireMode",
     "bench_modes",
     "derive_keys",
-    "expand_int",
     "parse_mode",
     "run_transfer",
     "sweep_modes",
-    "truncate_int",
     "__version__",
 ]

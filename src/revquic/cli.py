@@ -2,7 +2,8 @@
 
 Benchmark and simulation output is CSV on stdout for external plotting;
 the transfer demo moves a real file over UDP with a trailing checksum;
-inspect decodes a single hex-dumped datagram.
+inspect reads a single hex-dumped datagram through the receiver and
+prints what it applied.
 
 The transfer demo takes its secret as hex on the command line, which
 leaks it to process listings and shell history. It exists to exercise
@@ -27,7 +28,7 @@ from .harness import PipeConfig, TransferReport
 from .mode import WireMode, parse_mode
 from .stream_buf import AppRecvBufMap
 from . import header as header_mod
-from . import crypto, wire
+from . import crypto
 
 BENCH_COLUMNS = (
     "mode",
@@ -317,35 +318,63 @@ def _transfer_recv(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
 # --- inspect ---
 
 
+class _Inspector(Connection):
+    """A fresh receiver that keeps the ack recv decodes instead of
+    applying it: it has sent nothing for the ack to acknowledge."""
+
+    ack = None
+
+    def _check_ack(self, largest: int, ranges) -> bool:
+        super()._check_ack(largest, ranges)  # raises what recv raises
+        self.ack = largest, ranges
+        return False
+
+
 def cmd_inspect(args) -> int:
+    """Read one datagram as the receiver does: the header fields from
+    header.unprotect on a copy, then the datagram through recv on a
+    fresh receiver, and print what recv applied. A datagram recv rejects
+    exits 2 with recv's error, and so does one whose tag fails."""
     mode = parse_mode(args.mode)
-    secret = _parse_secret(args.secret)
-    keys = crypto.derive_keys(secret, args.direction)
-    packet = bytearray(bytes.fromhex(args.hex))
-    hdr, hdr_len = header_mod.unprotect_and_decode(mode, packet, keys, args.pn_ref)
+    reverso = mode is WireMode.REVERSO
+    role = Role.SERVER if args.direction == "c2s" else Role.CLIENT
+    conn = _Inspector(mode, role, _parse_secret(args.secret))
+    conn.largest_received_pn = args.pn_ref
+    datagram = bytes.fromhex(args.hex)
+    hdr = bytearray(datagram)
+    hdr_len, pn, sid, offset = header_mod.unprotect(hdr, conn.recv_keys, args.pn_ref, reverso)
+    appbuf = AppRecvBufMap()
+    conn.recv(bytearray(datagram), appbuf)
+    m = conn.metrics()
+    if m.decrypt_failures:
+        raise TransportError("AEAD tag check failed: wrong secret, mode or direction, or a damaged datagram")
+    flags = hdr[0]
+    pn_len = (flags & 0x03) + 1
     print(f"header ({hdr_len} bytes, {mode.value}):")
-    print(f"  packet_number={hdr.packet_number} (pn_length={hdr.pn_length})")
-    print(f"  dcid={hdr.dcid.hex()} key_phase={hdr.key_phase}")
-    if mode is WireMode.REVERSO:
-        print(f"  stream_id={hdr.stream_id} offset={hdr.offset} (off_length={hdr.off_length})")
-    ct = memoryview(packet)[hdr_len:]
-    pt_len = crypto.open(keys, hdr.packet_number, packet[:hdr_len], ct, ct)
-    plaintext = ct[:pt_len]
-    if mode is WireMode.REVERSO:
-        frames = wire.parse_reversed(plaintext, hdr.stream_id, hdr.offset)
-        print(f"frames ({len(frames)}, right-to-left processing order):")
-    else:
-        frames = wire.parse_forward(plaintext)
-        print(f"frames ({len(frames)}):")
-    for frame in frames:
-        if isinstance(frame, wire.StreamFrame):
-            print(
-                f"  Stream id={frame.stream_id} offset={frame.offset} "
-                f"len={len(frame.data)} fin={frame.fin} "
-                f"explicit_len={frame.explicit_len}"
-            )
-        else:
-            print(f"  {frame}")
+    print(f"  packet_number={pn} (pn_length={pn_len})")
+    print(f"  dcid={hdr[1:header_mod.PN_OFFSET].hex()} key_phase={(flags >> 2) & 1}")
+    if reverso:
+        off_len = hdr_len - header_mod.PN_OFFSET - pn_len - ((flags >> 3) & 0x03) - 1
+        print(f"  stream_id={sid} offset={offset} (off_length={off_len})")
+    print(f"applied by recv (plaintext walked {'right-to-left' if reverso else 'left-to-right'}):")
+    for stream_id, sbuf in appbuf.buffers.items():
+        if pn not in conn.ack_pending:
+            print(f"  Stream id={stream_id} dropped: it ends past the reassembly window")
+            continue
+        # a fresh receiver holds this packet's data and nothing else
+        if sbuf.starts:
+            start, end = sbuf.starts[0], sbuf.ends[0]
+        elif sbuf.contiguous_offset:
+            start, end = 0, sbuf.contiguous_offset
+        else:  # no data, a fin at most
+            start = end = sbuf.fin_offset or 0
+        lane = "zero-copy" if m.payload_bytes_zero_copy else "copied" if m.payload_bytes_copied else "none"
+        print(f"  Stream id={stream_id} offset={start} len={end - start} "
+              f"fin={sbuf.fin_offset == end} lane={lane}")
+    if conn.ack is not None:
+        print(f"  Ack largest={conn.ack[0]} ranges={conn.ack[1]}")
+    if conn.closed:
+        print(f"  Close error_code={conn.close_error[0]} reason={conn.close_error[1]!r}")
     return 0
 
 
@@ -385,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["baseline", "reverso"], default="reverso")
     p.set_defaults(func=cmd_transfer)
 
-    p = sub.add_parser("inspect", help="decode one hex datagram")
+    p = sub.add_parser("inspect", help="read one hex datagram as the receiver does")
     p.add_argument("--hex", required=True)
     p.add_argument("--mode", choices=["baseline", "reverso"], required=True)
     p.add_argument("--secret", required=True)

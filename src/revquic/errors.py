@@ -21,10 +21,6 @@ class BufferTooSmall(TransportError):
     """Destination region cannot hold the output."""
 
 
-class AuthenticationFailed(TransportError):
-    """AEAD tag check failed; crypto.open raises it having written nothing."""
-
-
 class TruncationRangeError(TransportError):
     """Value too far from the reference for a 4-byte truncation."""
 
@@ -41,17 +37,8 @@ class MalformedHeader(TransportError):
     """Header failed structural checks after unprotection."""
 
 
-class UnknownFrameType(TransportError):
-    """Frame type byte outside the supported set."""
-
-
 class MalformedFrame(TransportError):
     """Frame fields truncated or structurally invalid."""
-
-
-class FrameOrderViolation(TransportError):
-    """A LEN-absent stream frame not where it owns the remainder: first in a
-    reversed plaintext, last in a forward one."""
 
 
 class ProtocolViolation(TransportError):

@@ -1,4 +1,4 @@
-"""Short packet header: encode, protect, unprotect, decode.
+"""Short packet header: pack, protect, unprotect.
 
 Layout (byte offsets):
 
@@ -7,7 +7,7 @@ Layout (byte offsets):
     9..      truncated packet number, 1..4 bytes
     then, reverso mode only:
              wire stream id, 1..4 bytes: (stream_id << 2) | off_len_tag
-             truncated offset, 1..4 bytes
+             offset, 1..4 bytes, the whole offset
 
 The sid_len bits are reserved (00) in baseline mode. Length tags store
 length minus one. The wire stream id is the full (untruncated) id; its
@@ -15,9 +15,8 @@ low 2 bits give the offset field's length. In reverso the header is the
 one locator of the packet's stream data: the anchor frame carries no
 stream id or offset, and the header, the AEAD's associated data, is
 authenticated with the payload. The offset field is the whole offset:
-writers size it from offset + 1 against 0, and every reader, the
-receiver and unprotect_and_decode alike, takes it as it stands and never
-expands it.
+build_packet sizes it from offset + 1 against 0, and unprotect returns
+it as it stands and never expands it.
 
 Header protection XORs flags' low bits (5 in baseline, 7 in reverso) and
 every byte of the variable fields with a mask derived from a fixed-offset
@@ -37,10 +36,8 @@ into the packet once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from . import crypto
 from .errors import MalformedHeader, PacketTooShortForSampling, StreamIdOverflow
-from .mode import WireMode
 
 DCID_LEN = 8
 PN_OFFSET = 1 + DCID_LEN
@@ -58,55 +55,11 @@ _WMASK = (0, 0xFF, 0xFFFF, 0xFFFFFF, 0xFFFFFFFF)
 _MAX62 = 1 << 62
 
 
-@dataclass
-class ShortHeader:
-    packet_number: int
-    dcid: bytes = b"\x00" * DCID_LEN
-    key_phase: int = 0
-    pn_length: int | None = None
-    # reverso-only fields; stream_id 0 marks a control-only packet
-    stream_id: int = 0
-    offset: int = 0
-    off_length: int | None = None
-
-
 def wire_sid_length(stream_id: int) -> int:
     """Bytes needed for (stream_id << 2) | tag, always minimal."""
     if stream_id < 0 or stream_id > MAX_STREAM_ID:
         raise StreamIdOverflow(f"stream id {stream_id} outside [0, 2**30)")
     return 1 if stream_id < 1 << 6 else 2 if stream_id < 1 << 14 else 3 if stream_id < 1 << 22 else 4
-
-
-def _off_length(h: ShortHeader) -> int:
-    """As set, or sized as build_packet sizes it, to the whole offset."""
-    return h.off_length or crypto.truncated_len(h.offset + 1, 0)
-
-
-def header_length(mode: WireMode, h: ShortHeader, reference_pn: int = 0) -> int:
-    """Encoded size, resolving any unset length fields to minimal."""
-    n = PN_OFFSET + (h.pn_length or crypto.truncated_len(h.packet_number, reference_pn))
-    if mode is WireMode.REVERSO:
-        n += wire_sid_length(h.stream_id) + _off_length(h)
-    return n
-
-
-def encode_header(mode: WireMode, h: ShortHeader, reference_pn: int = 0) -> bytes:
-    """Serialize the unprotected header.
-
-    pn_length defaults to the minimal truncation against reference_pn,
-    off_length to the whole offset's; callers may force longer fields
-    (senders do, to guarantee retransmissions never outgrow the original
-    budget).
-    """
-    if len(h.dcid) != DCID_LEN:
-        raise MalformedHeader(f"dcid must be {DCID_LEN} bytes")
-    pn_len = h.pn_length or crypto.truncated_len(h.packet_number, reference_pn)
-    reverso = mode is WireMode.REVERSO
-    v = pack_header(
-        reverso, h.packet_number, pn_len, h.stream_id, h.offset,
-        _off_length(h) if reverso else 1, int.from_bytes(h.dcid, "big"), h.key_phase,
-    )
-    return v.to_bytes(header_length(mode, h, reference_pn), "big")
 
 
 def pack_header(
@@ -143,20 +96,6 @@ def protect(packet, ks: crypto.KeySchedule, hdr: int, hdr_len: int, reverso: boo
     flag_mask = mask[0] & (_REVERSO_FLAG_MASK if reverso else _BASELINE_FLAG_MASK)
     hdr ^= flag_mask << ((hdr_len - 1) << 3) | int.from_bytes(mask[1 : hdr_len - DCID_LEN], "big")
     packet[:hdr_len] = hdr.to_bytes(hdr_len, "big")
-
-
-def protect_header(mode: WireMode, packet, ks: crypto.KeySchedule) -> None:
-    """protect for a packet whose header, written unprotected, gives its
-    own length. XOR makes this its own inverse, but the receive side
-    must use unprotect, which reads lengths in unmasked order.
-    """
-    flags = packet[0]
-    hdr_len = PN_OFFSET + (flags & 0x03) + 1
-    reverso = mode is WireMode.REVERSO
-    if reverso and len(packet) >= SAMPLE_OFFSET:  # shorter: protect raises
-        sid_len = ((flags >> 3) & 0x03) + 1
-        hdr_len += sid_len + (packet[hdr_len + sid_len - 1] & 0x03) + 1
-    protect(packet, ks, int.from_bytes(packet[:hdr_len], "big"), hdr_len, reverso)
 
 
 def _hdr_geometry(reverso: bool):
@@ -237,7 +176,7 @@ def unprotect(packet, ks: crypto.KeySchedule, largest_pn: int, reverso: bool):
     packet[0] = flags
     packet[PN_OFFSET:hdr_len] = fields.to_bytes(fields_len, "big")
     # the candidate congruent to the truncated bytes nearest one past
-    # the largest seen (crypto.expand_int on integers)
+    # the largest seen (RFC 9000, Appendix A.3)
     expected = largest_pn + 1
     pn = (expected & pnmask) | pn_t
     if pn <= expected - hwin and pn < _MAX62 - win:
@@ -247,30 +186,3 @@ def unprotect(packet, ks: crypto.KeySchedule, largest_pn: int, reverso: bool):
     if pn >= _MAX62:
         pn -= win
     return hdr_len, pn, sid, off
-
-
-def unprotect_and_decode(
-    mode: WireMode, packet, ks: crypto.KeySchedule, reference_pn: int
-) -> tuple[ShortHeader, int]:
-    """Remove protection in place and decode the whole header.
-
-    Returns (header, header_length); the offset is the field's value,
-    the whole offset, as the receiver reads it. Like unprotect, nothing
-    here is authenticated yet.
-    """
-    reverso = mode is WireMode.REVERSO
-    hdr_len, pn, sid, off = unprotect(packet, ks, reference_pn, reverso)
-    flags = packet[0]
-    h = ShortHeader(
-        packet_number=pn,
-        dcid=bytes(packet[1:PN_OFFSET]),
-        key_phase=(flags >> 2) & 1,
-        pn_length=(flags & 0x03) + 1,
-    )
-    if reverso:
-        # what the header holds past the packet number and the wire stream id
-        off_len = hdr_len - PN_OFFSET - h.pn_length - ((flags >> 3) & 0x03) - 1
-        h.stream_id = sid
-        h.off_length = off_len
-        h.offset = off
-    return h, hdr_len

@@ -5,7 +5,7 @@ everything parsed left to right, stream data last inside its frame.
 REVERSO flips both levels: each frame's fields are serialized in reverse
 order ending with the type byte, the first stream frame's data sits at
 plaintext position 0, and the receiver parses right to left. The header
-additionally carries the stream id and a truncated offset so the receiver
+additionally carries the stream id and the whole offset so the receiver
 can pick the decryption destination before opening the payload.
 """
 

@@ -1,4 +1,5 @@
-"""Frame definitions and the two plaintext serializations.
+"""Frame types, and the encoders and decoders of the two plaintext
+layouts.
 
 Forward layout (baseline): frames left to right, each frame a type byte
 followed by its fields in declaration order, stream data last inside its
@@ -21,16 +22,18 @@ Frame type values follow the conventional registrations: padding 0x00,
 ping 0x01, ack 0x02, stream 0x08 with OFF 0x04 / LEN 0x02 / FIN 0x01,
 max-stream-data 0x11, connection-close 0x1c. The anchor, reversed layout
 only, is 0x20 with FIN 0x01, a value RFC 9000 leaves unassigned. The
-type is always a single byte in both layouts.
+type is always a single byte in both layouts. Ping and max-stream-data
+are named for completeness; no packet build_packet writes carries them,
+and recv rejects them.
 
 There is one encoder per frame type and one varint reader per layout.
 The encoders state each layout once for both orders: stream_fields,
 ack_fields, close_fields, _pack for max-stream-data, and the anchor's
 type byte. take_forward and take_reversed read k fields inside the
-bounds they are given; the ack decoders (take_ack_*), the close
-decoders (take_close_*) and the parsers read every field through them.
-The one reader outside them is Connection._recv_baseline's inline read
-of its stream frame's stream id and offset, inline on purpose: a call
+bounds they are given; the ack decoders (take_ack_*) and the close
+decoders (take_close_*) read every field through them. The one reader
+outside them is Connection._recv_baseline's inline read of its stream
+frame's stream id and offset, inline on purpose: a call
 per packet would add about 3 % to that lane and tilt the mode
 comparison (the comment there has the numbers). An ack costs about what
 the header costs: each ack decoder first reads the ack's bytes nearest
@@ -39,32 +42,21 @@ its type byte, at most 8, as one integer and peels a one-range ack
 acknowledges are consecutive) off it by shifts, from the top forward
 and from the tag end reversed; ack_fields writes that ack as one
 formula. The receive paths call the ack and close decoders and skip
-padding with padding_end or padding_start. The frame dataclasses, the
-serializers, the parsers and frame_wire_size are the reference codec:
-inspection, demos and tests use them, the connection does not. Both
-serializers are one loop over _frame_bytes, which takes each frame's
-bytes from its encoder, and frame_wire_size is their length.
+padding with padding_end or padding_start. There are no frame objects
+and no second walk over a plaintext: build_packet is the one writer and
+recv the one reader of each layout, and revquic inspect reads a
+datagram through recv.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 
-from .errors import (
-    BufferTooSmall,
-    EncodingOverflow,
-    FrameOrderViolation,
-    MalformedFrame,
-    UnknownFrameType,
-)
-from .mode import WireMode
+from .errors import EncodingOverflow, MalformedFrame
 from .varint import (
     _CLASS_LEN,
     _CLASS_MAX,
     _length_class,
-    encode_forward,  # noqa: F401 -- re-exported: callers read wire.encode_*
-    encode_reversed,  # noqa: F401
     forward_length,  # noqa: F401 -- the sender budgets with wire.forward_length
 )
 
@@ -80,65 +72,6 @@ TYPE_CONNECTION_CLOSE = 0x1C
 TYPE_ANCHOR = 0x20  # reversed layout only; | STREAM_FIN
 
 MAX_ACK_RANGES = 32
-
-
-@dataclass
-class PaddingFrame:
-    pass
-
-
-@dataclass
-class PingFrame:
-    pass
-
-
-@dataclass
-class AckFrame:
-    """Acknowledged packet numbers as ranges descending from largest.
-
-    Each (gap, length) pair skips gap numbers below the previous range
-    then acknowledges length consecutive numbers. The first pair's gap
-    is counted down from largest_acked + 1, so (0, n) acknowledges
-    largest_acked down to largest_acked - n + 1.
-    """
-
-    largest_acked: int
-    ack_delay: int = 0
-    ranges: list[tuple[int, int]] = field(default_factory=lambda: [(0, 1)])
-
-
-@dataclass
-class StreamFrame:
-    stream_id: int
-    offset: int
-    data: object  # bytes-like; views stay views until a copy is required
-    fin: bool = False
-    # LEN bit on the wire; None lets the serializer decide (absent only
-    # for the frame that owns the remainder, which in the reversed layout
-    # is the anchor: its stream id and offset travel in the header)
-    explicit_len: bool | None = None
-
-
-@dataclass
-class MaxStreamDataFrame:
-    stream_id: int
-    maximum: int
-
-
-@dataclass
-class ConnectionCloseFrame:
-    error_code: int
-    reason: bytes = b""
-
-
-Frame = (
-    PaddingFrame
-    | PingFrame
-    | AckFrame
-    | StreamFrame
-    | MaxStreamDataFrame
-    | ConnectionCloseFrame
-)
 
 
 def _pack(t: int, values, reverso: bool) -> bytes:
@@ -341,163 +274,3 @@ def padding_start(buf, lo: int, end: int) -> int:
     little-endian, buf[lo:end] is an integer whose top non-zero byte is
     the last byte before the run, so one conversion finds it."""
     return lo + ((int.from_bytes(buf[lo:end], "little").bit_length() + 7) >> 3)
-
-
-def _resolve_explicit(frames: list[Frame], mode: WireMode) -> list[bool]:
-    """LEN bit per stream frame; None means absent only in the position
-    that owns the remainder (first for reversed, last for forward)."""
-    owner = 0 if mode is WireMode.REVERSO else len(frames) - 1
-    out = []
-    for i, f in enumerate(frames):
-        if isinstance(f, StreamFrame):
-            explicit = f.explicit_len if f.explicit_len is not None else (i != owner)
-            if not explicit and i != owner:
-                raise FrameOrderViolation(
-                    "the stream frame owning the remainder must come "
-                    + ("first" if mode is WireMode.REVERSO else "last")
-                )
-            out.append(explicit)
-        else:
-            out.append(True)
-    return out
-
-
-def _frame_bytes(f: Frame, explicit: bool, reverso: bool) -> bytes:
-    """One frame's bytes in one layout, from its one encoder; explicit is
-    a stream frame's LEN bit. A stream frame's data precedes its fields
-    in reverso and follows them in baseline; a LEN-absent one in reverso
-    is the anchor, its data and one type byte."""
-    if isinstance(f, StreamFrame):
-        if reverso and not explicit:
-            return bytes(f.data) + bytes((TYPE_ANCHOR | (STREAM_FIN if f.fin else 0),))
-        fields = stream_fields(f.stream_id, f.offset, len(f.data), f.fin, explicit, reverso)
-        return bytes(f.data) + fields if reverso else fields + bytes(f.data)
-    if isinstance(f, AckFrame):
-        return ack_fields(f.largest_acked, f.ack_delay, f.ranges, reverso)
-    if isinstance(f, ConnectionCloseFrame):
-        return close_fields(f.error_code, f.reason, reverso)
-    if isinstance(f, MaxStreamDataFrame):
-        return _pack(TYPE_MAX_STREAM_DATA, (f.stream_id, f.maximum), reverso)
-    if isinstance(f, PaddingFrame):
-        return bytes((TYPE_PADDING,))
-    if isinstance(f, PingFrame):
-        return bytes((TYPE_PING,))
-    raise TypeError(f"not a frame: {f!r}")
-
-
-def frame_wire_size(frame: Frame, mode: WireMode) -> int:
-    """Exact serialized size; an unresolved LEN flag counts as present."""
-    explicit = getattr(frame, "explicit_len", None) is not False
-    return len(_frame_bytes(frame, explicit, mode is WireMode.REVERSO))
-
-
-def _serialize(frames: list[Frame], out, mode: WireMode) -> int:
-    """The serializer of both layouts: nothing is written unless every
-    frame encodes and all of them fit in out."""
-    parts = [
-        _frame_bytes(f, explicit, mode is WireMode.REVERSO)
-        for f, explicit in zip(frames, _resolve_explicit(frames, mode))
-    ]
-    total = sum(map(len, parts))
-    if total > len(out):
-        raise BufferTooSmall(f"{total} bytes of frames into {len(out)}")
-    out[:total] = b"".join(parts)
-    return total
-
-
-def serialize_forward(frames: list[Frame], out) -> int:
-    """Write frames left to right into out; returns total length."""
-    return _serialize(frames, out, WireMode.BASELINE)
-
-
-def serialize_reversed(frames: list[Frame], out) -> int:
-    """Write frames for right-to-left parsing; returns total length.
-
-    frames[0] must be the stream frame if one is zero-copy eligible
-    (LEN absent): it is written as the anchor, its data at position 0
-    and then its type byte. Its stream id and offset are not written;
-    the caller puts them in the packet header. Later frames append after
-    the anchor in list order; a backward parser yields them in reverse,
-    which carries no semantic weight for control frames.
-    """
-    return _serialize(frames, out, WireMode.REVERSO)
-
-
-def parse_forward(plaintext) -> list[Frame]:
-    """Parse left to right; inverse of serialize_forward."""
-    frames: list[Frame] = []
-    pos = 0
-    n = len(plaintext)
-    while pos < n:
-        t = plaintext[pos]
-        pos += 1
-        if t == TYPE_PADDING:
-            frames.append(PaddingFrame())
-        elif t == TYPE_PING:
-            frames.append(PingFrame())
-        elif t == TYPE_ACK:
-            largest, delay, ranges, pos = take_ack_forward(plaintext, pos, n)
-            frames.append(AckFrame(largest_acked=largest, ack_delay=delay, ranges=ranges))
-        elif TYPE_STREAM <= t <= TYPE_STREAM | STREAM_OFF | STREAM_LEN | STREAM_FIN:
-            sid, *rest, pos = take_forward(plaintext, pos, n, 1 + bool(t & STREAM_OFF) + bool(t & STREAM_LEN))
-            offset = rest[0] if t & STREAM_OFF else 0
-            dlen = rest[-1] if t & STREAM_LEN else n - pos  # LEN absent: owns the rest
-            if pos + dlen > n:
-                raise MalformedFrame("stream data extends past plaintext")
-            data = plaintext[pos : pos + dlen]
-            pos += dlen
-            frames.append(StreamFrame(sid, offset, data, bool(t & STREAM_FIN), bool(t & STREAM_LEN)))
-        elif t == TYPE_MAX_STREAM_DATA:
-            sid, maximum, pos = take_forward(plaintext, pos, n, 2)
-            frames.append(MaxStreamDataFrame(stream_id=sid, maximum=maximum))
-        elif t == TYPE_CONNECTION_CLOSE:
-            code, reason, pos = take_close_forward(plaintext, pos, n)
-            frames.append(ConnectionCloseFrame(error_code=code, reason=reason))
-        else:
-            raise UnknownFrameType(f"type 0x{t:02x}")
-    return frames
-
-
-def parse_reversed(plaintext, stream_id: int = 0, offset: int = 0) -> list[Frame]:
-    """Parse right to left; frames return in processing order, so the
-    anchor, when present, is LAST in the returned list, as a LEN-absent
-    StreamFrame at stream_id and offset, the packet header's fields.
-    A stream frame with fields must have LEN set.
-
-    Every iteration moves the cursor at least one byte left, so arbitrary
-    input terminates; any structural problem raises rather than looping.
-    """
-    frames: list[Frame] = []
-    cur = len(plaintext)
-    while cur > 0:
-        t = plaintext[cur - 1]
-        cur -= 1
-        if t == TYPE_PADDING:
-            frames.append(PaddingFrame())
-        elif t == TYPE_PING:
-            frames.append(PingFrame())
-        elif t == TYPE_ACK:
-            largest, delay, ranges, cur = take_ack_reversed(plaintext, 0, cur)
-            frames.append(AckFrame(largest_acked=largest, ack_delay=delay, ranges=ranges))
-        elif t | STREAM_FIN == TYPE_ANCHOR | STREAM_FIN:
-            # owns everything to the left; ends the walk
-            frames.append(StreamFrame(stream_id, offset, plaintext[:cur], bool(t & STREAM_FIN), False))
-            cur = 0
-        elif t | STREAM_OFF | STREAM_FIN == TYPE_STREAM | STREAM_OFF | STREAM_LEN | STREAM_FIN:
-            sid, *rest, dlen, cur = take_reversed(plaintext, 0, cur, 3 if t & STREAM_OFF else 2)
-            off = rest[0] if rest else 0
-            if dlen > cur:
-                raise MalformedFrame("stream data extends past cursor")
-            data = plaintext[cur - dlen : cur]
-            cur -= dlen
-            frames.append(StreamFrame(sid, off, data, bool(t & STREAM_FIN), True))
-        elif t == TYPE_MAX_STREAM_DATA:
-            sid, maximum, cur = take_reversed(plaintext, 0, cur, 2)
-            frames.append(MaxStreamDataFrame(stream_id=sid, maximum=maximum))
-        elif t == TYPE_CONNECTION_CLOSE:
-            code, reason, cur = take_close_reversed(plaintext, 0, cur)
-            frames.append(ConnectionCloseFrame(error_code=code, reason=reason))
-        else:
-            raise UnknownFrameType(f"type 0x{t:02x}")
-    return frames
-

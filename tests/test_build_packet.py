@@ -14,10 +14,19 @@ from contextlib import contextmanager
 
 import pytest
 
-from revquic import cli, crypto, header, harness, wire
+from revquic import cli, crypto, header, harness
 from revquic.endpoint import MAX_DATAGRAM, Connection, Role
 from revquic.harness import PipeConfig
 from revquic.mode import WireMode
+from packets import (
+    AckFrame,
+    ConnectionCloseFrame,
+    PaddingFrame,
+    StreamFrame,
+    open_packet,
+    parse_forward,
+    parse_reversed,
+)
 from test_send_buffer import span_data
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "build_packet_golden.txt"
@@ -136,7 +145,7 @@ def test_golden_datagrams():
         assert g == w
 
 
-def _acked(frame: wire.AckFrame) -> set[int]:
+def _acked(frame: AckFrame) -> set[int]:
     pns, cursor = set(), frame.largest_acked
     for gap, length in frame.ranges:
         cursor -= gap
@@ -148,8 +157,9 @@ def _acked(frame: wire.AckFrame) -> set[int]:
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
 @pytest.mark.parametrize("name", list(CASES))
 def test_every_shape_opens(mode, name):
-    """Each datagram unprotects, opens and parses; together they carry
-    exactly the queued stream bytes, acks and close."""
+    """Each datagram unprotects, opens and parses with the reference
+    walk; together they carry exactly the queued stream bytes, acks and
+    close."""
     case = CASES[name]
     conn, dgrams = run_case(mode, name)
     ks = crypto.derive_keys(SECRET, "c2s")
@@ -161,31 +171,24 @@ def test_every_shape_opens(mode, name):
     pn = case.get("pn", 0)
     for d in dgrams:
         assert header.SAMPLE_OFFSET + header.SAMPLE_LEN <= len(d) <= MAX_DATAGRAM
-        packet = bytearray(d)
         # the reverso header holds the whole offset, read as it stands
-        hdr, hdr_len = header.unprotect_and_decode(mode, packet, ks, pn - 1)
-        assert hdr.packet_number == pn
+        _, got_pn, sid, offset, pt = open_packet(reverso, ks, d, pn - 1)
+        assert got_pn == pn
         pn += 1
-        ct = memoryview(packet)[hdr_len:]
-        pt_len = crypto.open(ks, hdr.packet_number, packet[:hdr_len], ct, ct)
-        assert pt_len >= header.MIN_PLAINTEXT
-        pt = ct[:pt_len]
-        if reverso:
-            frames = wire.parse_reversed(pt, hdr.stream_id, hdr.offset)
-        else:
-            frames = wire.parse_forward(pt)
-        streams = [f for f in frames if isinstance(f, wire.StreamFrame)]
+        assert len(pt) >= header.MIN_PLAINTEXT
+        frames = parse_reversed(pt, sid, offset) if reverso else parse_forward(pt)
+        streams = [f for f in frames if isinstance(f, StreamFrame)]
         assert len(streams) <= 1
         for f in frames:
-            if isinstance(f, wire.AckFrame):
+            if isinstance(f, AckFrame):
                 acked |= _acked(f)
-            elif isinstance(f, wire.ConnectionCloseFrame):
+            elif isinstance(f, ConnectionCloseFrame):
                 closes.append((f.error_code, f.reason))
             else:
-                assert isinstance(f, (wire.StreamFrame, wire.PaddingFrame))
+                assert isinstance(f, (StreamFrame, PaddingFrame))
         if reverso:
             # the header locates the anchor; without one it names stream 0
-            assert bool(streams) is (hdr.stream_id != 0)
+            assert bool(streams) is (sid != 0)
         for f in streams:
             assert f.explicit_len is False
             first, data, fin = sends[f.stream_id]
@@ -208,10 +211,10 @@ def test_every_shape_opens(mode, name):
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
 def test_real_datagrams_round_trip(mode, capsys):
-    """The reference codec reads back what the connection sends: for
-    each datagram, header.unprotect_and_decode and the mode's parser give
-    the fragment's stream id, offset, data and fin and the ack beside
-    it, and revquic inspect prints the same for one of them."""
+    """The reference walk reads back what the connection sends: for each
+    datagram, header.unprotect, the AEAD and the mode's walk give the
+    fragment's stream id, offset, data and fin and the ack beside it,
+    and revquic inspect, through recv, prints the same for one of them."""
     conn = Connection(mode, Role.CLIENT, SECRET)
     conn.stream_send(70, payload("round-trip", 70, 3000), fin=True)
     out = bytearray(MAX_DATAGRAM)
@@ -223,26 +226,21 @@ def test_real_datagrams_round_trip(mode, capsys):
     ks = crypto.derive_keys(SECRET, "c2s")
     for pn, d in enumerate(dgrams):
         span = conn.unacked[pn][1]
-        packet = bytearray(d)
-        hdr, hdr_len = header.unprotect_and_decode(mode, packet, ks, pn - 1)
-        ct = memoryview(packet)[hdr_len:]
-        pt = ct[: crypto.open(ks, pn, packet[:hdr_len], ct, ct)]
-        if mode is WireMode.REVERSO:
-            frames = wire.parse_reversed(pt, hdr.stream_id, hdr.offset)
-        else:
-            frames = wire.parse_forward(pt)
-        [got] = [f for f in frames if isinstance(f, wire.StreamFrame)]
+        reverso = mode is WireMode.REVERSO
+        _, _, hdr_sid, hdr_off, pt = open_packet(reverso, ks, d, pn - 1)
+        frames = parse_reversed(pt, hdr_sid, hdr_off) if reverso else parse_forward(pt)
+        [got] = [f for f in frames if isinstance(f, StreamFrame)]
         sid, offset, _, fin = span
         assert (got.stream_id, got.offset, bytes(got.data), got.fin) == (
             sid, offset, span_data(conn, span), fin)
-        acks = [f for f in frames if isinstance(f, wire.AckFrame)]
-        assert acks == ([wire.AckFrame(largest_acked=9, ranges=[(0, 1), (3, 2)])] if pn == 1 else [])
+        acks = [f for f in frames if isinstance(f, AckFrame)]
+        assert acks == ([AckFrame(largest_acked=9, ranges=[(0, 1), (3, 2)])] if pn == 1 else [])
     _, offset, n, _ = conn.unacked[1][1]
     assert cli.main(["inspect", "--hex", dgrams[1].hex(), "--mode", mode.value,
                      "--secret", SECRET.hex(), "--pn-ref", "0"]) == 0
     shown = capsys.readouterr().out
     assert f"Stream id=70 offset={offset} len={n} fin=False" in shown
-    assert "AckFrame(largest_acked=9, ack_delay=0, ranges=[(0, 1), (3, 2)])" in shown
+    assert "Ack largest=9 ranges=[(0, 1), (3, 2)]" in shown
     if mode is WireMode.REVERSO:
         assert f"stream_id=70 offset={offset} " in shown
 

@@ -11,11 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revquic import cli
+from revquic import cli, crypto
 from revquic.cli import BENCH_COLUMNS, SIMULATE_COLUMNS, main
 from revquic.endpoint import Connection, Role
+from revquic.errors import ProtocolViolation
 from revquic.mode import WireMode
 from revquic.stream_buf import AppRecvBufMap
+
+from packets import PingFrame, StreamFrame
+from test_endpoint import craft
 
 SECRET_HEX = "11" * 32
 
@@ -308,6 +312,26 @@ class TestInspectCommand:
         )
         assert rc == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize(
+        "frame", [PingFrame(), StreamFrame(1, 0, b"hello", explicit_len=True)],
+        ids=["ping", "len_stream"],
+    )
+    def test_rejects_what_recv_rejects(self, mode, frame, capsys):
+        """A datagram recv refuses exits 2 with recv's own error and
+        prints nothing as if it were valid."""
+        secret = bytes.fromhex(SECRET_HEX)
+        gram = craft(mode, crypto.derive_keys(secret, "c2s"), 0, [frame])
+        with pytest.raises(ProtocolViolation) as refused:
+            Connection(mode, Role.SERVER, secret).recv(bytearray(gram), AppRecvBufMap())
+        rc, out, err = run_cli(
+            ["inspect", "--hex", gram.hex(), "--mode", mode.value, "--secret", SECRET_HEX], capsys
+        )
+        assert rc == 2
+        assert err == f"error: {refused.value}\n"
+        assert "outside the packet layout" in err
+        assert out == ""
 
 
 class TestParser:

@@ -1,17 +1,17 @@
-"""Key schedule, AEAD contract, mask PRF, truncated-integer algebra."""
+"""Key schedule, AEAD contract, mask PRF, packet-number truncation and
+expansion."""
 
 import pathlib
 import random
 
 import pytest
 
-from revquic import crypto
-from revquic.errors import (
-    AuthenticationFailed,
-    BufferTooSmall,
-    KeyDerivationError,
-    TruncationRangeError,
-)
+from cryptography.exceptions import InvalidTag
+
+from revquic import crypto, header
+from revquic.errors import KeyDerivationError, TruncationRangeError
+
+from packets import nonce
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "derive_keys_golden.txt"
 
@@ -57,94 +57,79 @@ class TestDeriveKeys:
 
 
 class TestSealOpen:
+    """The AEAD as both ends use it: the key schedule's AESGCM under the
+    nonce IV XOR packet number, sealed with encrypt_into, opened with
+    decrypt_into, in place as the receive lanes open."""
+
     def setup_method(self):
         self.ks = crypto.derive_keys(b"\x42" * 32, "c2s")
+
+    def seal(self, pn, aad, pt):
+        ct = bytearray(len(pt) + crypto.TAG_LEN)
+        self.ks._aead.encrypt_into(nonce(self.ks, pn), pt, aad, ct)
+        return ct
+
+    def open(self, pn, aad, ct):
+        out = bytearray(len(ct) - crypto.TAG_LEN)
+        self.ks._aead.decrypt_into(nonce(self.ks, pn), bytes(ct), aad, out)
+        return out
 
     def test_round_trip_sampled_lengths(self):
         rng = random.Random(13)
         for n in (0, 1, 2, 15, 16, 17, 64, 333, 1319, 4096):
             pt = rng.randbytes(n)
             aad = rng.randbytes(11)
-            ct = bytearray(n + 16)
-            clen = crypto.seal(self.ks, 7, aad, pt, ct)
-            assert clen == n + 16
-            out = bytearray(n)
-            plen = crypto.open(self.ks, 7, aad, ct, out)
-            assert plen == n
-            assert bytes(out) == pt
+            ct = self.seal(7, aad, pt)
+            assert len(ct) == n + 16
+            assert bytes(self.open(7, aad, ct)) == pt
 
     def test_nonce_uniqueness(self):
         pt = b"same plaintext"
-        a = bytearray(30)
-        b = bytearray(30)
-        crypto.seal(self.ks, 1, b"", pt, a)
-        crypto.seal(self.ks, 2, b"", pt, b)
-        assert a != b
+        assert self.seal(1, b"", pt) != self.seal(2, b"", pt)
 
     def test_tampered_ciphertext(self):
-        ct = bytearray(26)
-        crypto.seal(self.ks, 3, b"hdr", b"0123456789", ct)
+        ct = self.seal(3, b"hdr", b"0123456789")
         for flip in (0, 9, 10, 25):  # body, body end, tag start, tag end
             bad = bytearray(ct)
             bad[flip] ^= 0x01
-            with pytest.raises(AuthenticationFailed):
-                crypto.open(self.ks, 3, b"hdr", bad, bytearray(10))
+            with pytest.raises(InvalidTag):
+                self.open(3, b"hdr", bad)
 
     def test_tampered_aad(self):
-        ct = bytearray(26)
-        crypto.seal(self.ks, 3, b"hdr", b"0123456789", ct)
-        with pytest.raises(AuthenticationFailed):
-            crypto.open(self.ks, 3, b"hdR", ct, bytearray(10))
+        ct = self.seal(3, b"hdr", b"0123456789")
+        with pytest.raises(InvalidTag):
+            self.open(3, b"hdR", ct)
 
     def test_wrong_packet_number(self):
-        ct = bytearray(26)
-        crypto.seal(self.ks, 3, b"hdr", b"0123456789", ct)
-        with pytest.raises(AuthenticationFailed):
-            crypto.open(self.ks, 4, b"hdr", ct, bytearray(10))
-
-    def test_failed_open_leaves_dest_untouched(self):
-        ct = bytearray(26)
-        crypto.seal(self.ks, 3, b"hdr", b"0123456789", ct)
-        ct[0] ^= 0xFF
-        dest = bytearray(b"\xee" * 10)
-        with pytest.raises(AuthenticationFailed):
-            crypto.open(self.ks, 3, b"hdr", ct, dest)
-        assert dest == b"\xee" * 10
+        ct = self.seal(3, b"hdr", b"0123456789")
+        with pytest.raises(InvalidTag):
+            self.open(4, b"hdr", ct)
 
     def test_in_place_open(self):
         pt = bytes(range(100))
-        buf = bytearray(116)
-        crypto.seal(self.ks, 9, b"a", pt, buf)
-        out_of_place = bytearray(100)
-        crypto.open(self.ks, 9, b"a", bytes(buf), out_of_place)
+        buf = self.seal(9, b"a", pt)
+        out_of_place = self.open(9, b"a", buf)
         # dest aliases the ciphertext region exactly
         view = memoryview(buf)
-        plen = crypto.open(self.ks, 9, b"a", bytes(view), view[:100])
-        assert plen == 100
+        self.ks._aead.decrypt_into(nonce(self.ks, 9), view, b"a", view[:100])
         assert buf[:100] == pt
         assert bytes(out_of_place) == pt
 
-    def test_dest_too_small(self):
-        with pytest.raises(BufferTooSmall):
-            crypto.seal(self.ks, 1, b"", b"0123456789", bytearray(25))
-        ct = bytearray(26)
-        crypto.seal(self.ks, 1, b"", b"0123456789", ct)
-        with pytest.raises(BufferTooSmall):
-            crypto.open(self.ks, 1, b"", ct, bytearray(9))
-
 
 class TestHpMask:
+    """The header-protection mask: the key schedule's cached AES-ECB
+    context applied to a 16-byte sample."""
+
     def setup_method(self):
         self.ks = crypto.derive_keys(b"\x99" * 32, "s2c")
 
+    def mask(self, sample):
+        return self.ks._hp.update(sample)
+
     def test_deterministic(self):
         sample = bytes(range(16))
-        assert crypto.hp_mask(self.ks, sample) == crypto.hp_mask(self.ks, sample)
-
-    def test_length_and_sample_check(self):
-        assert len(crypto.hp_mask(self.ks, b"\x00" * 16)) == 16
-        with pytest.raises(ValueError):
-            crypto.hp_mask(self.ks, b"\x00" * 15)
+        assert self.mask(sample) == self.mask(sample)
+        assert len(self.mask(sample)) == 16
 
     def test_matches_fresh_cipher(self):
         # the cached context must agree with a one-shot AES-ECB of the
@@ -153,22 +138,22 @@ class TestHpMask:
 
         sample = b"\xa5" * 16
         fresh = Cipher(algorithms.AES(self.ks.hp_key), modes.ECB()).encryptor()
-        assert crypto.hp_mask(self.ks, sample) == fresh.update(sample)
+        assert self.mask(sample) == fresh.update(sample)
 
     def test_no_collisions_over_random_samples(self):
         rng = random.Random(31337)
         seen = set()
         for _ in range(10_000):
-            seen.add(crypto.hp_mask(self.ks, rng.randbytes(16)))
+            seen.add(self.mask(rng.randbytes(16)))
         assert len(seen) == 10_000
 
     def test_cached_context_is_stateless_per_block(self):
         # interleaving other samples must not perturb a repeated one
         s1 = b"\x01" * 16
-        first = crypto.hp_mask(self.ks, s1)
+        first = self.mask(s1)
         for i in range(50):
-            crypto.hp_mask(self.ks, bytes([i]) * 16)
-        assert crypto.hp_mask(self.ks, s1) == first
+            self.mask(bytes([i]) * 16)
+        assert self.mask(s1) == first
 
 
 def oracle_expand(truncated: bytes, reference: int) -> int:
@@ -181,55 +166,78 @@ def oracle_expand(truncated: bytes, reference: int) -> int:
     return min(cands, key=lambda c: (abs(c - expected), -c))
 
 
+HP_KS = crypto.derive_keys(b"\x17" * 32, "c2s")
+_CIPHERTEXT = random.Random(17).randbytes(32)
+
+
+def unprotect_pn(truncated: int, n: int, reference: int, reverso: bool, ciphertext=_CIPHERTEXT) -> int:
+    """The packet number header.unprotect expands from the n-byte field
+    truncated, written by header.pack_header and protected over
+    ciphertext, against the largest number received, reference."""
+    hdr_len = header.PN_OFFSET + n + (2 if reverso else 0)
+    packet = bytearray(hdr_len) + ciphertext
+    header.protect(packet, HP_KS, header.pack_header(reverso, truncated, n), hdr_len, reverso)
+    return header.unprotect(packet, HP_KS, reference, reverso)[1]
+
+
+def pn_field(pn: int, n: int) -> bytes:
+    """The n-byte packet-number field pack_header writes for pn."""
+    return header.pack_header(False, pn, n).to_bytes(header.PN_OFFSET + n, "big")[header.PN_OFFSET :]
+
+
 class TestTruncatedInts:
+    """truncated_len, with which build_packet sizes the packet number,
+    and the expansion header.unprotect applies to it."""
+
     def test_truncate_examples(self):
-        assert crypto.truncate_int(5, 4) == b"\x05"
-        assert crypto.truncate_int(256, 0) == b"\x01\x00"
+        assert pn_field(5, crypto.truncated_len(5, 4)) == b"\x05"
+        assert pn_field(256, crypto.truncated_len(256, 0)) == b"\x01\x00"
+
+    def test_encode_truncated_fixed_width(self):
+        assert pn_field(0x0102030405, 2) == b"\x04\x05"
+        assert pn_field(7, 4) == b"\x00\x00\x00\x07"
 
     def test_expand_examples(self):
-        assert crypto.expand_int(b"\x00", 255) == 256
-        assert crypto.expand_int(b"\xff", 0) == 255
+        for reverso in (False, True):
+            assert unprotect_pn(0x00, 1, 255, reverso) == 256
+            assert unprotect_pn(0xFF, 1, 0, reverso) == 255
 
     def test_too_far_ahead(self):
         with pytest.raises(TruncationRangeError):
-            crypto.truncate_int((1 << 31) + 5, 0)
+            crypto.truncated_len((1 << 31) + 5, 0)
         with pytest.raises(TruncationRangeError):
             crypto.truncated_len(1 << 40, 0)
-        with pytest.raises(TruncationRangeError):
-            crypto.truncate_int(-1, 0)
 
     def test_truncated_len_matches_truncate(self):
+        """The fewest bytes whose half-window exceeds the distance."""
         rng = random.Random(5)
         for _ in range(5000):
             ref = rng.getrandbits(40)
             full = ref + rng.getrandbits(30)
-            assert crypto.truncated_len(full, ref) == len(crypto.truncate_int(full, ref))
-
-    def test_encode_truncated_fixed_width(self):
-        assert crypto.encode_truncated(0x0102030405, 2) == b"\x04\x05"
-        assert crypto.encode_truncated(7, 4) == b"\x00\x00\x00\x07"
+            want = next(n for n in (1, 2, 3, 4) if full - ref < 1 << (8 * n - 1))
+            assert crypto.truncated_len(full, ref) == want
 
     def test_round_trip_property(self):
-        # forward distances spanning every emitted size
+        # forward distances spanning every size truncated_len picks
         rng = random.Random(1234)
-        for _ in range(20_000):
+        for i in range(20_000):
             ref = rng.getrandbits(rng.randrange(1, 61))
             full = ref + rng.getrandbits(rng.randrange(1, 31))
             if full >= 1 << 62:
                 continue
-            enc = crypto.truncate_int(full, ref)
-            assert crypto.expand_int(enc, ref) == full
+            n = crypto.truncated_len(full, ref)
+            assert unprotect_pn(full & ((1 << 8 * n) - 1), n, ref, i % 2 == 1) == full
 
     def test_expand_matches_oracle(self):
         rng = random.Random(4242)
-        for _ in range(20_000):
+        for i in range(20_000):
             n = rng.choice((1, 2, 3, 4))
             ref = rng.getrandbits(rng.choice((8, 16, 30, 61)))
-            tb = rng.getrandbits(8 * n).to_bytes(n, "big")
-            assert crypto.expand_int(tb, ref) == oracle_expand(tb, ref)
+            t = rng.getrandbits(8 * n)
+            assert unprotect_pn(t, n, ref, i % 2 == 1) == oracle_expand(t.to_bytes(n, "big"), ref)
 
     def test_expand_never_negative_and_capped(self):
         for ref in (0, 1, (1 << 62) - 2, (1 << 62) - 1):
-            for tb in (b"\x00", b"\xff", b"\xff\xff\xff\xff", b"\x00\x00\x00\x00"):
-                v = crypto.expand_int(tb, ref)
-                assert 0 <= v < (1 << 62)
+            for t, n in ((0x00, 1), (0xFF, 1), (0xFFFFFFFF, 4), (0, 4)):
+                for reverso in (False, True):
+                    assert 0 <= unprotect_pn(t, n, ref, reverso) < (1 << 62)

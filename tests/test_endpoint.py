@@ -19,12 +19,20 @@ from revquic.errors import (
     StreamIdOverflow,
     StreamNotFound,
     TruncationRangeError,
-    UnknownFrameType,
 )
-from revquic.header import ShortHeader
 from revquic.mode import WireMode
 from revquic.stream_buf import AppRecvBufMap
-from revquic.wire import ConnectionCloseFrame, PaddingFrame, PingFrame, StreamFrame
+
+import packets
+from packets import (
+    AckFrame,
+    ConnectionCloseFrame,
+    MaxStreamDataFrame,
+    PingFrame,
+    StreamFrame,
+    frame_bytes,
+    parse_forward,
+)
 
 SECRET = b"\x42" * 32
 C2S = crypto.derive_keys(SECRET, "c2s")
@@ -58,49 +66,31 @@ def drain(conn, appbuf) -> dict[int, bytes]:
 
 
 def craft(mode, keys, pn, frames, hdr_sid=0, hdr_off=0, pn_len=1, off_len=None):
-    """Seal an arbitrary frame list under full header protection."""
-    scratch = bytearray(2 * MAX_DATAGRAM)
-    if mode is WireMode.REVERSO:
-        pt_len = wire.serialize_reversed(frames, scratch)
-        while pt_len < header.MIN_PLAINTEXT:
-            frames = frames + [PaddingFrame()]
-            pt_len = wire.serialize_reversed(frames, scratch)
-    else:
-        pt_len = wire.serialize_forward(frames, scratch)
-        while pt_len < header.MIN_PLAINTEXT:
-            frames = [PaddingFrame()] + frames
-            pt_len = wire.serialize_forward(frames, scratch)
-    return seal(mode, keys, pn, scratch[:pt_len], hdr_sid, hdr_off, pn_len, off_len)
+    """Seal an arbitrary frame list under full header protection, padded
+    as build_packet pads: after the frames in reverso, before them in
+    baseline."""
+    reverso = mode is WireMode.REVERSO
+    body = packets.plaintext(frames, reverso)
+    pad = bytes(max(0, header.MIN_PLAINTEXT - len(body)))
+    return seal(mode, keys, pn, body + pad if reverso else pad + body, hdr_sid, hdr_off, pn_len, off_len)
 
 
 def seal(mode, keys, pn, plaintext, hdr_sid=0, hdr_off=0, pn_len=1, off_len=None):
     """Seal plaintext bytes under full header protection."""
-    h = ShortHeader(
-        packet_number=pn, pn_length=pn_len, stream_id=hdr_sid, offset=hdr_off, off_length=off_len
-    )
-    hb = header.encode_header(mode, h)
-    out = bytearray(len(hb) + len(plaintext) + crypto.TAG_LEN)
-    out[: len(hb)] = hb
-    crypto.seal(keys, pn, hb, plaintext, memoryview(out)[len(hb) :])
-    header.protect_header(mode, out, keys)
-    return out
+    return packets.seal(mode is WireMode.REVERSO, keys, pn, plaintext, hdr_sid, hdr_off, pn_len, off_len)
 
 
 def layout(mode, stream=None, ctrl=()):
     """Plaintext laid out as build_packet lays it out. Reverso: the
     stream frame, control frames, padding. Baseline: control frames,
     padding, the stream frame."""
-    scratch = bytearray(2 * MAX_DATAGRAM)
+    reverso = mode is WireMode.REVERSO
 
     def ser(frames):
-        serialize = wire.serialize_reversed if mode is WireMode.REVERSO else wire.serialize_forward
-        # bytes stand for a frame the serializers cannot write
-        return b"".join(
-            f if isinstance(f, bytes) else bytes(scratch[: serialize([f], scratch)])
-            for f in frames
-        )
+        # bytes stand for a frame no encoder writes
+        return b"".join(f if isinstance(f, bytes) else frame_bytes(f, reverso, True) for f in frames)
 
-    if mode is WireMode.REVERSO:
+    if reverso:
         body = ser(([stream] if stream else []) + list(ctrl))
         return body + bytes(max(0, header.MIN_PLAINTEXT - len(body)))
     head, tail = ser(list(ctrl)), ser([stream] if stream else [])
@@ -153,8 +143,7 @@ class TestSending:
         server.recv(bytearray(out[:n]), sbuf)
         n = server.build_packet(out)
         assert n is not None
-        h, _ = header.unprotect_and_decode(WireMode.REVERSO, bytearray(out[:n]), client.recv_keys, 0)
-        assert h.stream_id == 0
+        assert header.unprotect(bytearray(out[:n]), client.recv_keys, 0, True)[2] == 0
         cbuf = AppRecvBufMap()
         client.recv(bytearray(out[:n]), cbuf)
         assert client.metrics().packets_control_only == 1
@@ -193,10 +182,10 @@ class TestSending:
         pns = []
         while (n := client.build_packet(out)) is not None:
             copy = bytearray(out[:n])
-            h, _ = header.unprotect_and_decode(
-                WireMode.BASELINE, bytearray(out[:n]), server.recv_keys, pns[-1] if pns else 0
+            _, pn, _, _ = header.unprotect(
+                bytearray(out[:n]), server.recv_keys, pns[-1] if pns else 0, False
             )
-            pns.append(h.packet_number)
+            pns.append(pn)
             server.recv(copy, appbuf)
         assert pns == sorted(set(pns))
 
@@ -210,11 +199,8 @@ class TestSending:
         client.ack_pending = {5}
         out = bytearray(MAX_DATAGRAM)
         n = client.build_packet(out, now=1.0)
-        packet = bytearray(out[:n])
-        h, hdr_len = header.unprotect_and_decode(WireMode.BASELINE, packet, server.recv_keys, -1)
-        ct = memoryview(packet)[hdr_len:]
-        pt_len = crypto.open(server.recv_keys, h.packet_number, packet[:hdr_len], ct, ct)
-        ack, *_, frame = wire.parse_forward(ct[:pt_len])
+        pt = packets.open_packet(False, server.recv_keys, out[:n], -1)[4]
+        ack, *_, frame = parse_forward(pt)
         assert (ack.largest_acked, ack.ranges) == (5, [(0, 1)])
         assert (frame.stream_id, frame.offset, bytes(frame.data)) == (1, 1 << 31, b"y" * 100)
         assert client.unacked[0][1] == (1, 1 << 31, 100, False)
@@ -350,13 +336,10 @@ class TestTransfer:
         server.stream_consumed(1, 3, sbuf)
         assert server.readable() == []
 
-    def test_close_propagates(self, monkeypatch):
+    def test_close_propagates(self):
         """A close is written and read in place, alone or beside an ack
         and stream data. It elicits no ack (RFC 9000 §13.2.1), and the
         endpoint that received it drains, sending nothing (§10.2.2)."""
-        for name in ("parse_forward", "parse_reversed", "serialize_forward",
-                     "serialize_reversed", "frame_wire_size"):
-            monkeypatch.setattr(wire, name, fail)
         out = bytearray(MAX_DATAGRAM)
         for mode in WireMode:
             for companions in (False, True):
@@ -553,11 +536,11 @@ class TestAdversarial:
         allocations = appbuf.allocations
         honest = bytes(gram)
         gram[-1] ^= 0x01  # corrupt the tag, leaving the header sample alone
-        hdr, hdr_len = header.unprotect_and_decode(
-            WireMode.REVERSO, bytearray(gram), server.recv_keys, server.largest_received_pn
+        hdr_len, _, hdr_sid, hdr_off = header.unprotect(
+            bytearray(gram), server.recv_keys, server.largest_received_pn, True
         )
-        assert hdr.stream_id == target
-        assert (hdr.offset == (watermark if target == 1 else 0)) is not off_tail
+        assert hdr_sid == target
+        assert (hdr_off == (watermark if target == 1 else 0)) is not off_tail
         pristine = bytes(gram)
         server.recv(gram, appbuf)
         assert server.metrics().decrypt_failures == 1
@@ -576,7 +559,7 @@ class TestAdversarial:
             assert bytes(gram[tail:]) == pristine[tail:]
             if target == 1:
                 # only the hole the footprint covers changed
-                lo = hdr.offset - sbuf.base_offset
+                lo = hdr_off - sbuf.base_offset
                 hi = lo + len(gram) - hdr_len - crypto.TAG_LEN
                 after = bytes(sbuf.storage)
                 assert watermark - sbuf.base_offset <= lo and hi <= len(storage)
@@ -617,7 +600,7 @@ class TestAdversarial:
         client.stream_send(1, b"next chunk " * 40)
         n = client.build_packet(out)
         pristine = bytes(out[:n])
-        allowed = (MalformedHeader, MalformedFrame, ProtocolViolation, UnknownFrameType)
+        allowed = (MalformedHeader, MalformedFrame, ProtocolViolation)
         for _ in range(200):
             gram = bytearray(pristine)
             gram[rng.randrange(len(gram))] ^= 1 << rng.randrange(8)
@@ -743,7 +726,7 @@ def stream(offset, data):
 
 
 def ack(largest, *ranges):
-    return wire.AckFrame(largest_acked=largest, ranges=list(ranges) or [(0, 1)])
+    return AckFrame(largest_acked=largest, ranges=list(ranges) or [(0, 1)])
 
 
 CLOSE = ConnectionCloseFrame(error_code=9, reason=b"bye")
@@ -764,18 +747,11 @@ def rpc_shapes(mode):
     ]
 
 
-def fail(*_args, **_kwargs):
-    raise AssertionError("the frame-object codec was called")
-
-
 class TestControlLanes:
-    """Acks and padding are read in place: the shapes build_packet emits
-    never reach the wire parser."""
+    """Acks and padding are read in place, beside stream data or alone."""
 
     @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
-    def test_rpc_shapes_read_in_place(self, mode, monkeypatch):
-        monkeypatch.setattr(wire, "parse_forward", fail)
-        monkeypatch.setattr(wire, "parse_reversed", fail)
+    def test_rpc_shapes_read_in_place(self, mode):
         server, sbuf = in_flight_server(mode), AppRecvBufMap()
         for pn, pt, hdr_sid, hdr_off in rpc_shapes(mode):
             assert len(pt) == header.MIN_PLAINTEXT
@@ -787,13 +763,11 @@ class TestControlLanes:
 
     @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
     @pytest.mark.parametrize("extra", ["close"])
-    def test_other_frames_reach_process_plaintext(self, mode, extra, monkeypatch):
+    def test_other_frames_reach_process_plaintext(self, mode, extra):
         """A close beside an ack and stream data is read in place too and
         applies with the rest of its packet. A second close beside an ack
         alone then arrives while the endpoint drains and is discarded
         (RFC 9000 §10.2.2)."""
-        monkeypatch.setattr(wire, "parse_forward", fail)
-        monkeypatch.setattr(wire, "parse_reversed", fail)
         server, sbuf = in_flight_server(mode), AppRecvBufMap()
         server.recv(seal(mode, C2S, 0, layout(mode, stream(0, b"ab"), [ack(1), CLOSE]), 1, 0), sbuf)
         assert server.closed and server.close_error == (9, b"bye")
@@ -807,12 +781,12 @@ class TestControlLanes:
 
 
 # frames build_packet never writes; the stream frame without OFF (type
-# 0x08, stream 1) is given as bytes per layout, because the serializers
-# always set OFF
+# 0x08, stream 1) is given as bytes per layout, because stream_fields
+# always sets OFF
 OUTSIDE = {
     "len_stream": StreamFrame(stream_id=0, offset=0, data=b"hello", explicit_len=True),
     "ping": PingFrame(),
-    "max_stream_data": wire.MaxStreamDataFrame(stream_id=1, maximum=1 << 20),
+    "max_stream_data": MaxStreamDataFrame(stream_id=1, maximum=1 << 20),
     "second_ack": ack(3),
     "no_offset_stream": {WireMode.BASELINE: b"\x08\x01hello", WireMode.REVERSO: b"hello\x04\x08"},
 }
@@ -904,7 +878,9 @@ class TestAckValidation:
             return
         # packet-number truncation still counts from the real largest acked
         server.build_packet(out, now=0.0)
-        assert header.unprotect_and_decode(mode, bytearray(out), server.send_keys, 3)[0].pn_length == 1
+        packet = bytearray(out)
+        header.unprotect(packet, server.send_keys, 3, mode is WireMode.REVERSO)
+        assert (packet[0] & 0x03) + 1 == 1
 
 
 def stored(appbuf):

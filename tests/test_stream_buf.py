@@ -18,8 +18,8 @@ from revquic.errors import (
 )
 from revquic.mode import WireMode
 from revquic.stream_buf import DEFAULT_CAPACITY, WINDOW, AppRecvBufMap, StreamRecvBuffer
-from revquic.wire import StreamFrame
 
+from packets import StreamFrame
 from test_endpoint import C2S, SECRET, craft, receiver_state
 
 
@@ -208,15 +208,16 @@ def alter_header(gram, stream_id=None, offset=None):
     """gram, sealed, with its header's stream id or offset rewritten in
     place (same field widths) and the header protection reapplied."""
     gram = bytearray(gram)
-    h, hdr_len = header.unprotect_and_decode(WireMode.REVERSO, gram, C2S, 0)
-    h = replace(
-        h, stream_id=h.stream_id if stream_id is None else stream_id,
-        offset=h.offset if offset is None else offset,
-    )
-    hb = header.encode_header(WireMode.REVERSO, h)
-    assert len(hb) == hdr_len
-    gram[:hdr_len] = hb
-    header.protect_header(WireMode.REVERSO, gram, C2S)
+    hdr_len, pn, sid, off = header.unprotect(gram, C2S, 0, True)
+    flags = gram[0]
+    pn_len = (flags & 0x03) + 1
+    off_len = hdr_len - header.PN_OFFSET - pn_len - ((flags >> 3) & 0x03) - 1
+    sid = sid if stream_id is None else stream_id
+    off = off if offset is None else offset
+    assert header.PN_OFFSET + pn_len + header.wire_sid_length(sid) + off_len == hdr_len
+    dcid = int.from_bytes(gram[1 : header.PN_OFFSET], "big")
+    hdr = header.pack_header(True, pn, pn_len, sid, off, off_len, dcid, (flags >> 2) & 1)
+    header.protect(gram, C2S, hdr, hdr_len, True)
     return gram
 
 

@@ -1,4 +1,5 @@
-"""Frame serialization round trips, forward and reversed."""
+"""The frame encoders and decoders, read back by the reference walk in
+both layouts."""
 
 import hashlib
 import random
@@ -8,23 +9,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revquic import varint, wire
-from revquic.errors import (
-    BufferTooSmall,
-    EncodingOverflow,
-    FrameOrderViolation,
-    MalformedFrame,
-    TruncatedVarInt,
-    UnknownFrameType,
-)
-from revquic.mode import WireMode
+from revquic.errors import EncodingOverflow, MalformedFrame, TruncatedVarInt
 from revquic.varint import VARINT_MAX
-from revquic.wire import (
+
+from packets import (
     AckFrame,
     ConnectionCloseFrame,
     MaxStreamDataFrame,
     PaddingFrame,
     PingFrame,
     StreamFrame,
+    UnknownFrameType,
+    frame_bytes,
+    parse_forward,
+    parse_reversed,
+    plaintext,
 )
 
 
@@ -55,14 +54,11 @@ class TestGoldenVectors:
     def test_reversed_stream_owner(self):
         # the anchor: its data, then one type byte; the header carries
         # the stream id and offset
-        out = bytearray(16)
         f = StreamFrame(stream_id=1, offset=0, data=b"AB", fin=False, explicit_len=False)
-        n = wire.serialize_reversed([f], out)
-        assert bytes(out[:n]) == bytes([0x41, 0x42, 0x20])
+        assert frame_bytes(f, True) == bytes([0x41, 0x42, 0x20])
         f.fin = True
-        n = wire.serialize_reversed([f], out)
-        assert bytes(out[:n]) == bytes([0x41, 0x42, 0x21])
-        assert wire.parse_reversed(bytes(out[:n]), 1, 0) == [f]
+        assert frame_bytes(f, True) == bytes([0x41, 0x42, 0x21])
+        assert parse_reversed(bytes([0x41, 0x42, 0x21]), 1, 0) == [f]
 
     def test_stream_fields_both_layouts(self):
         # stream id 64 and offset 2**14 need two- and four-byte varints
@@ -76,72 +72,43 @@ class TestGoldenVectors:
                     wire.stream_fields(1, bad, 0, False, False, reverso)
 
     def test_ping_identical_in_both_modes(self):
-        out = bytearray(4)
-        assert wire.serialize_forward([PingFrame()], out) == 1
-        assert out[0] == 0x01
-        assert wire.serialize_reversed([PingFrame()], out) == 1
-        assert out[0] == 0x01
+        assert parse_forward(b"\x01") == parse_reversed(b"\x01") == [PingFrame()]
 
     def test_padding_run(self):
-        out = bytearray(8)
-        n = wire.serialize_forward([PaddingFrame()] * 3, out)
-        assert bytes(out[:n]) == b"\x00\x00\x00"
+        # the receive paths skip a run in one step from either end
+        assert wire.padding_end(b"\x00\x00\x00", 0, 3) == 3
+        assert wire.padding_start(b"\x00\x00\x00", 0, 3) == 0
 
     def test_empty_plaintext(self):
-        assert wire.parse_forward(b"") == []
-        assert wire.parse_reversed(b"") == []
+        assert parse_forward(b"") == []
+        assert parse_reversed(b"") == []
 
     def test_all_zero_plaintext(self):
         for n in (1, 7, 64):
-            frames = wire.parse_reversed(bytes(n))
+            frames = parse_reversed(bytes(n))
             assert len(frames) == n
             assert all(isinstance(f, PaddingFrame) for f in frames)
-            assert wire.parse_forward(bytes(n)) == frames
+            assert parse_forward(bytes(n)) == frames
 
     def test_trailing_padding_parses_backward(self):
-        out = bytearray(64)
         f = StreamFrame(stream_id=1, offset=0, data=b"AB", explicit_len=False)
-        n = wire.serialize_reversed([f, PingFrame()], out)
-        plaintext = bytes(out[:n]) + b"\x00\x00\x00"
-        frames = wire.parse_reversed(plaintext)
+        frames = parse_reversed(plaintext([f, PingFrame()], True) + b"\x00\x00\x00")
         kinds = [type(fr).__name__ for fr in frames]
         assert kinds == ["PaddingFrame"] * 3 + ["PingFrame", "StreamFrame"]
         assert frames[-1].data == b"AB"
 
 
-class TestFrameWireSize:
-    def test_point_sizes(self):
-        assert wire.frame_wire_size(PingFrame(), WireMode.BASELINE) == 1
-        assert wire.frame_wire_size(PaddingFrame(), WireMode.REVERSO) == 1
-        f = StreamFrame(stream_id=1, offset=0, data=b"AB", explicit_len=False)
-        assert wire.frame_wire_size(f, WireMode.REVERSO) == 3
-
-    def test_agrees_with_serializer(self):
-        rng = random.Random(11)
-        out = bytearray(2048)
-        for _ in range(500):
-            frames = [random_control(rng) for _ in range(rng.randint(1, 5))]
-            frames += [random_stream(rng, True) for _ in range(rng.randint(0, 2))]
-            rng.shuffle(frames)
-            expect = sum(wire.frame_wire_size(f, WireMode.BASELINE) for f in frames)
-            assert wire.serialize_forward(frames, out) == expect
-            expect = sum(wire.frame_wire_size(f, WireMode.REVERSO) for f in frames)
-            assert wire.serialize_reversed(frames, out) == expect
-
-
 class TestSerializerBytes:
-    """The reference serializers' exact output, fixed so that a rewrite
-    of the codec must reproduce it byte for byte."""
+    """The frame encoders' exact output, fixed so that a rewrite of them
+    must reproduce it byte for byte."""
 
     def test_max_stream_data_vectors(self):
-        f = MaxStreamDataFrame(stream_id=1, maximum=1 << 20)
-        assert _serialized(f, False) == bytes.fromhex("11" "01" "80100000")
-        assert _serialized(f, True) == bytes.fromhex("00400002" "04" "11")
+        assert wire._pack(0x11, (1, 1 << 20), False) == bytes.fromhex("11" "01" "80100000")
+        assert wire._pack(0x11, (1, 1 << 20), True) == bytes.fromhex("00400002" "04" "11")
 
     def test_corpus_digest(self):
         rng = random.Random(0x5E7)
         h = hashlib.sha256()
-        out = bytearray(2048)
         for _ in range(500):
             frames = [random_control(rng) for _ in range(rng.randint(0, 4))]
             for _ in range(rng.randint(0, 2)):
@@ -149,27 +116,26 @@ class TestSerializerBytes:
             if rng.random() < 0.3:
                 frames.insert(rng.randint(0, len(frames)), PaddingFrame())
             owner = [random_stream(rng, False)] if rng.random() < 0.5 else []
-            h.update(out[: wire.serialize_forward(frames + owner, out)])
-            h.update(out[: wire.serialize_reversed(owner + frames, out)])
+            h.update(plaintext(frames + owner, False))
+            h.update(plaintext(owner + frames, True))
         assert h.hexdigest() == "6e790938b9bd9785b3a8753cb4221f1e8f6b1d28afeeb9a1972167372dd0b259"
 
 
 class TestRoundTrips:
+    """The reference walk reads back what the encoders write."""
+
     def test_forward_property(self):
         rng = random.Random(0xF0)
-        out = bytearray(2048)
         for _ in range(10_000):
             frames = [random_control(rng) for _ in range(rng.randint(0, 4))]
             for _ in range(rng.randint(0, 2)):
                 frames.insert(rng.randint(0, len(frames)), random_stream(rng, True))
             if rng.random() < 0.5:
                 frames.append(random_stream(rng, False))  # remainder owner is last
-            n = wire.serialize_forward(frames, out)
-            assert wire.parse_forward(bytes(out[:n])) == frames
+            assert parse_forward(plaintext(frames, False)) == frames
 
     def test_reversed_property(self):
         rng = random.Random(0xF1)
-        out = bytearray(2048)
         for _ in range(10_000):
             frames = []
             owner = rng.random() < 0.5
@@ -180,10 +146,9 @@ class TestRoundTrips:
                 frames.insert(
                     rng.randint(1 if owner else 0, len(frames)), random_stream(rng, True)
                 )
-            n = wire.serialize_reversed(frames, out)
             # the owner is the anchor, located by the header's fields
             located = (frames[0].stream_id, frames[0].offset) if owner else ()
-            got = wire.parse_reversed(bytes(out[:n]), *located)
+            got = parse_reversed(plaintext(frames, True), *located)
             # backward walk yields list order reversed, owner frame last
             if owner:
                 assert got == list(reversed(frames[1:])) + [frames[0]]
@@ -192,25 +157,20 @@ class TestRoundTrips:
 
     def test_differential_modes_agree(self):
         rng = random.Random(0xF2)
-        out = bytearray(2048)
         for _ in range(2_000):
             frames = [random_control(rng) for _ in range(rng.randint(1, 4))]
             for _ in range(rng.randint(0, 2)):
                 frames.insert(rng.randint(0, len(frames)), random_stream(rng, True))
-            n = wire.serialize_forward(frames, out)
-            fwd = wire.parse_forward(bytes(out[:n]))
-            n = wire.serialize_reversed(frames, out)
-            rev = wire.parse_reversed(bytes(out[:n]))
+            fwd = parse_forward(plaintext(frames, False))
+            rev = parse_reversed(plaintext(frames, True))
             assert fwd == frames
             assert list(reversed(rev)) == frames
 
     def test_owner_data_lands_at_position_zero(self):
-        out = bytearray(256)
         f = StreamFrame(stream_id=7, offset=1200, data=b"x" * 100, explicit_len=False)
-        n = wire.serialize_reversed([f, PingFrame(), AckFrame(largest_acked=3)], out)
-        assert bytes(out[:100]) == f.data
-        mv = memoryview(bytes(out[:n]))
-        got = wire.parse_reversed(mv)
+        pt = plaintext([f, PingFrame(), AckFrame(largest_acked=3)], True)
+        assert pt[:100] == f.data
+        got = parse_reversed(memoryview(pt))
         anchor = got[-1]
         assert anchor.explicit_len is False
         assert isinstance(anchor.data, memoryview)  # a view, not a copy
@@ -218,60 +178,41 @@ class TestRoundTrips:
 
 
 class TestErrors:
-    def test_buffer_too_small(self):
-        f = StreamFrame(stream_id=1, offset=0, data=b"x" * 32, explicit_len=False)
-        with pytest.raises(BufferTooSmall):
-            wire.serialize_forward([f], bytearray(8))
-        with pytest.raises(BufferTooSmall):
-            wire.serialize_reversed([f], bytearray(8))
-
-    def test_remainder_owner_position_enforced(self):
-        hidden = StreamFrame(stream_id=1, offset=0, data=b"x", explicit_len=False)
-        with pytest.raises(FrameOrderViolation):
-            wire.serialize_reversed([PingFrame(), hidden], bytearray(64))
-        with pytest.raises(FrameOrderViolation):
-            wire.serialize_forward([hidden, PingFrame()], bytearray(64))
-
     def test_unknown_type(self):
         with pytest.raises(UnknownFrameType):
-            wire.parse_forward(b"\x3f")
+            parse_forward(b"\x3f")
         with pytest.raises(UnknownFrameType):
-            wire.parse_reversed(b"\x3f")
+            parse_reversed(b"\x3f")
         # in reverso a LEN-absent stream frame is the anchor, never one
         # with fields
         with pytest.raises(UnknownFrameType):
-            wire.parse_reversed(b"hello\x00\x04\x0c")
+            parse_reversed(b"hello\x00\x04\x0c")
 
     def test_truncated_fields(self):
         with pytest.raises(MalformedFrame):
-            wire.parse_forward(b"\x02")  # ack with no fields
+            parse_forward(b"\x02")  # ack with no fields
         with pytest.raises(MalformedFrame):
-            wire.parse_reversed(b"\x02")
+            parse_reversed(b"\x02")
 
     def test_stream_length_past_end(self):
-        out = bytearray(64)
         f = StreamFrame(stream_id=1, offset=0, data=b"abcd", explicit_len=True)
-        n = wire.serialize_forward([f], out)
-        clipped = bytes(out[: n - 2])
+        clipped = frame_bytes(f, False)[:-2]
         with pytest.raises(MalformedFrame):
-            wire.parse_forward(clipped)
+            parse_forward(clipped)
 
     def test_ack_range_cap(self):
-        out = bytearray(512)
-        f = AckFrame(largest_acked=10_000, ranges=[(1, 1)] * (wire.MAX_ACK_RANGES + 1))
-        n = wire.serialize_forward([f], out)
+        ranges = [(1, 1)] * (wire.MAX_ACK_RANGES + 1)
         with pytest.raises(MalformedFrame):
-            wire.parse_forward(bytes(out[:n]))
-        n = wire.serialize_reversed([f], out)
+            parse_forward(wire.ack_fields(10_000, 0, ranges, False))
         with pytest.raises(MalformedFrame):
-            wire.parse_reversed(bytes(out[:n]))
+            parse_reversed(wire.ack_fields(10_000, 0, ranges, True))
 
     def test_fuzz_never_escapes(self):
         rng = random.Random(0xFF)
         allowed = (UnknownFrameType, MalformedFrame)
         for _ in range(10_000):
             blob = rng.randbytes(rng.randint(0, 64))
-            for parse in (wire.parse_forward, wire.parse_reversed):
+            for parse in (parse_forward, parse_reversed):
                 try:
                     parse(blob)
                 except allowed:
@@ -290,10 +231,12 @@ RANGES = st.lists(st.tuples(VALUE, VALUE), min_size=1, max_size=wire.MAX_ACK_RAN
 CODEC = settings(max_examples=300, deadline=None, database=None)
 
 
-def _serialized(frame, reverso) -> bytes:
-    out = bytearray(2048)
-    n = (wire.serialize_reversed if reverso else wire.serialize_forward)([frame], out)
-    return bytes(out[:n])
+def _field_by_field(t, values, reverso) -> bytes:
+    """Frame type t and its fields written one by one with the varint
+    module's encoders: the layouts as the module docstring states them."""
+    if reverso:
+        return b"".join(map(varint.encode_reversed, reversed(values))) + bytes((t,))
+    return bytes((t,)) + b"".join(map(varint.encode_forward, values))
 
 
 def _raised(fn, *args):
@@ -308,10 +251,9 @@ class TestAckCodec:
     @CODEC
     @given(largest=VALUE, delay=VALUE, ranges=RANGES, reverso=st.booleans())
     def test_ack_fields_is_the_serializer(self, largest, delay, ranges, reverso):
-        frame = AckFrame(largest_acked=largest, ack_delay=delay, ranges=ranges)
-        assert wire.ack_fields(largest, delay, ranges, reverso) == _serialized(frame, reverso)
-        assert len(wire.ack_fields(largest, delay, ranges, reverso)) == wire.frame_wire_size(
-            frame, WireMode.REVERSO if reverso else WireMode.BASELINE
+        values = [largest, delay, len(ranges)] + [v for r in ranges for v in r]
+        assert wire.ack_fields(largest, delay, ranges, reverso) == _field_by_field(
+            wire.TYPE_ACK, values, reverso
         )
 
     @CODEC
@@ -321,7 +263,7 @@ class TestAckCodec:
         """Each decoder reads the ack in place inside a larger buffer,
         within the bounds it is given, and agrees with parse_*."""
         fwd = wire.ack_fields(largest, delay, ranges, False)
-        [parsed] = wire.parse_forward(fwd)
+        [parsed] = parse_forward(fwd)
         buf = memoryview(before + fwd + after)
         start, end = len(before), len(before) + len(fwd)
         got = wire.take_ack_forward(buf, start + 1, end)
@@ -329,7 +271,7 @@ class TestAckCodec:
         assert got[:3] == (largest, delay, ranges)
 
         rev = wire.ack_fields(largest, delay, ranges, True)
-        [parsed] = wire.parse_reversed(rev)
+        [parsed] = parse_reversed(rev)
         buf = memoryview(before + rev + after)
         got = wire.take_ack_reversed(buf, start, start + len(rev) - 1)
         assert got == (parsed.largest_acked, parsed.ack_delay, parsed.ranges, start)
@@ -346,14 +288,14 @@ class TestAckCodec:
         clipped = fwd[:k]
         filler = b"\x01" * 16  # would decode as more one-byte varints
         assert _raised(wire.take_ack_forward, memoryview(clipped + filler), 1, k) == _raised(
-            wire.parse_forward, clipped
+            parse_forward, clipped
         )
         rev = wire.ack_fields(largest, delay, ranges, True)
         k = 1 + cut % (len(rev) - 1)
         clipped = rev[len(rev) - k :]  # the type byte and k - 1 field bytes
         buf = memoryview(filler + clipped)
         assert _raised(wire.take_ack_reversed, buf, len(filler), len(buf) - 1) == _raised(
-            wire.parse_reversed, clipped
+            parse_reversed, clipped
         )
 
     @pytest.mark.parametrize("reverso", [False, True])
@@ -363,10 +305,10 @@ class TestAckCodec:
         buf = memoryview(blob)
         if reverso:
             direct = _raised(wire.take_ack_reversed, buf, 0, len(blob) - 1)
-            assert direct == _raised(wire.parse_reversed, blob)
+            assert direct == _raised(parse_reversed, blob)
         else:
             direct = _raised(wire.take_ack_forward, buf, 1, len(blob))
-            assert direct == _raised(wire.parse_forward, blob)
+            assert direct == _raised(parse_forward, blob)
         assert str(wire.MAX_ACK_RANGES + 1) in direct
 
     def test_ack_fields_bytes(self):
@@ -573,7 +515,7 @@ class TestFieldReaders:
                     want = "MalformedFrame", "stream data extends past plaintext"
                 else:
                     want = None  # complete, or LEN absent: the frame owns the rest
-                assert _failure(wire.parse_forward, blob[:cut]) == want
+                assert _failure(parse_forward, blob[:cut]) == want
             tail = b"".join(map(varint.encode_reversed, reversed(fields))) + bytes([t])
             blob = data + tail
             for cut in range(1, len(blob) + 1):
@@ -585,22 +527,22 @@ class TestFieldReaders:
                     want = "MalformedFrame", "stream data extends past cursor"
                 else:
                     want = None
-                assert _failure(wire.parse_reversed, blob[len(blob) - cut :]) == want
+                assert _failure(parse_reversed, blob[len(blob) - cut :]) == want
 
     @CODEC
     @given(sid=BOUNDARY, maximum=BOUNDARY)
     def test_max_stream_data_cuts_raise_their_messages(self, sid, maximum):
         frame = MaxStreamDataFrame(stream_id=sid, maximum=maximum)
-        fwd = _serialized(frame, False)
+        fwd = frame_bytes(frame, False)
         for cut in range(1, len(fwd)):
-            assert _failure(wire.parse_forward, fwd[:cut]) == ("MalformedFrame", "truncated varint")
-        assert wire.parse_forward(fwd) == [frame]
-        rev = _serialized(frame, True)
+            assert _failure(parse_forward, fwd[:cut]) == ("MalformedFrame", "truncated varint")
+        assert parse_forward(fwd) == [frame]
+        rev = frame_bytes(frame, True)
         for cut in range(1, len(rev)):
-            assert _failure(wire.parse_reversed, rev[len(rev) - cut :]) == (
+            assert _failure(parse_reversed, rev[len(rev) - cut :]) == (
                 "MalformedFrame", "truncated reversed varint"
             )
-        assert wire.parse_reversed(rev) == [frame]
+        assert parse_reversed(rev) == [frame]
 
 
 # --- the close codec: close_fields and the shared decoders ---
@@ -612,11 +554,9 @@ class TestCloseCodec:
     @CODEC
     @given(code=VALUE, reason=REASON, reverso=st.booleans())
     def test_close_fields_is_the_serializer(self, code, reason, reverso):
-        frame = ConnectionCloseFrame(error_code=code, reason=reason)
-        assert wire.close_fields(code, reason, reverso) == _serialized(frame, reverso)
-        assert len(wire.close_fields(code, reason, reverso)) == wire.frame_wire_size(
-            frame, WireMode.REVERSO if reverso else WireMode.BASELINE
-        )
+        fields = _field_by_field(wire.TYPE_CONNECTION_CLOSE, (code, len(reason)), reverso)
+        want = reason + fields if reverso else fields + reason
+        assert wire.close_fields(code, reason, reverso) == want
 
     @CODEC
     @given(code=VALUE, reason=REASON, before=st.binary(max_size=8), after=st.binary(max_size=8))
@@ -624,7 +564,7 @@ class TestCloseCodec:
         """Each decoder reads the close in place inside a larger buffer,
         within the bounds it is given, and agrees with parse_*."""
         fwd = wire.close_fields(code, reason, False)
-        [parsed] = wire.parse_forward(fwd)
+        [parsed] = parse_forward(fwd)
         buf = memoryview(before + fwd + after)
         start, end = len(before), len(before) + len(fwd)
         got = wire.take_close_forward(buf, start + 1, end)
@@ -632,7 +572,7 @@ class TestCloseCodec:
         assert got[:2] == (code, reason)
 
         rev = wire.close_fields(code, reason, True)
-        [parsed] = wire.parse_reversed(rev)
+        [parsed] = parse_reversed(rev)
         buf = memoryview(before + rev + after)
         got = wire.take_close_reversed(buf, start, start + len(rev) - 1)
         assert got == (parsed.error_code, parsed.reason, start)
@@ -649,14 +589,14 @@ class TestCloseCodec:
         clipped = fwd[:k]
         filler = b"\x01" * 64  # would decode as varints and reason bytes
         assert _raised(wire.take_close_forward, memoryview(clipped + filler), 1, k) == _raised(
-            wire.parse_forward, clipped
+            parse_forward, clipped
         )
         rev = wire.close_fields(code, reason, True)
         k = 1 + cut % (len(rev) - 1)
         clipped = rev[len(rev) - k :]  # the type byte and k - 1 bytes before it
         buf = memoryview(filler + clipped)
         assert _raised(wire.take_close_reversed, buf, len(filler), len(buf) - 1) == _raised(
-            wire.parse_reversed, clipped
+            parse_reversed, clipped
         )
 
     def test_close_fields_bytes(self):
