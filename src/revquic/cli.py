@@ -17,13 +17,12 @@ import argparse
 import csv
 import hashlib
 import socket
-import statistics
 import sys
 import time
 
 from . import harness
 from .endpoint import MAX_DATAGRAM, Connection, Role
-from .errors import TransportError
+from .errors import MalformedHeader, TransportError
 from .harness import PipeConfig, TransferReport
 from .mode import WireMode, parse_mode
 from .stream_buf import AppRecvBufMap
@@ -74,11 +73,14 @@ def _bench_row(r: harness.BatchResult) -> list:
 
 def _ratio_row(base: harness.BatchResult, rev: harness.BatchResult) -> list:
     """Improvement of the reversed layout over the baseline, as a row in
-    the same schema: median_ns/p5_ns/p95_ns hold the paired-bootstrap
-    ratio of baseline to reversed median times (>1 means faster), and
-    throughput_MBps holds the throughput ratio."""
+    the same schema: median_ns/p5_ns/p95_ns hold the ratio of baseline to
+    reversed median times (>1 means faster) and its interval over the
+    bootstrap rounds both modes share, and throughput_MBps holds the
+    throughput ratio."""
     ratio = base.median_ns / rev.median_ns if rev.median_ns else 0.0
-    lo, hi = _bootstrap_ratio_ci(base.times_ns, rev.times_ns)
+    lo, hi = harness.interval(
+        [b / r if r else 0.0 for b, r in zip(base.round_medians, rev.round_medians)]
+    )
     tp_ratio = rev.throughput_mbps / base.throughput_mbps if base.throughput_mbps else 0.0
     return [
         "ratio",
@@ -91,16 +93,6 @@ def _ratio_row(base: harness.BatchResult, rev: harness.BatchResult) -> list:
         0,
         0,
     ]
-
-
-def _bootstrap_ratio_ci(base_times, rev_times, lo=0.05, hi=0.95):
-    """CI for median(base)/median(rev), resampling paired repetitions."""
-
-    def ratio(idx):
-        r = statistics.median(rev_times[i] for i in idx)
-        return statistics.median(base_times[i] for i in idx) / r if r else 0.0
-
-    return harness.bootstrap_ci(min(len(base_times), len(rev_times)), ratio, lo, hi)
 
 
 def _modes(choice: str) -> tuple[WireMode, ...]:
@@ -334,7 +326,8 @@ def cmd_inspect(args) -> int:
     """Read one datagram as the receiver does: the header fields from
     header.unprotect on a copy, then the datagram through recv on a
     fresh receiver, and print what recv applied. A datagram recv rejects
-    exits 2 with recv's error, and so does one whose tag fails."""
+    exits 2 with recv's error, and one whose header or tag fails with
+    an error that names the key as a possible cause."""
     mode = parse_mode(args.mode)
     reverso = mode is WireMode.REVERSO
     role = Role.SERVER if args.direction == "c2s" else Role.CLIENT
@@ -342,7 +335,10 @@ def cmd_inspect(args) -> int:
     conn.largest_received_pn = args.pn_ref
     datagram = bytes.fromhex(args.hex)
     hdr = bytearray(datagram)
-    hdr_len, pn, sid, offset = header_mod.unprotect(hdr, conn.recv_keys, args.pn_ref, reverso)
+    try:
+        hdr_len, pn, sid, offset = header_mod.unprotect(hdr, conn.recv_keys, args.pn_ref, reverso)
+    except MalformedHeader as exc:  # another key unmasks the flags to noise
+        raise MalformedHeader(f"{exc}: wrong secret, mode or direction, or a damaged datagram") from exc
     appbuf = AppRecvBufMap()
     conn.recv(bytearray(datagram), appbuf)
     m = conn.metrics()

@@ -77,6 +77,11 @@ _OFF_RESERVE = 4
 _ROOM = MAX_DATAGRAM - (1 + header.DCID_LEN + _PN_RESERVE) - TAG_LEN
 _Span = tuple[int, int, int, bool]  # a fragment: stream id, offset, length, fin
 
+# a close's room under a baseline header beside the largest ack
+# _build_ack writes: type, largest (8 bytes at most), delay 0 and range
+# count in 11 bytes, then MAX_ACK_RANGES gap and length pairs of 16
+_CLOSE_ROOM = MAX_DATAGRAM - TAG_LEN - header.PN_OFFSET - _PN_RESERVE - (11 + 16 * wire.MAX_ACK_RANGES)
+
 # the anchor's type with its FIN bit set, for one comparison per packet
 _ANCHOR_FIN = wire.TYPE_ANCHOR | wire.STREAM_FIN
 
@@ -183,7 +188,7 @@ class Connection:
         self.close_error: tuple[int, bytes] | None = None
         self._metrics = Metrics()
         self._retransmit: deque[_Span] = deque()
-        self._close_queued: tuple[int, bytes] | None = None
+        self._close_queued: bytes | None = None  # the close frame's bytes
         self._rr: deque[_SendStream] = deque()  # round-robin stream order
         self._appbuf: AppRecvBufMap | None = None
 
@@ -221,7 +226,14 @@ class Connection:
         return len(data)
 
     def queue_close(self, error_code: int = 0, reason: bytes = b"") -> None:
-        self._close_queued = (error_code, reason)
+        """Queue a close for the next packet; BufferTooSmall, queueing
+        nothing, if it would not fit there beside the largest ack."""
+        reverso = self.mode is WireMode.REVERSO
+        close = wire.close_fields(error_code, reason, reverso)
+        # reverso's header adds a one-byte stream id and offset
+        if len(close) > _CLOSE_ROOM - 2 * reverso:
+            raise BufferTooSmall(f"a {len(close)}-byte close frame does not fit beside an ack")
+        self._close_queued = close
 
     def _next_fragment(self, overhead: int) -> _Span | None:
         """Pick a fresh span (stream id, offset, length, fin) round-robin
@@ -350,7 +362,7 @@ class Connection:
                 ack = wire.ack_fields(largest, 0, ranges, reverso)
                 ctrl_len = len(ack)
             if self._close_queued is not None:
-                close = wire.close_fields(*self._close_queued, reverso)
+                close = self._close_queued
                 ctrl_len += len(close)
                 self._close_queued = None
             span = self._next_fragment(ctrl_len)

@@ -79,8 +79,8 @@ class BatchResult:
     throughput_mbps: float
     copied_bytes: int
     zero_copy_bytes: int
-    calibration_ns: float
     times_ns: list[int] = field(repr=False, default_factory=list)
+    round_medians: list[float] = field(repr=False, default_factory=list)  # see bootstrap_medians
 
 
 class _Pipe:
@@ -244,7 +244,6 @@ class _PreparedBatch:
 
     def __init__(self, mode: WireMode, n_packets: int, seed: int = 0) -> None:
         self.mode = mode
-        self.n_packets = n_packets
         sender = Connection(mode, Role.CLIENT, _HARNESS_SECRET)
         rng = random.Random(seed ^ 0xBE7C)
         sender.stream_send(1, rng.randbytes(n_packets * MAX_DATAGRAM), fin=False)
@@ -285,43 +284,34 @@ class _PreparedBatch:
             conn.stream_consumed(sid, len(view), appbuf)
         return elapsed
 
-    def calibrate(self) -> int:
-        """The loop skeleton with no receiver work: proves the timed
-        section's overhead is negligible next to the packets."""
-        sink = 0
-        t0 = time.perf_counter_ns()
-        for w in self.work:
-            sink += len(w)
-        t1 = time.perf_counter_ns()
-        assert sink >= 0
-        return t1 - t0
 
+def bootstrap_medians(samples: list[list[int]]) -> list[list[float]]:
+    """Each sample list's median over the same resamples.
 
-def bootstrap_ci(n: int, statistic, lo: float = 0.05, hi: float = 0.95):
-    """Percentile interval of statistic over resamples of n indices.
-
-    Each of _BOOTSTRAP_ROUNDS rounds draws n indices with replacement
-    from a fixed seed and passes them to statistic; the sorted results
-    give the lo and hi quantiles."""
+    The lists are paired repetitions, so they share one length n. Each
+    of _BOOTSTRAP_ROUNDS rounds draws n indices with replacement from a
+    fixed seed and takes every list's median over them."""
+    n = len(samples[0])
     rng = random.Random(_BOOTSTRAP_SEED)
-    stats = sorted(
-        statistic([rng.randrange(n) for _ in range(n)]) for _ in range(_BOOTSTRAP_ROUNDS)
-    )
-    last = len(stats) - 1
-    return stats[min(last, int(lo * len(stats)))], stats[min(last, int(hi * len(stats)))]
+    medians: list[list[float]] = [[] for _ in samples]
+    for _ in range(_BOOTSTRAP_ROUNDS):
+        idx = [rng.randrange(n) for _ in range(n)]
+        for sample, out in zip(samples, medians):
+            out.append(statistics.median([sample[i] for i in idx]))
+    return medians
 
 
-def _bootstrap_median_ci(times: list[int], lo: float = 0.05, hi: float = 0.95):
-    return bootstrap_ci(len(times), lambda idx: statistics.median(times[i] for i in idx), lo, hi)
+def interval(stats: list[float]) -> tuple[float, float]:
+    """The 5th and 95th percentiles of stats."""
+    s = sorted(stats)
+    return s[int(0.05 * len(s))], s[int(0.95 * len(s))]
 
 
-def _finish(prep: _PreparedBatch, scenario: str, times: list[int], cal: int) -> BatchResult:
-    conn, appbuf = prep.fresh_receiver()
-    prep.restore()
-    prep.run_once(conn, appbuf)
+def _finish(prep: _PreparedBatch, scenario: str, times: list[int],
+            round_medians: list[float], conn: Connection) -> BatchResult:
     m = conn.metrics()
     med = statistics.median(times)
-    p5, p95 = _bootstrap_median_ci(times)
+    p5, p95 = interval(round_medians)
     return BatchResult(
         mode=prep.mode.value,
         scenario=scenario,
@@ -333,8 +323,8 @@ def _finish(prep: _PreparedBatch, scenario: str, times: list[int], cal: int) -> 
         throughput_mbps=prep.bytes_per_rep / (med / 1e9) / 1e6 if med else 0.0,
         copied_bytes=m.payload_bytes_copied,
         zero_copy_bytes=m.payload_bytes_zero_copy,
-        calibration_ns=cal,
         times_ns=times,
+        round_medians=round_medians,
     )
 
 
@@ -356,14 +346,16 @@ def bench_modes(
     """
     scen = scenario or f"batch-{n_packets}"
     preps = [_PreparedBatch(mode, n_packets, seed) for mode in modes]
-    cals = [p.calibrate() for p in preps]
     times: list[list[int]] = [[] for _ in preps]
+    conns: list = [None] * len(preps)  # the last timed receivers, for their counts
     for _ in range(repetitions):
         for i, prep in enumerate(preps):
             conn, appbuf = prep.fresh_receiver()
             prep.restore()
             times[i].append(prep.run_once(conn, appbuf))
-    return tuple(_finish(p, scen, t, c) for p, t, c in zip(preps, times, cals))
+            conns[i] = conn
+    rounds = bootstrap_medians(times)
+    return tuple(_finish(p, scen, t, r, c) for p, t, r, c in zip(preps, times, rounds, conns))
 
 
 SWEEP_LENGTHS = (1350, 13500, 67500, 135000, 212950)

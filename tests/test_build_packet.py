@@ -14,8 +14,9 @@ from contextlib import contextmanager
 
 import pytest
 
-from revquic import cli, crypto, header, harness
+from revquic import cli, crypto, header, harness, wire
 from revquic.endpoint import MAX_DATAGRAM, Connection, Role
+from revquic.errors import BufferTooSmall
 from revquic.harness import PipeConfig
 from revquic.mode import WireMode
 from packets import (
@@ -286,6 +287,43 @@ def test_packet_number_and_in_flight_record(mode):
     conn.ack_pending = {0}
     assert conn.build_packet(out, now=3.0) is not None
     assert conn.next_pn - 1 not in conn.unacked
+
+
+WIDEST = (1 << 62) - 1
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+@pytest.mark.parametrize("with_ack", [False, True], ids=["no-ack", "ack-cap"])
+def test_close_reason_limit(mode, with_ack):
+    """A close must fit beside the widest ack build_packet can write,
+    under a header with a 4-byte packet number and, in reverso, one-byte
+    stream id and offset fields. At that limit the close goes out; one
+    byte more raises BufferTooSmall from queue_close and changes
+    nothing, so the close queued before it goes out, with the ack."""
+    reverso = mode is WireMode.REVERSO
+    limit = 792 if reverso else 794
+    widest_ack = len(wire.ack_fields(WIDEST, 0, [(WIDEST, WIDEST)] * wire.MAX_ACK_RANGES, reverso))
+    hdr_len = header.PN_OFFSET + 4 + 2 * reverso
+    at_limit = wire.close_fields(0, b"r" * limit, reverso)
+    assert hdr_len + widest_ack + len(at_limit) + crypto.TAG_LEN == MAX_DATAGRAM
+    pending = {(1 << 61) - (1 << 40) * i for i in range(wire.MAX_ACK_RANGES + 3)} if with_ack else set()
+    ks = crypto.derive_keys(SECRET, "c2s")
+    out = bytearray(MAX_DATAGRAM)
+    for queued in [(0, b"r" * limit), (7, b"first")]:
+        conn = Connection(mode, Role.CLIENT, SECRET)
+        conn.next_pn = 1 << 28  # nothing acked: the packet number takes 4 bytes
+        conn.ack_pending = set(pending)
+        conn.queue_close(*queued)
+        with pytest.raises(BufferTooSmall):
+            conn.queue_close(0, b"r" * (limit + 1))
+        assert (conn.next_pn, conn.ack_pending) == (1 << 28, pending)
+        n = conn.build_packet(out, now=0.0)
+        *_, pt = open_packet(reverso, ks, out[:n], (1 << 28) - 1)
+        frames = parse_reversed(pt, 0, 0) if reverso else parse_forward(pt)
+        closes = [(f.error_code, f.reason) for f in frames if isinstance(f, ConnectionCloseFrame)]
+        acks = [f for f in frames if isinstance(f, AckFrame)]
+        assert closes == [queued]
+        assert [len(f.ranges) for f in acks] == ([wire.MAX_ACK_RANGES] if with_ack else [])
 
 
 if __name__ == "__main__":

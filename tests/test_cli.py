@@ -313,6 +313,19 @@ class TestInspectCommand:
         assert rc == 2
         assert "error:" in err
 
+    def test_wrong_direction_names_the_key(self, capsys):
+        # a c2s datagram read with the s2c key: its flags unmask to
+        # reserved bits that only a wrong key explains
+        rc, out, err = run_cli(
+            ["inspect", "--hex", self.packet_hex(WireMode.BASELINE), "--mode", "baseline",
+             "--secret", SECRET_HEX, "--direction", "s2c"],
+            capsys,
+        )
+        assert rc == 2
+        assert err == ("error: reserved sid_length bits set in baseline mode: "
+                       "wrong secret, mode or direction, or a damaged datagram\n")
+        assert out == ""
+
     @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
     @pytest.mark.parametrize(
         "frame", [PingFrame(), StreamFrame(1, 0, b"hello", explicit_len=True)],

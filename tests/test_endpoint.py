@@ -814,6 +814,17 @@ class TestAtomicity:
             assert receiver_state(server, sbuf) == before
         assert not sbuf.buffers and sbuf.spare is not None  # staged, never bound
 
+    @pytest.mark.parametrize("tail", ["0d", "0d41", "0d01", "0d018000"])
+    def test_truncated_baseline_stream_fields_change_nothing(self, tail):
+        # baseline's stream frame cut short: no stream id, half a 2-byte
+        # one, no offset, half a 4-byte one; after an ack that would apply
+        server, sbuf = in_flight_server(WireMode.BASELINE), AppRecvBufMap()
+        pt = layout(WireMode.BASELINE, None, [ack(2, (0, 3))]) + bytes.fromhex(tail)
+        before = receiver_state(server, sbuf)
+        with pytest.raises(MalformedFrame, match="truncated varint"):
+            server.recv(seal(WireMode.BASELINE, C2S, 0, pt), sbuf)
+        assert receiver_state(server, sbuf) == before
+
 
 class TestDraining:
     """An endpoint that has received a close drains (RFC 9000 §10.2.2):
@@ -881,6 +892,23 @@ class TestAckValidation:
         packet = bytearray(out)
         header.unprotect(packet, server.send_keys, 3, mode is WireMode.REVERSO)
         assert (packet[0] & 0x03) + 1 == 1
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_wide_range_in_a_multi_range_ack(self, mode):
+        """A range longer than 2 * SEND_WINDOW is intersected with what is
+        in flight: it removes exactly the in-flight numbers it covers."""
+        server, sbuf = in_flight_server(mode), AppRecvBufMap()
+        server.next_pn = 300  # as if 4 .. 299 had gone out and been acked
+        server.stream_send(7, b"t" * 3000)
+        out = bytearray(MAX_DATAGRAM)
+        for _ in range(3):
+            server.build_packet(out, now=0.0)
+        assert sorted(server.unacked) == [0, 1, 2, 3, 300, 301, 302]
+        wide = 2 * SEND_WINDOW + 171
+        # 302, then past 301: 300 down to 2
+        server.recv(seal(mode, C2S, 0, layout(mode, None, [ack(302, (0, 1), (1, wide))])), sbuf)
+        assert sorted(server.unacked) == [0, 1, 301]
+        assert server.largest_peer_acked == 302
 
 
 def stored(appbuf):

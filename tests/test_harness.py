@@ -1,6 +1,7 @@
 """Simulated-pipe transfers and the benchmark driver."""
 
 import random
+import statistics
 
 import pytest
 
@@ -10,8 +11,9 @@ from revquic.harness import (
     PipeConfig,
     _Pipe,
     _PreparedBatch,
-    _bootstrap_median_ci,
     bench_modes,
+    bootstrap_medians,
+    interval,
     run_transfer,
     sweep_modes,
 )
@@ -229,7 +231,7 @@ class TestBench:
         assert res.p5_ns <= res.median_ns <= res.p95_ns
         assert res.throughput_mbps > 0
         assert res.copied_bytes == 0 and res.zero_copy_bytes > 0
-        assert 0 <= res.calibration_ns < res.median_ns
+        assert len(res.round_medians) == harness._BOOTSTRAP_ROUNDS
 
     def test_baseline_batch_counts_copies(self):
         (res,) = bench_modes(2, (WireMode.BASELINE,), repetitions=4)
@@ -253,17 +255,88 @@ class TestBench:
         one, ten = (r.bytes_per_rep for r in results)
         assert one <= MAX_DATAGRAM and 10 * one <= ten <= 10 * MAX_DATAGRAM
 
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_counts_match_a_replayed_receiver(self, mode):
+        # the counts come from the last timed receiver; a receiver
+        # replayed apart from the bench must read the same
+        (res,) = bench_modes(3, (mode,), repetitions=2)
+        prep = _PreparedBatch(mode, 3)
+        conn, appbuf = prep.fresh_receiver()
+        prep.restore()
+        prep.run_once(conn, appbuf)
+        m = conn.metrics()
+        assert (res.copied_bytes, res.zero_copy_bytes) == (
+            m.payload_bytes_copied, m.payload_bytes_zero_copy)
+        assert res.copied_bytes + res.zero_copy_bytes > 0
+
     def test_bootstrap_ci_deterministic(self):
         times = [random.Random(1).randrange(1000, 2000) for _ in range(50)]
-        assert _bootstrap_median_ci(times) == _bootstrap_median_ci(times)
-        lo, hi = _bootstrap_median_ci([500] * 20)
-        assert lo == hi == 500
+        assert bootstrap_medians([times]) == bootstrap_medians([times])
+        (rounds,) = bootstrap_medians([[500] * 20])
+        assert interval(rounds) == (500, 500)
 
     def test_bootstrap_cis_pinned(self):
         # the bench CSV's p5/p95 columns for fixed timings
         rng = random.Random(3)
         base = [rng.randrange(9000, 11000) for _ in range(40)]
         rev = [rng.randrange(8000, 10500) for _ in range(40)]
-        assert _bootstrap_median_ci(base) == (9961.5, 10224.5)
-        assert _bootstrap_median_ci(rev) == (9168.0, 9671.0)
-        assert cli._bootstrap_ratio_ci(base, rev) == (1.0369657897473223, 1.105194095133953)
+        base_res, rev_res = results(base, rev)
+        assert (base_res.p5_ns, base_res.p95_ns) == (9961.5, 10224.5)
+        assert (rev_res.p5_ns, rev_res.p95_ns) == (9168.0, 9671.0)
+        assert ratio_interval(base_res, rev_res) == (1.0369657897473223, 1.105194095133953)
+        assert cli._ratio_row(base_res, rev_res)[4:6] == [1.037, 1.1052]
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 40, 101])
+    def test_shared_rounds_match_per_statistic_bootstrap(self, n):
+        # one draw of resamples gives what a bootstrap per statistic gave
+        rng = random.Random(n)
+        base = [rng.randrange(9000, 11000) for _ in range(n)]
+        rev = [rng.randrange(8000, 10500) for _ in range(n)]
+        rev[0] = 0  # a resample whose median is 0 puts 0.0 in the ratio
+        (alone,) = results(base)
+        assert (alone.p5_ns, alone.p95_ns) == reference_median_ci(base)
+        base_res, rev_res = results(base, rev)
+        assert (base_res.p5_ns, base_res.p95_ns) == reference_median_ci(base)
+        assert (rev_res.p5_ns, rev_res.p95_ns) == reference_median_ci(rev)
+        lo, hi = reference_ratio_ci(base, rev)
+        assert ratio_interval(base_res, rev_res) == (lo, hi)
+        assert cli._ratio_row(base_res, rev_res)[4:6] == [round(lo, 4), round(hi, 4)]
+
+
+def results(*samples: list[int]) -> list[harness.BatchResult]:
+    """BatchResults for paired timings, through the bench's bootstrap."""
+    return [
+        harness.BatchResult("m", "s", 1, len(t), statistics.median(t), *interval(r),
+                            1.0, 0, 0, t, r)
+        for t, r in zip(samples, bootstrap_medians(list(samples)))
+    ]
+
+
+def ratio_interval(base: harness.BatchResult, rev: harness.BatchResult):
+    """The ratio row's interval before it is rounded for the CSV."""
+    return interval([b / r if r else 0.0 for b, r in zip(base.round_medians, rev.round_medians)])
+
+
+# The bootstrap as it was, one seeded draw per statistic: the reference
+# the shared rounds must reproduce.
+
+
+def reference_ci(n: int, statistic):
+    rng = random.Random(harness._BOOTSTRAP_SEED)
+    stats = sorted(
+        statistic([rng.randrange(n) for _ in range(n)]) for _ in range(harness._BOOTSTRAP_ROUNDS)
+    )
+    last = len(stats) - 1
+    return stats[min(last, int(0.05 * len(stats)))], stats[min(last, int(0.95 * len(stats)))]
+
+
+def reference_median_ci(times: list[int]):
+    return reference_ci(len(times), lambda idx: statistics.median(times[i] for i in idx))
+
+
+def reference_ratio_ci(base_times: list[int], rev_times: list[int]):
+    def ratio(idx):
+        r = statistics.median(rev_times[i] for i in idx)
+        return statistics.median(base_times[i] for i in idx) / r if r else 0.0
+
+    return reference_ci(min(len(base_times), len(rev_times)), ratio)

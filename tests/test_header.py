@@ -160,21 +160,23 @@ class TestMalformed:
         mutate(enc)
         return protected(reverso, bytes(enc))
 
-    def test_form_bit_rejected(self):
+    @pytest.mark.parametrize("reverso", [False, True], ids=["baseline", "reverso"])
+    def test_form_bit_rejected(self, reverso):
         def set_form(enc):
             enc[0] |= 0x80
 
-        pkt = self.craft(True, set_form)
-        with pytest.raises(MalformedHeader):
-            header.unprotect(pkt, KS, 0, True)
+        pkt = self.craft(reverso, set_form, sid=int(reverso))
+        with pytest.raises(MalformedHeader, match="form/fixed"):
+            header.unprotect(pkt, KS, 0, reverso)
 
-    def test_fixed_bit_rejected(self):
+    @pytest.mark.parametrize("reverso", [False, True], ids=["baseline", "reverso"])
+    def test_fixed_bit_rejected(self, reverso):
         def clear_fixed(enc):
             enc[0] &= ~0x40
 
-        pkt = self.craft(True, clear_fixed)
-        with pytest.raises(MalformedHeader):
-            header.unprotect(pkt, KS, 0, True)
+        pkt = self.craft(reverso, clear_fixed, sid=int(reverso))
+        with pytest.raises(MalformedHeader, match="form/fixed"):
+            header.unprotect(pkt, KS, 0, reverso)
 
     def test_baseline_reserved_bits_rejected(self):
         def set_reserved(enc):
