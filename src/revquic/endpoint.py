@@ -48,6 +48,8 @@ from .crypto import TAG_LEN
 from .errors import (
     BufferTooSmall,
     MalformedFrame,
+    MalformedHeader,
+    PacketTooShortForSampling,
     ProtocolViolation,
     SendAfterFin,
     StreamIdOverflow,
@@ -456,7 +458,8 @@ class Connection:
         """Process one datagram; returns bytes consumed from it.
 
         Authentication failures are silent: the packet is dropped, a
-        counter ticks, and no state visible to the peer changes. An
+        counter ticks, and no state visible to the peer changes; so does
+        a header that does not unprotect, as under another key. An
         authenticated packet that raises has applied nothing.
 
         datagram must be writable and private to this call: the header
@@ -470,10 +473,15 @@ class Connection:
         self._metrics.bytes_received += blen
         if self.closed:
             return blen  # draining (RFC 9000 §10.2.2): discard unread
-        if self.mode is WireMode.REVERSO:
-            pn = self._recv_reverso(buf, blen, appbuf)
-        else:
-            pn = self._recv_baseline(buf, blen, appbuf)
+        try:
+            if self.mode is WireMode.REVERSO:
+                pn = self._recv_reverso(buf, blen, appbuf)
+            else:
+                pn = self._recv_baseline(buf, blen, appbuf)
+        except (MalformedHeader, PacketTooShortForSampling):
+            # raised only by header.unprotect, before anything applies
+            self._metrics.decrypt_failures += 1
+            return blen
         # only a packet that applied moves the expansion reference
         if pn > self.largest_received_pn:
             self.largest_received_pn = pn

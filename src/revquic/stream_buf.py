@@ -8,9 +8,12 @@ scratch. A fragment opened elsewhere is copied once, through the
 storage's memoryview, to its own offset in the same storage. The
 stream keeps a sorted list of the ranges it has received past the
 tail, and the watermark moves over a range, without a copy, once the
-tail reaches it. Everything here exists to make that safe: before
-authentication the receiver may only write into a hole, in storage
-that already exists; commitment happens after.
+tail reaches it. One routine records a write into a hole, opened
+there (commit) or copied there (place); only a fragment overlapping
+received bytes or below the tail takes place's overlap walk.
+Everything here exists to make that safe: before authentication the
+receiver may only write into a hole, in storage that already exists;
+commitment happens after.
 
 Storage size: a stream starts with DEFAULT_CAPACITY, 256 KiB, the
 smallest power of two that holds two full send windows (2 x SEND_WINDOW
@@ -118,9 +121,9 @@ class StreamRecvBuffer:
         or past the tail, as received without a copy. The footprint ended
         by the next received range with the anchor's type byte past the
         data, so end stays short of that range: the data moves the
-        watermark, extends the range ending at offset or starts one.
-        Returns False, recording nothing, when end lies more than WINDOW
-        past the tail: the fragment is dropped, its packet
+        watermark, or _record_hole records it as place records a hole
+        write. Returns False, recording nothing, when end lies more than
+        WINDOW past the tail: the fragment is dropped, its packet
         unacknowledged."""
         tail = self.contiguous_offset
         if end - tail > WINDOW:
@@ -132,23 +135,33 @@ class StreamRecvBuffer:
         if offset == tail:
             self.contiguous_offset = end
         elif offset < end:
-            ends = self.ends
-            k = bisect_right(ends, offset)
-            if k and ends[k - 1] == offset:
-                ends[k - 1] = end  # under loss, mostly the highest range
-            else:
-                self.starts.insert(k, offset)
-                ends.insert(k, end)
+            self._record_hole(offset, end, bisect_right(self.ends, offset))
         return True
+
+    def _record_hole(self, offset: int, end: int, k: int) -> None:
+        """Record [offset, end), written into a hole at or past the tail,
+        non-empty; k = bisect_right(ends, offset), the next range's index."""
+        starts, ends = self.starts, self.ends
+        if k < len(starts) and starts[k] == end:  # joins the range past it
+            end = ends[k]
+            del starts[k], ends[k]
+        if offset == self.contiguous_offset:
+            self.contiguous_offset = end
+        elif k and ends[k - 1] == offset:
+            ends[k - 1] = end  # under loss, mostly extends the highest range
+        else:
+            starts.insert(k, offset)
+            ends.insert(k, end)
 
     def place(self, offset: int, data, fin: bool) -> int:
         """Copy an authenticated fragment to offset - base_offset.
 
-        Only the parts not yet received are written: committed bytes and
-        received ranges keep their first write. The watermark then moves
-        over the range the tail now reaches. Returns the bytes copied, or
-        -1 when the fragment ends more than WINDOW past the tail: it is
-        dropped, and its packet goes unacknowledged.
+        A fragment in a hole is copied whole and recorded as commit
+        records one. Otherwise only the parts not yet received are
+        written, the overlap walk leaving committed bytes and received
+        ranges as first written. Returns the bytes copied, or -1 when the
+        fragment ends more than WINDOW past the tail: it is dropped, and
+        its packet goes unacknowledged.
         """
         n = len(data)
         end = offset + n
@@ -172,10 +185,17 @@ class StreamRecvBuffer:
             self.contiguous_offset = end
             return n
         dst = self.storage_view
+        ends = self.ends
+        if tail <= offset < end:
+            k = bisect_right(ends, offset)
+            if k == len(ends) or end <= starts[k]:
+                # a hole write: one copy, recorded as commit records it
+                dst[offset - base : end - base] = data
+                self._record_hole(offset, end, k)
+                return n
         start = offset if offset > tail else tail
         if start >= end:
             return 0
-        ends = self.ends
         # ranges i .. j-1 overlap or touch [start, end)
         i = bisect_left(ends, start)
         j = bisect_right(starts, end, i)

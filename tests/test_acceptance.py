@@ -16,7 +16,7 @@ import zlib
 
 from revquic import cli, crypto, harness, header, varint
 from revquic.endpoint import MAX_REVERSO_OFFSET, Connection, Role
-from revquic.errors import MalformedFrame, MalformedHeader, ProtocolViolation
+from revquic.errors import MalformedFrame, ProtocolViolation
 from revquic.harness import PipeConfig, run_transfer
 from revquic.mode import WireMode
 from revquic.stream_buf import AppRecvBufMap
@@ -311,7 +311,7 @@ def test_criterion_8_adversarial_safety():
     contiguous = sbuf.buffers[1].contiguous_offset
     allocations = sbuf.allocations
     spare = sbuf.spare
-    allowed = (MalformedHeader, MalformedFrame, ProtocolViolation)
+    allowed = (MalformedFrame, ProtocolViolation)
 
     emitted = 0
     survived = 0

@@ -14,6 +14,7 @@ from revquic.errors import (
     BufferTooSmall,
     MalformedFrame,
     MalformedHeader,
+    PacketTooShortForSampling,
     ProtocolViolation,
     SendAfterFin,
     StreamIdOverflow,
@@ -485,6 +486,52 @@ class TestAdversarial:
         assert zlib.crc32(bytes(server.stream_recv(1, sbuf)[0])) == committed
         assert server.metrics().decrypt_failures == 1
 
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_foreign_and_short_datagrams_count_as_decrypt_failures(self, mode):
+        """A datagram sealed under another secret (another key unmasks
+        the flags to noise, so header.unprotect mostly raises before any
+        tag) or too short to reach the sample window is counted in
+        decrypt_failures like a failed tag: recv raises nothing and
+        changes nothing else."""
+        client, server = pair(mode)
+        appbuf = AppRecvBufMap()
+        out = bytearray(MAX_DATAGRAM)
+        client.stream_send(1, b"h" * 3000)
+        honest = []
+        while (n := client.build_packet(out)) is not None:
+            honest.append(bytes(out[:n]))
+        for gram in honest[:1] + honest[2:]:  # a hole, then a range past it
+            server.recv(bytearray(gram), appbuf)
+        grams = []
+        for i in range(40):
+            foreign = Connection(mode, Role.CLIENT, bytes([i]) * 32)
+            foreign.stream_send(1 + i % 3, bytes([i]) * (100 + 37 * i), fin=bool(i & 1))
+            grams.append(bytes(out[: foreign.build_packet(out)]))
+        short = header.SAMPLE_OFFSET + header.SAMPLE_LEN
+        grams += [honest[1][:n] for n in (0, 1, header.PN_OFFSET, short - 1)]
+        raised = 0
+        for gram in grams:
+            try:
+                header.unprotect(bytearray(gram), server.recv_keys, server.largest_received_pn,
+                                 mode is WireMode.REVERSO)
+            except (MalformedHeader, PacketTooShortForSampling):
+                raised += 1
+        assert raised > 4  # the foreign grams include header failures, not only tag failures
+
+        appbuf._materialize_spare()  # a first packet is staged in it
+        before = receiver_state(server, appbuf)
+        spare, allocations = appbuf.spare, appbuf.allocations
+        for gram in grams:
+            assert server.recv(bytearray(gram), appbuf) == len(gram)
+        after = receiver_state(server, appbuf)
+        failures = before[3].decrypt_failures + len(grams)
+        assert after[3] == replace(before[3], decrypt_failures=failures)
+        assert after[:3] + after[4:] == before[:3] + before[4:]
+        assert (appbuf.spare, appbuf.allocations) == (spare, allocations)
+        assert server.build_packet(out) is not None  # acks owed for the honest packets
+        server.recv(bytearray(honest[1]), appbuf)  # the gap still fills
+        assert bytes(server.stream_recv(1, appbuf)[0]) == b"h" * 3000
+
     @pytest.mark.parametrize(
         "lane", ["fast", "first_contact", "off_tail", "off_tail_first_contact",
                  "tail_reaching_range", "tail_below_range"]
@@ -600,7 +647,7 @@ class TestAdversarial:
         client.stream_send(1, b"next chunk " * 40)
         n = client.build_packet(out)
         pristine = bytes(out[:n])
-        allowed = (MalformedHeader, MalformedFrame, ProtocolViolation)
+        allowed = (MalformedFrame, ProtocolViolation)
         for _ in range(200):
             gram = bytearray(pristine)
             gram[rng.randrange(len(gram))] ^= 1 << rng.randrange(8)

@@ -7,6 +7,9 @@ import zlib
 from dataclasses import replace
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from revquic import header, stream_buf, wire
 from revquic.endpoint import MAX_DATAGRAM, Connection, Role
@@ -726,3 +729,143 @@ class TestReassemblyDifferential:
             assert (buf.contiguous_offset, ranges(buf)) == (len(message), [])
             view, n, _ = buf.readable_span()
             assert bytes(view) == message
+
+
+class ReassemblyMachine(RuleBasedStateMachine):
+    """One StreamRecvBuffer against a model of what it received: the
+    first byte received at each stream offset, the consumed count and
+    the final size. Fragments carry bytes no other call wrote, so a
+    rewrite of a received byte shows."""
+
+    def __init__(self):
+        super().__init__()
+        self.buf = StreamRecvBuffer(64)
+        self.got: dict[int, int] = {}
+        self.consumed = 0
+        self.fin: int | None = None
+        self.calls = 0
+
+    def tail(self) -> int:
+        t = self.consumed
+        while t in self.got:
+            t += 1
+        return t
+
+    def payload(self, n: int) -> bytes:
+        self.calls += 1
+        return bytes((self.calls * 131 + i * 7) & 0xFF for i in range(n))
+
+    def outcome(self, offset: int, end: int, fin: bool):
+        """None when [offset, end) lies past the window, FinalSizeError
+        when the final size forbids it, else the offsets it adds."""
+        if end - self.tail() > WINDOW:
+            return None
+        received = max(self.got) + 1 if self.got else 0
+        if fin:
+            if (self.fin is not None and self.fin != end) or end < received:
+                return FinalSizeError
+        elif self.fin is not None and end > self.fin:
+            return FinalSizeError
+        return [o for o in range(offset, end) if o not in self.got]
+
+    def record(self, new, offset, data, fin):
+        for o in new:
+            self.got[o] = data[o - offset]
+        if fin:
+            self.fin = offset + len(data)
+
+    def do_place(self, offset: int, n: int, fin: bool) -> None:
+        data = self.payload(n)
+        new = self.outcome(offset, offset + n, fin)
+        if new is FinalSizeError:
+            with pytest.raises(FinalSizeError):
+                self.buf.place(offset, data, fin)
+        elif new is None:
+            assert self.buf.place(offset, data, fin) == -1
+        else:
+            assert self.buf.place(offset, data, fin) == len(new)
+            self.record(new, offset, data, fin)
+
+    @rule(rel=st.integers(-64, 320), n=st.integers(0, 48), fin=st.booleans())
+    def place(self, rel, n, fin):
+        self.do_place(max(0, self.tail() + rel), n, fin)
+
+    @rule(data=st.data(), n=st.integers(0, 48), after=st.booleans())
+    def place_touching(self, data, n, after):
+        """A fragment starting where the tail or a range ends, or ending
+        where a range starts."""
+        buf = self.buf
+        if after:
+            offset = data.draw(st.sampled_from([buf.contiguous_offset, *buf.ends]))
+        elif buf.starts:
+            offset = max(0, data.draw(st.sampled_from(buf.starts)) - n)
+        else:
+            return
+        self.do_place(offset, n, False)
+
+    @rule(n=st.integers(0, 48), past=st.integers(1, 4096), fin=st.booleans())
+    def place_past_window(self, n, past, fin):
+        self.do_place(self.tail() + WINDOW + past - n, n, fin)
+
+    @rule(data=st.data(), fin=st.booleans(), tag_ok=st.booleans())
+    def open_in_hole(self, data, fin, tag_ok):
+        """The AEAD writes a footprint (data, then the anchor's type byte
+        and trailing frames) into a hole in existing storage; commit
+        follows only when the tag verifies."""
+        buf = self.buf
+        cap_end = buf.base_offset + len(buf.storage)
+        holes = [o for o in range(self.tail(), cap_end) if o not in self.got]
+        if not holes:
+            return
+        offset = data.draw(st.sampled_from(holes))
+        limit = min([o for o in self.got if o > offset] + [cap_end])
+        n = data.draw(st.integers(0, min(48, limit - offset - 1)))
+        foot = data.draw(st.integers(offset + n + 1, limit))
+        payload = self.payload(n)
+        lo = offset - buf.base_offset
+        buf.storage[lo : lo + foot - offset] = payload + b"\xee" * (foot - offset - n)
+        if not tag_ok:
+            return
+        new = self.outcome(offset, offset + n, fin)
+        if new is FinalSizeError:
+            with pytest.raises(FinalSizeError):
+                buf.commit(offset, offset + n, fin)
+        else:
+            assert buf.commit(offset, offset + n, fin)
+            self.record(new, offset, payload, fin)
+
+    @rule(data=st.data())
+    def consume(self, data):
+        readable = self.tail() - self.consumed
+        n = data.draw(st.integers(0, readable + 2))
+        if n > readable:
+            with pytest.raises(ConsumeOutOfRange):
+                self.buf.consume(n)
+        else:
+            self.buf.consume(n)
+            self.consumed += n
+
+    @invariant()
+    def matches_the_model(self):
+        buf = self.buf
+        tail = self.tail()
+        assert (buf.contiguous_offset, buf.consumed_offset, buf.fin_offset) == (
+            tail, self.consumed, self.fin)
+        assert len(buf.starts) == len(buf.ends)
+        prev = tail
+        for s, e in zip(buf.starts, buf.ends):
+            assert prev < s < e  # sorted, non-empty, touching neither
+            prev = e
+        held = {o for s, e in zip(buf.starts, buf.ends) for o in range(s, e)}
+        assert held | set(range(tail)) == set(self.got)
+        base = buf.base_offset
+        assert base <= self.consumed
+        for o in held | set(range(self.consumed, tail)):
+            assert buf.storage[o - base] == self.got[o], o
+        view, n, fin_reached = buf.readable_span()
+        assert n == tail - self.consumed
+        assert fin_reached == (self.fin == tail)
+
+
+TestReassemblyMachine = ReassemblyMachine.TestCase
+TestReassemblyMachine.settings = settings(max_examples=150, stateful_step_count=40, deadline=None)
