@@ -8,9 +8,9 @@ scratch. A fragment opened elsewhere is copied once, through the
 storage's memoryview, to its own offset in the same storage. The
 stream keeps a sorted list of the ranges it has received past the
 tail, and the watermark moves over a range, without a copy, once the
-tail reaches it. One routine records a write into a hole, opened
-there (commit) or copied there (place); only a fragment overlapping
-received bytes or below the tail takes place's overlap walk.
+tail reaches it. One routine, _record_hole, alone edits the ranges: it
+records a hole write opened there (commit) or copied there (place's
+loop, once per part of a fragment not yet received).
 Everything here exists to make that safe: before authentication the
 receiver may only write into a hole, in storage that already exists;
 commitment happens after.
@@ -37,7 +37,7 @@ zero allocations after the first spare exists.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 
 from .errors import ConsumeOutOfRange, FinalSizeError
 
@@ -94,7 +94,7 @@ class StreamRecvBuffer:
         src = self.storage_view
         grow = end_index - lo > len(self.storage)
         if grow:
-            new_cap = len(self.storage)
+            new_cap = len(self.storage) or self.initial_capacity
             while new_cap < end_index - lo:
                 new_cap *= 2
             self.storage = bytearray(new_cap)
@@ -157,11 +157,11 @@ class StreamRecvBuffer:
         """Copy an authenticated fragment to offset - base_offset.
 
         A fragment in a hole is copied whole and recorded as commit
-        records one. Otherwise only the parts not yet received are
-        written, the overlap walk leaving committed bytes and received
-        ranges as first written. Returns the bytes copied, or -1 when the
-        fragment ends more than WINDOW past the tail: it is dropped, and
-        its packet goes unacknowledged.
+        records one. Otherwise a loop writes each part not yet received
+        as a hole write, jumping over received ranges, so committed and
+        received bytes keep their first write. Returns the bytes copied,
+        or -1 when the fragment ends more than WINDOW past the tail: it
+        is dropped, and its packet goes unacknowledged.
         """
         n = len(data)
         end = offset + n
@@ -193,32 +193,18 @@ class StreamRecvBuffer:
                 dst[offset - base : end - base] = data
                 self._record_hole(offset, end, k)
                 return n
-        start = offset if offset > tail else tail
-        if start >= end:
-            return 0
-        # ranges i .. j-1 overlap or touch [start, end)
-        i = bisect_left(ends, start)
-        j = bisect_right(starts, end, i)
-        src = memoryview(data)
+        # each part not yet received is a hole write; received ranges are skipped
         copied = 0
-        cur = start
-        for k in range(i, j):
-            if starts[k] > cur:
-                dst[cur - base : starts[k] - base] = src[cur - offset : starts[k] - offset]
-                copied += starts[k] - cur
-            cur = ends[k]
-        if cur < end:
-            dst[cur - base : end - base] = src[cur - offset :]
-            copied += end - cur
-        if i < j:
-            start = min(start, starts[i])
-            end = max(end, ends[j - 1])
-        if start == tail:
-            del starts[:j], ends[:j]
-            self.contiguous_offset = end
-        else:
-            starts[i:j] = [start]
-            ends[i:j] = [end]
+        cur = offset if offset > tail else tail
+        while cur < end:
+            k = bisect_right(ends, cur)
+            stop = starts[k] if k < len(ends) and starts[k] < end else end
+            nxt = ends[k] if k < len(ends) else end
+            if cur < stop:
+                dst[cur - base : stop - base] = memoryview(data)[cur - offset : stop - offset]
+                self._record_hole(cur, stop, k)
+                copied += stop - cur
+            cur = nxt
         return copied
 
     def readable_span(self):
@@ -239,11 +225,14 @@ class StreamRecvBuffer:
             )
         self.consumed_offset += n
         # slide the window start only when nothing unconsumed or pending
-        # remains; those bytes move only in ensure_room.
-        # Storage grown past its first size shrinks back then
+        # remains (those bytes move only in ensure_room); then grown
+        # storage shrinks back, and a finished stream's is released
         if self.consumed_offset == self.contiguous_offset and not self.starts:
             self.base_offset = self.consumed_offset
-            if len(self.storage) > self.initial_capacity:
+            if self.fin_offset == self.consumed_offset:
+                self.storage = bytearray()
+                self.storage_view = memoryview(self.storage)
+            elif len(self.storage) > self.initial_capacity:
                 self.storage = bytearray(self.initial_capacity)
                 self.storage_view = memoryview(self.storage)
                 self.grows += 1

@@ -16,7 +16,7 @@ from revquic.cli import BENCH_COLUMNS, SIMULATE_COLUMNS, main
 from revquic.endpoint import Connection, Role
 from revquic.errors import ProtocolViolation
 from revquic.mode import WireMode
-from revquic.stream_buf import AppRecvBufMap
+from revquic.stream_buf import WINDOW, AppRecvBufMap
 
 from packets import PingFrame, StreamFrame
 from test_endpoint import craft
@@ -345,6 +345,47 @@ class TestInspectCommand:
         assert err == f"error: {refused.value}\n"
         assert "outside the packet layout" in err
         assert out == ""
+
+
+class TestInspectLines:
+    """What inspect prints for a close, a fin alone and data past the
+    reassembly window, each a datagram from build_packet."""
+
+    @staticmethod
+    def applied(conn, mode, capsys) -> list[str]:
+        out = bytearray(1350)
+        n = conn.build_packet(out)
+        rc, text, err = run_cli(
+            ["inspect", "--hex", bytes(out[:n]).hex(), "--mode", mode.value, "--secret", SECRET_HEX],
+            capsys,
+        )
+        assert (rc, err) == (0, "")
+        return text.partition("applied by recv")[2].splitlines()[1:]
+
+    @staticmethod
+    def sender(mode):
+        return Connection(mode, Role.CLIENT, bytes.fromhex(SECRET_HEX))
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_close(self, mode, capsys):
+        conn = self.sender(mode)
+        conn.queue_close(7, b"done")
+        assert self.applied(conn, mode, capsys) == ["  Close error_code=7 reason=b'done'"]
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_fin_alone(self, mode, capsys):
+        conn = self.sender(mode)
+        conn.stream_send(3, b"", fin=True)
+        assert self.applied(conn, mode, capsys) == ["  Stream id=3 offset=0 len=0 fin=True lane=none"]
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_data_past_window_dropped(self, mode, capsys):
+        conn = self.sender(mode)
+        conn.stream_send(1, b"late" * 10)
+        ss = conn.send_streams[1]
+        ss.base_offset = ss.next_offset = WINDOW  # its end lies past the window
+        assert self.applied(conn, mode, capsys) == [
+            "  Stream id=1 dropped: it ends past the reassembly window"]
 
 
 class TestParser:

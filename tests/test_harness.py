@@ -193,6 +193,30 @@ class TestRunTransfer:
         assert 0.0 <= r.ordered_ratio <= 1.0
         assert r.payload_bytes_zero_copy + r.payload_bytes_copied >= r.bytes_transferred
 
+    def test_transfer_that_never_arrives_stalls(self):
+        # every datagram lost: the sender retransmits until the virtual
+        # clock passes STALL_LIMIT (about 0.8 s of wall time)
+        with pytest.raises(AssertionError, match="stalled"):
+            run_transfer(WireMode.REVERSO, 4096, pipe=PipeConfig(loss_prob=1.0))
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_corrupted_byte_is_a_content_mismatch(self, mode, monkeypatch):
+        # one received byte flipped in storage before the harness hashes it
+        stream_recv = harness.Connection.stream_recv
+        flipped = []
+
+        def corrupt_once(conn, sid, appbuf):
+            view, fin = stream_recv(conn, sid, appbuf)
+            if len(view) and not flipped:
+                view[0] ^= 0x01
+                flipped.append(sid)
+            return view, fin
+
+        monkeypatch.setattr(harness.Connection, "stream_recv", corrupt_once)
+        with pytest.raises(AssertionError, match=r"stream 1 content mismatch"):
+            run_transfer(mode, 64 * 1024, n_streams=2)
+        assert flipped == [1]
+
 
 # 1 MiB on 8 streams through reorder 0.1, loss 0.02 and duplication 0.01:
 # (seed, mode) -> every TransferReport field but wall_time and throughput

@@ -213,3 +213,23 @@ def test_span_reads_across_any_number_of_pieces(sizes, seed):
     assert ss.base_offset <= low and ss.base_offset + ss.size == len(whole)
     assert held == whole[ss.base_offset :]
     assert not ss.pieces or ss.base_offset + len(ss.pieces[0]) > low
+
+
+@pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+def test_no_room_left_picks_no_fragment(mode):
+    # a packet whose overhead leaves no room for a frame takes nothing:
+    # every stream is skipped and left as it was
+    conn = Connection(mode, Role.CLIENT, SECRET)
+    conn.stream_send(1, b"a" * 3000)
+    conn.stream_send(2, b"", fin=True)
+
+    def state():
+        return {sid: (ss.next_offset, ss.fin_sent, ss.base_offset, ss.size, list(ss.pieces))
+                for sid, ss in conn.send_streams.items()}
+
+    before = state()
+    assert conn._next_fragment(endpoint._ROOM) is None
+    assert state() == before
+    # with room, the same streams send
+    assert conn._next_fragment(0)[:2] == (1, 0)
+    assert conn._next_fragment(0) == (2, 0, 0, True)

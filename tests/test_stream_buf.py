@@ -606,6 +606,46 @@ class TestSpanAndConsume:
         assert buf.place(1600, b"n" * 10, False) == 10
         assert bytes(buf.readable_span()[0]) == b"n" * 10
 
+    def test_finished_stream_releases_storage(self):
+        buf = StreamRecvBuffer(1024)
+        buf.place(0, b"a" * 1500, True)
+        buf.consume(1000)
+        assert buf.capacity == 2048  # grown, bytes unconsumed
+        buf.consume(500)
+        # nothing can be received again: the storage goes, unreplaced
+        assert (buf.capacity, buf.base_offset, buf.grows) == (0, 1500, 1)
+        assert buf.place(700, b"a" * 800, False) == 0  # a late duplicate
+        assert buf.place(1500, b"", True) == 0  # the fin alone, again
+        with pytest.raises(FinalSizeError):
+            buf.place(1500, b"x", False)
+        assert (buf.capacity, buf.contiguous_offset, buf.fin_offset, ranges(buf)) == (0, 1500, 1500, [])
+        assert buf.readable_span()[1:] == (0, True)
+        # storage made again doubles from the first size, not from 0
+        assert buf.ensure_room(10) == 1 and buf.capacity == 1024
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_finished_stream_holds_nothing(self, mode):
+        r = Receiver(mode)
+        r.send(4, 0, b"a" * 300)
+        r.send(4, 300, b"b" * 200, fin=True)
+        r.conn.stream_consumed(4, 500, r.appbuf)
+        buf = r.appbuf.get(4)
+
+        def state():
+            m = r.conn.metrics()
+            return (buf.capacity, buf.contiguous_offset, buf.consumed_offset, buf.fin_offset,
+                    ranges(buf), r.appbuf.allocations, r.conn.readable(),
+                    m.payload_bytes_copied, m.payload_bytes_zero_copy)
+
+        before = state()
+        assert before[:5] == (0, 500, 500, 500, [])
+        r.send(4, 100, b"a" * 200)  # a late duplicate
+        r.send(4, 500, b"", fin=True)  # the fin alone, again
+        assert state() == before
+        with pytest.raises(FinalSizeError):
+            r.send(4, 500, b"x")
+        assert state() == before
+
 
 class TestGrowthMeter:
     @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
