@@ -166,6 +166,9 @@ def _parse_secret(text: str) -> bytes:
 def cmd_transfer(args) -> int:
     mode = parse_mode(args.mode)
     secret = _parse_secret(args.secret)
+    for flag in ("peer", "file") if args.direction == "send" else ("listen", "out"):
+        if getattr(args, flag) is None:
+            raise ValueError(f"transfer {args.direction} needs --{flag}")
     if args.direction == "send":
         return _transfer_send(mode, secret, args)
     return _transfer_recv(mode, secret, args)

@@ -58,7 +58,7 @@ from .errors import (
 )
 from .mode import WireMode
 from .stream_buf import AppRecvBufMap
-from .varint import _CLASS_LEN as _VLEN, _CLASS_MAX as _VMAX
+from .wire import _CLASS_LEN, _CLASS_MAX
 
 MAX_DATAGRAM = 1350
 SEND_WINDOW = 64  # packets in flight
@@ -385,7 +385,7 @@ class Connection:
                 off_len = crypto.truncated_len(offset + 1, 0)
                 sid_len = ss.sid_len
             else:  # baseline's header has no offset field
-                fields = wire.stream_fields(sid, offset, n, fin, False, False)
+                fields = wire.stream_fields(sid, offset, fin)
                 stream_len = len(fields) + n
         else:
             sid = offset = stream_len = 0
@@ -630,24 +630,24 @@ class Connection:
             if pos >= end:
                 raise MalformedFrame("truncated varint")
             b = buf[pos]
-            n = _VLEN[b >> 6]
+            n = _CLASS_LEN[b >> 6]
             if pos + n > end:
                 raise MalformedFrame("truncated varint")
             sid = (
                 b & 0x3F if n == 1
-                else int.from_bytes(buf[pos : pos + n], "big") & (_VMAX[b >> 6] - 1)
+                else int.from_bytes(buf[pos : pos + n], "big") & (_CLASS_MAX[b >> 6] - 1)
             )
             pos += n
             if pos >= end:
                 raise MalformedFrame("truncated varint")
             b = buf[pos]
-            n = _VLEN[b >> 6]
+            n = _CLASS_LEN[b >> 6]
             if pos + n > end:
                 raise MalformedFrame("truncated varint")
             offset = (
                 b & 0x3F if n == 1
                 else (b & 0x3F) << 8 | buf[pos + 1] if n == 2
-                else int.from_bytes(buf[pos : pos + n], "big") & (_VMAX[b >> 6] - 1)
+                else int.from_bytes(buf[pos : pos + n], "big") & (_CLASS_MAX[b >> 6] - 1)
             )
             pos += n
             sbuf = appbuf.buffers.get(sid)  # never holds stream 0

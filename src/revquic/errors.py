@@ -9,10 +9,6 @@ class EncodingOverflow(TransportError):
     """Value does not fit any variable-length integer class."""
 
 
-class TruncatedVarInt(TransportError):
-    """Buffer ends before the variable-length integer does."""
-
-
 class KeyDerivationError(TransportError):
     """Bad input to the key schedule derivation."""
 

@@ -72,10 +72,6 @@ class StreamRecvBuffer:
         self.grows = 0  # storage reallocations, summed by AppRecvBufMap
         self.bytes_moved = 0  # bytes ensure_room moved to index 0, grown or slid
 
-    @property
-    def capacity(self) -> int:
-        return len(self.storage)
-
     def ensure_room(self, end_index: int) -> int:
         """Make storage index end_index fit; returns allocations.
 

@@ -19,19 +19,26 @@ as already in place. Control frames and padding follow the anchor and
 parse backward independently, so padding never interferes with it.
 
 Frame type values follow the conventional registrations: padding 0x00,
-ping 0x01, ack 0x02, stream 0x08 with OFF 0x04 / LEN 0x02 / FIN 0x01,
-max-stream-data 0x11, connection-close 0x1c. The anchor, reversed layout
-only, is 0x20 with FIN 0x01, a value RFC 9000 leaves unassigned. The
-type is always a single byte in both layouts. Ping and max-stream-data
-are named for completeness; no packet build_packet writes carries them,
-and recv rejects them.
+ack 0x02, stream 0x08 with OFF 0x04 / FIN 0x01 (never LEN 0x02),
+connection-close 0x1c. The anchor, reversed layout only, is 0x20 with
+FIN 0x01, a value RFC 9000 leaves unassigned. The type is always a
+single byte in both layouts.
+
+Varints: the forward layout puts a 2-bit length tag in the two most
+significant bits of the first byte (00/01/10/11 for 1/2/4/8 bytes),
+value big-endian in the remaining bits. The reversed layout moves the
+tag to the two least significant bits of the last byte, (v << 2) | tag
+big-endian, so a backward reader learns the field's length from the byte
+at its cursor. Both layouts share the class boundaries _CLASS_MAX and
+lengths _CLASS_LEN.
 
 There is one encoder per frame type and one varint reader per layout.
-The encoders state each layout once for both orders: stream_fields,
-ack_fields, close_fields, _pack for max-stream-data, and the anchor's
-type byte. take_forward and take_reversed read k fields inside the
-bounds they are given; the ack decoders (take_ack_*) and the close
-decoders (take_close_*) read every field through them. The one reader
+The encoders state each layout once for both orders through _pack:
+stream_fields (baseline's stream frame), ack_fields and close_fields;
+reverso's stream frame is the anchor's type byte. take_forward and
+take_reversed read k fields inside the bounds they are given; the ack
+decoders (take_ack_*) and the close decoders (take_close_*) read every
+field through them. The one reader
 outside them is Connection._recv_baseline's inline read of its stream
 frame's stream id and offset, inline on purpose: a call
 per packet would add about 3 % to that lane and tilt the mode
@@ -53,25 +60,39 @@ from __future__ import annotations
 import re
 
 from .errors import EncodingOverflow, MalformedFrame
-from .varint import (
-    _CLASS_LEN,
-    _CLASS_MAX,
-    _length_class,
-    forward_length,  # noqa: F401 -- the sender budgets with wire.forward_length
-)
 
-TYPE_PADDING = 0x00
-TYPE_PING = 0x01
 TYPE_ACK = 0x02
 TYPE_STREAM = 0x08
 STREAM_OFF = 0x04
-STREAM_LEN = 0x02
 STREAM_FIN = 0x01
-TYPE_MAX_STREAM_DATA = 0x11
 TYPE_CONNECTION_CLOSE = 0x1C
 TYPE_ANCHOR = 0x20  # reversed layout only; | STREAM_FIN
 
 MAX_ACK_RANGES = 32
+
+VARINT_MAX = (1 << 62) - 1
+
+# class boundaries and lengths, shared by both varint layouts
+_CLASS_MAX = ((1 << 6), (1 << 14), (1 << 30), (1 << 62))
+_CLASS_LEN = (1, 2, 4, 8)
+
+
+def _length_class(v: int) -> int:
+    # unrolled over _CLASS_MAX: the senders call this for every frame
+    if v < 0x40:
+        return 0
+    if v < 0x4000:
+        return 1
+    if v < 0x40000000:
+        return 2
+    if v <= VARINT_MAX:
+        return 3
+    raise EncodingOverflow(f"{v} exceeds 62-bit varint range")
+
+
+def forward_length(v: int) -> int:
+    """Serialized size of v in either layout (budget planning)."""
+    return _CLASS_LEN[_length_class(v)]
 
 
 def _pack(t: int, values, reverso: bool) -> bytes:
@@ -92,17 +113,13 @@ def _pack(t: int, values, reverso: bool) -> bytes:
     return acc.to_bytes(n, "big")
 
 
-def stream_fields(
-    stream_id: int, offset: int, data_len: int, fin, explicit: bool, reverso: bool
-) -> bytes:
-    """A stream frame's bytes other than its data, the one stream-frame
-    encoder. Forward: type, stream id, offset, [length]; the data
-    follows. Reversed: length, offset, stream id, type; the data
-    precedes them. The offset is always written, in both layouts. The
-    reversed layout's LEN-absent stream data is the anchor instead,
-    which has no fields."""
-    t = TYPE_STREAM | STREAM_OFF | (STREAM_LEN if explicit else 0) | (STREAM_FIN if fin else 0)
-    return _pack(t, (stream_id, offset, data_len) if explicit else (stream_id, offset), reverso)
+def stream_fields(stream_id: int, offset: int, fin) -> bytes:
+    """Baseline's stream frame bytes other than its data, the one
+    stream-frame encoder: type with OFF and without LEN, stream id,
+    offset; the data follows and owns the rest of the plaintext. The
+    reversed layout's stream data is the anchor instead, which has no
+    fields."""
+    return _pack(TYPE_STREAM | STREAM_OFF | (STREAM_FIN if fin else 0), (stream_id, offset), False)
 
 
 def ack_fields(largest: int, delay: int, ranges, reverso: bool) -> bytes:

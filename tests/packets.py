@@ -1,6 +1,10 @@
-"""Packets for tests: frame objects, a reference walk over a plaintext,
-and one way to craft and to open a protected datagram.
+"""Packets for tests: a varint oracle, frame objects, a reference walk
+over a plaintext, and one way to craft and to open a protected datagram.
 
+encode_forward, decode_forward, encode_reversed and
+decode_reversed_backward are the varint layouts written out one field
+at a time, apart from the program's packer (wire._pack) and readers
+(wire.take_forward, wire.take_reversed), which tests check against them.
 parse_forward and parse_reversed read a plaintext frame by frame, more
 widely than recv: they also accept ping, max-stream-data and stream
 frames with LEN. Tests check build_packet's datagrams against them.
@@ -12,12 +16,86 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from revquic import crypto, header, wire
-from revquic.errors import MalformedFrame, TransportError
-from revquic.wire import STREAM_FIN, STREAM_LEN, STREAM_OFF, TYPE_ANCHOR, TYPE_STREAM
+from revquic.errors import EncodingOverflow, MalformedFrame, TransportError
+from revquic.wire import _CLASS_LEN, _CLASS_MAX, STREAM_FIN, STREAM_OFF, TYPE_ANCHOR, TYPE_STREAM
+
+# frame types and the LEN bit that no packet build_packet writes carries,
+# and that recv rejects
+TYPE_PADDING = 0x00
+TYPE_PING = 0x01
+STREAM_LEN = 0x02
+TYPE_MAX_STREAM_DATA = 0x11
 
 
 class UnknownFrameType(TransportError):
     """A type byte the reference walk does not know."""
+
+
+class TruncatedVarInt(TransportError):
+    """Buffer ends before the variable-length integer does."""
+
+
+# --- the varint oracle ---
+
+
+def _tag(v: int, length: int | None) -> tuple[int, int]:
+    """Length tag and byte count for v, minimal unless length forces a
+    wider class; the range check both encoders share."""
+    if not 0 <= v < _CLASS_MAX[-1]:
+        raise EncodingOverflow(f"{v} exceeds 62-bit varint range")
+    tag = next(i for i, top in enumerate(_CLASS_MAX) if v < top)
+    if length is not None:
+        forced = _CLASS_LEN.index(length)
+        if forced < tag:
+            raise EncodingOverflow(f"{v} does not fit {length} bytes")
+        tag = forced
+    return tag, _CLASS_LEN[tag]
+
+
+def encode_forward(v: int, length: int | None = None) -> bytes:
+    """Encode v in the forward layout, minimal length unless forced."""
+    tag, n = _tag(v, length)
+    return ((tag << (8 * n - 2)) | v).to_bytes(n, "big")
+
+
+def decode_forward(buf, pos: int = 0) -> tuple[int, int]:
+    """Decode at pos; returns (value, consumed)."""
+    if pos >= len(buf):
+        raise TruncatedVarInt("empty input")
+    tag = buf[pos] >> 6
+    n = _CLASS_LEN[tag]
+    if pos + n > len(buf):
+        raise TruncatedVarInt(f"need {n} bytes, have {len(buf) - pos}")
+    v = int.from_bytes(buf[pos : pos + n], "big")
+    return v & (_CLASS_MAX[tag] - 1), n
+
+
+def encode_reversed(v: int, length: int | None = None) -> bytes:
+    """Encode v in the reversed layout, tag in the final byte."""
+    tag, n = _tag(v, length)
+    return ((v << 2) | tag).to_bytes(n, "big")
+
+
+def decode_reversed_backward(buf, end: int) -> tuple[int, int]:
+    """Decode the reversed varint whose last byte is at end-1.
+
+    Returns (value, consumed); the caller steps its cursor back by
+    consumed.
+    """
+    if end <= 0 or end > len(buf):
+        raise TruncatedVarInt("cursor outside buffer")
+    tag = buf[end - 1] & 0x03
+    n = _CLASS_LEN[tag]
+    if end - n < 0:
+        raise TruncatedVarInt(f"need {n} bytes, have {end}")
+    return int.from_bytes(buf[end - n : end], "big") >> 2, n
+
+
+# the layouts share their class boundaries
+reversed_length = wire.forward_length
+
+
+# --- frames ---
 
 
 @dataclass
@@ -61,21 +139,26 @@ class ConnectionCloseFrame:
 
 def frame_bytes(f, reverso: bool, owner: bool = False) -> bytes:
     """One frame's bytes from the program's encoder for it. A stream
-    frame without LEN is reverso's anchor, its data and one type byte;
-    padding and ping, which no encoder writes, are their type byte."""
+    frame without LEN is reverso's anchor, its data and one type byte,
+    or baseline's wire.stream_fields and its data. A stream frame with
+    LEN and a max-stream-data frame, which the program never writes, go
+    through wire._pack; padding and ping are their type byte."""
     if isinstance(f, StreamFrame):
         explicit = f.explicit_len if f.explicit_len is not None else not owner
-        if reverso and not explicit:
-            return bytes(f.data) + bytes((TYPE_ANCHOR | (STREAM_FIN if f.fin else 0),))
-        fields = wire.stream_fields(f.stream_id, f.offset, len(f.data), f.fin, explicit, reverso)
+        if not explicit:
+            if reverso:
+                return bytes(f.data) + bytes((TYPE_ANCHOR | (STREAM_FIN if f.fin else 0),))
+            return wire.stream_fields(f.stream_id, f.offset, f.fin) + bytes(f.data)
+        t = TYPE_STREAM | STREAM_OFF | STREAM_LEN | (STREAM_FIN if f.fin else 0)
+        fields = wire._pack(t, (f.stream_id, f.offset, len(f.data)), reverso)
         return bytes(f.data) + fields if reverso else fields + bytes(f.data)
     if isinstance(f, AckFrame):
         return wire.ack_fields(f.largest_acked, f.ack_delay, f.ranges, reverso)
     if isinstance(f, ConnectionCloseFrame):
         return wire.close_fields(f.error_code, f.reason, reverso)
     if isinstance(f, MaxStreamDataFrame):
-        return wire._pack(wire.TYPE_MAX_STREAM_DATA, (f.stream_id, f.maximum), reverso)
-    return bytes((wire.TYPE_PING if isinstance(f, PingFrame) else wire.TYPE_PADDING,))
+        return wire._pack(TYPE_MAX_STREAM_DATA, (f.stream_id, f.maximum), reverso)
+    return bytes((TYPE_PING if isinstance(f, PingFrame) else TYPE_PADDING,))
 
 
 def plaintext(frames, reverso: bool) -> bytes:
@@ -123,9 +206,9 @@ def parse_forward(plaintext) -> list:
     while pos < n:
         t = plaintext[pos]
         pos += 1
-        if t == wire.TYPE_PADDING:
+        if t == TYPE_PADDING:
             frames.append(PaddingFrame())
-        elif t == wire.TYPE_PING:
+        elif t == TYPE_PING:
             frames.append(PingFrame())
         elif t == wire.TYPE_ACK:
             largest, delay, ranges, pos = wire.take_ack_forward(plaintext, pos, n)
@@ -139,7 +222,7 @@ def parse_forward(plaintext) -> list:
             data = plaintext[pos : pos + dlen]
             pos += dlen
             frames.append(StreamFrame(sid, offset, data, bool(t & STREAM_FIN), bool(t & STREAM_LEN)))
-        elif t == wire.TYPE_MAX_STREAM_DATA:
+        elif t == TYPE_MAX_STREAM_DATA:
             sid, maximum, pos = wire.take_forward(plaintext, pos, n, 2)
             frames.append(MaxStreamDataFrame(stream_id=sid, maximum=maximum))
         elif t == wire.TYPE_CONNECTION_CLOSE:
@@ -161,9 +244,9 @@ def parse_reversed(plaintext, stream_id: int = 0, offset: int = 0) -> list:
     while cur > 0:
         t = plaintext[cur - 1]
         cur -= 1
-        if t == wire.TYPE_PADDING:
+        if t == TYPE_PADDING:
             frames.append(PaddingFrame())
-        elif t == wire.TYPE_PING:
+        elif t == TYPE_PING:
             frames.append(PingFrame())
         elif t == wire.TYPE_ACK:
             largest, delay, ranges, cur = wire.take_ack_reversed(plaintext, 0, cur)
@@ -180,7 +263,7 @@ def parse_reversed(plaintext, stream_id: int = 0, offset: int = 0) -> list:
             data = plaintext[cur - dlen : cur]
             cur -= dlen
             frames.append(StreamFrame(sid, off, data, bool(t & STREAM_FIN), True))
-        elif t == wire.TYPE_MAX_STREAM_DATA:
+        elif t == TYPE_MAX_STREAM_DATA:
             sid, maximum, cur = wire.take_reversed(plaintext, 0, cur, 2)
             frames.append(MaxStreamDataFrame(stream_id=sid, maximum=maximum))
         elif t == wire.TYPE_CONNECTION_CLOSE:

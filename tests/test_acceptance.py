@@ -14,7 +14,7 @@ import threading
 import time
 import zlib
 
-from revquic import cli, crypto, harness, header, varint
+from revquic import cli, crypto, harness, header, wire
 from revquic.endpoint import MAX_REVERSO_OFFSET, Connection, Role
 from revquic.errors import MalformedFrame, ProtocolViolation
 from revquic.harness import PipeConfig, run_transfer
@@ -233,8 +233,12 @@ def test_criterion_6_wire_round_trips():
         if parsed != expect:
             failures += 1
 
+    # the program's sizes: the sender's budget and the field _pack writes
+    # in each layout, one field after a one-byte type
     boundary_ok = all(
-        len(varint.encode_reversed(v)) == n and len(varint.encode_forward(v)) == n
+        wire.forward_length(v) == n
+        and len(wire._pack(0, (v,), False)) == n + 1
+        and len(wire._pack(0, (v,), True)) == n + 1
         for v, n in (
             ((1 << 6) - 1, 1),
             (1 << 6, 2),

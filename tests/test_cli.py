@@ -245,6 +245,21 @@ class TestTransferCommand:
         assert rc == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["send", "--peer", "127.0.0.1:1"], "--file"),
+            (["send", "--file", "x"], "--peer"),
+            (["recv", "--out", "x"], "--listen"),
+            (["recv", "--listen", "127.0.0.1:0"], "--out"),
+        ],
+        ids=["send-file", "send-peer", "recv-listen", "recv-out"],
+    )
+    def test_missing_flag_reports_error(self, argv, flag, capsys):
+        rc, _, err = run_cli(["transfer", *argv, "--secret", SECRET_HEX], capsys)
+        assert rc == 2
+        assert err.startswith("error:") and f"needs {flag}" in err
+
     def test_bad_secret_reports_error(self, capsys):
         rc, _, err = run_cli(
             ["transfer", "send", "--peer", "h:1", "--file", "x", "--secret", "abcd"],

@@ -280,7 +280,7 @@ class TestTransfer:
             sbuf = AppRecvBufMap(default_capacity=1024)
             client.stream_send(1, b"g" * 20_000, fin=True)
             pump(client, server, AppRecvBufMap(), sbuf)
-            assert sbuf.get(1).capacity == 32 * 1024
+            assert len(sbuf.get(1).storage) == 32 * 1024
             allocations[mode] = sbuf.allocations
         # one buffer, grown five times from 1 KiB to 32 KiB
         assert allocations[WireMode.BASELINE] == allocations[WireMode.REVERSO] == 6
@@ -828,7 +828,7 @@ class TestControlLanes:
 
 
 # frames build_packet never writes; the stream frame without OFF (type
-# 0x08, stream 1) is given as bytes per layout, because stream_fields
+# 0x08, stream 1) is given as bytes per layout, because frame_bytes
 # always sets OFF
 OUTSIDE = {
     "len_stream": StreamFrame(stream_id=0, offset=0, data=b"hello", explicit_len=True),

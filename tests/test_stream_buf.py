@@ -183,7 +183,7 @@ class TestDecryptionPlan:
         m = r.send(4, 0, b"g" * 1300)
         assert (m.payload_bytes_zero_copy, m.payload_bytes_copied) == (0, 1300)
         assert r.appbuf.allocations == before + 1
-        assert r.appbuf.get(4).capacity >= 1300
+        assert len(r.appbuf.get(4).storage) >= 1300
 
     def test_forged_packet_past_capacity_grows_nothing(self):
         r = Receiver(default_capacity=1024)
@@ -191,7 +191,7 @@ class TestDecryptionPlan:
         buf, spare, before = r.appbuf.get(4), r.appbuf.spare, r.appbuf.allocations
         m, into_storage = r.forge(4, 1000)  # continues the tail, footprint past 1024
         assert m.decrypt_failures == 1 and not into_storage
-        assert (buf.capacity, r.appbuf.allocations, r.appbuf.spare) == (1024, before, spare)
+        assert (len(buf.storage), r.appbuf.allocations, r.appbuf.spare) == (1024, before, spare)
         assert bytes(buf.readable_span()[0]) == b"x" * 1000
 
     def test_fresh_stream_binds_spare(self):
@@ -469,7 +469,7 @@ class TestStash:
         pour(buf, b"a" * 10)
         assert buf.place(11, b"x" * 10, False) == 10
         assert buf.place(10 + WINDOW, b"x", True) == -1
-        assert (ranges(buf), buf.fin_offset, buf.capacity) == ([(11, 21)], None, 1024)
+        assert (ranges(buf), buf.fin_offset, len(buf.storage)) == ([(11, 21)], None, 1024)
         monkeypatch.setattr(stream_buf, "WINDOW", 100)  # the boundary, without 16 MiB of storage
         assert buf.place(110, b"x", False) == -1
         assert buf.place(109, b"x", False) == 1  # ends right at the window
@@ -554,7 +554,7 @@ class TestSpanAndConsume:
         buf = StreamRecvBuffer(512)
         pour(buf, b"m" * 400)
         assert buf.ensure_room(5000) == 1
-        assert buf.capacity >= 5000
+        assert len(buf.storage) >= 5000
         view, n, _ = buf.readable_span()
         assert bytes(view) == b"m" * 400
 
@@ -566,7 +566,7 @@ class TestSpanAndConsume:
         assert buf.base_offset == 0  # a range is pending: no slide
         allocations = buf.ensure_room(2000)
         # only [consumed, highest received end) moved, to index 0
-        assert (allocations, buf.base_offset, buf.capacity) == (1, 900, 2048)
+        assert (allocations, buf.base_offset, len(buf.storage)) == (1, 900, 2048)
         assert (bytes(buf.storage[:100]), at(buf, 1010, 1020)) == (b"a" * 100, b"r" * 10)
         assert buf.place(1000, b"b" * 10, False) == 10
         assert bytes(buf.readable_span()[0]) == b"a" * 100 + b"b" * 10 + b"r" * 10
@@ -574,7 +574,7 @@ class TestSpanAndConsume:
         buf.consume(120)
         buf.place(1300, b"s" * 10, False)
         assert buf.place(3000, b"f" * 10, False) == 10
-        assert (buf.base_offset, buf.capacity, ranges(buf)) == (1020, 2048, [(1300, 1310), (3000, 3010)])
+        assert (buf.base_offset, len(buf.storage), ranges(buf)) == (1020, 2048, [(1300, 1310), (3000, 3010)])
         assert at(buf, 1300, 1310) == b"s" * 10 and at(buf, 3000, 3010) == b"f" * 10
 
     def test_room_behind_consumed_bytes_slides_in_place(self):
@@ -588,7 +588,7 @@ class TestSpanAndConsume:
         # index 1100 is past the capacity, but fits once [500, 800) is at index 0
         assert buf.ensure_room(1100) == 0
         assert buf.storage is storage and appbuf.allocations == allocations
-        assert (buf.base_offset, buf.capacity, buf.bytes_moved) == (500, 1024, 300)
+        assert (buf.base_offset, len(buf.storage), buf.bytes_moved) == (500, 1024, 300)
         assert (bytes(buf.readable_span()[0]), at(buf, 700, 800)) == (b"a" * 100, b"r" * 100)
         assert buf.place(600, b"b" * 100, False) == 100
         assert bytes(buf.readable_span()[0]) == b"a" * 100 + b"b" * 100 + b"r" * 100
@@ -596,13 +596,13 @@ class TestSpanAndConsume:
     def test_grown_storage_shrinks_once_emptied(self):
         buf = StreamRecvBuffer(1024)
         buf.place(1500, b"r" * 100, False)
-        assert (buf.capacity, buf.bytes_moved) == (2048, 0)  # nothing received below
+        assert (len(buf.storage), buf.bytes_moved) == (2048, 0)  # nothing received below
         buf.place(0, b"a" * 1500, False)
         buf.consume(1000)
-        assert buf.capacity == 2048  # bytes remain unconsumed
+        assert len(buf.storage) == 2048  # bytes remain unconsumed
         buf.consume(600)
         # the shrink reallocates but moves nothing
-        assert (buf.capacity, buf.base_offset, buf.grows, buf.bytes_moved) == (1024, 1600, 2, 0)
+        assert (len(buf.storage), buf.base_offset, buf.grows, buf.bytes_moved) == (1024, 1600, 2, 0)
         assert buf.place(1600, b"n" * 10, False) == 10
         assert bytes(buf.readable_span()[0]) == b"n" * 10
 
@@ -610,18 +610,18 @@ class TestSpanAndConsume:
         buf = StreamRecvBuffer(1024)
         buf.place(0, b"a" * 1500, True)
         buf.consume(1000)
-        assert buf.capacity == 2048  # grown, bytes unconsumed
+        assert len(buf.storage) == 2048  # grown, bytes unconsumed
         buf.consume(500)
         # nothing can be received again: the storage goes, unreplaced
-        assert (buf.capacity, buf.base_offset, buf.grows) == (0, 1500, 1)
+        assert (len(buf.storage), buf.base_offset, buf.grows) == (0, 1500, 1)
         assert buf.place(700, b"a" * 800, False) == 0  # a late duplicate
         assert buf.place(1500, b"", True) == 0  # the fin alone, again
         with pytest.raises(FinalSizeError):
             buf.place(1500, b"x", False)
-        assert (buf.capacity, buf.contiguous_offset, buf.fin_offset, ranges(buf)) == (0, 1500, 1500, [])
+        assert (len(buf.storage), buf.contiguous_offset, buf.fin_offset, ranges(buf)) == (0, 1500, 1500, [])
         assert buf.readable_span()[1:] == (0, True)
         # storage made again doubles from the first size, not from 0
-        assert buf.ensure_room(10) == 1 and buf.capacity == 1024
+        assert buf.ensure_room(10) == 1 and len(buf.storage) == 1024
 
     @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
     def test_finished_stream_holds_nothing(self, mode):
@@ -633,7 +633,7 @@ class TestSpanAndConsume:
 
         def state():
             m = r.conn.metrics()
-            return (buf.capacity, buf.contiguous_offset, buf.consumed_offset, buf.fin_offset,
+            return (len(buf.storage), buf.contiguous_offset, buf.consumed_offset, buf.fin_offset,
                     ranges(buf), r.appbuf.allocations, r.conn.readable(),
                     m.payload_bytes_copied, m.payload_bytes_zero_copy)
 

@@ -1,11 +1,19 @@
-"""Both varint codecs: frozen vectors, class boundaries, round trips."""
+"""Both varint layouts: frozen vectors, class boundaries, round trips.
+
+The oracle codec in tests/packets.py writes and reads one varint at a
+time. The vector and boundary tests also run the program's codec: the
+packer wire._pack with one field, and the readers wire.take_forward and
+wire.take_reversed."""
 
 import random
+from typing import NamedTuple
 
 import pytest
 
-from revquic import varint
-from revquic.errors import EncodingOverflow, TruncatedVarInt
+import packets
+from packets import TruncatedVarInt
+from revquic import wire
+from revquic.errors import EncodingOverflow
 
 # value -> forward encoding, computed by hand from the layout rule
 # (tag << (8n-2)) | value, big-endian
@@ -52,92 +60,132 @@ BOUNDARY_LENGTHS = [
 ]
 
 
-class TestForward:
-    @pytest.mark.parametrize("value,encoded", FORWARD_VECTORS)
-    def test_encode_vectors(self, value, encoded):
-        assert varint.encode_forward(value) == encoded
+class Codec(NamedTuple):
+    """One varint each way in both layouts; the decoders read a buffer
+    that holds exactly one varint and return (value, length)."""
 
-    @pytest.mark.parametrize("value,encoded", FORWARD_VECTORS)
-    def test_decode_vectors(self, value, encoded):
-        assert varint.decode_forward(encoded) == (value, len(encoded))
+    encode_forward: object
+    decode_forward: object
+    encode_reversed: object
+    decode_reversed: object
+
+
+def _take_reversed(buf):
+    value, start = wire.take_reversed(buf, 0, len(buf), 1)
+    return value, len(buf) - start
+
+
+ORACLE = Codec(
+    packets.encode_forward,
+    packets.decode_forward,
+    packets.encode_reversed,
+    lambda buf: packets.decode_reversed_backward(buf, len(buf)),
+)
+# the program's codec: _pack writes a type byte (here 0) before the
+# field forward and after it reversed
+LIVE = Codec(
+    lambda v: wire._pack(0, (v,), False)[1:],
+    lambda buf: tuple(wire.take_forward(buf, 0, len(buf), 1)),
+    lambda v: wire._pack(0, (v,), True)[:-1],
+    _take_reversed,
+)
+
+
+def both_codecs(vectors):
+    """Each (value, expected) pair once per codec: the oracle's ids are
+    pytest's own for the pair, the program codec's end in -live."""
+    params = []
+    for value, want in vectors:
+        # pytest escapes an id's non-printable characters as it escapes bytes
+        plain = f"{value}-{want.decode('latin-1') if isinstance(want, bytes) else want}"
+        params.append(pytest.param(value, want, ORACLE, id=plain))
+        params.append(pytest.param(value, want, LIVE, id=f"{plain}-live"))
+    return params
+
+
+class TestForward:
+    @pytest.mark.parametrize("value,encoded,codec", both_codecs(FORWARD_VECTORS))
+    def test_encode_vectors(self, value, encoded, codec):
+        assert codec.encode_forward(value) == encoded
+
+    @pytest.mark.parametrize("value,encoded,codec", both_codecs(FORWARD_VECTORS))
+    def test_decode_vectors(self, value, encoded, codec):
+        assert codec.decode_forward(encoded) == (value, len(encoded))
 
     def test_decode_at_position(self):
-        buf = b"\xaa\xbb" + varint.encode_forward(15293) + b"\xcc"
-        assert varint.decode_forward(buf, 2) == (15293, 2)
+        buf = b"\xaa\xbb" + packets.encode_forward(15293) + b"\xcc"
+        assert packets.decode_forward(buf, 2) == (15293, 2)
 
     def test_truncated(self):
         with pytest.raises(TruncatedVarInt):
-            varint.decode_forward(b"\x40")  # class 2, one byte present
+            packets.decode_forward(b"\x40")  # class 2, one byte present
         with pytest.raises(TruncatedVarInt):
-            varint.decode_forward(b"")
+            packets.decode_forward(b"")
         with pytest.raises(TruncatedVarInt):
-            varint.decode_forward(b"\x25", 1)  # pos at end
+            packets.decode_forward(b"\x25", 1)  # pos at end
 
     def test_overflow(self):
         with pytest.raises(EncodingOverflow):
-            varint.encode_forward(1 << 62)
+            packets.encode_forward(1 << 62)
         with pytest.raises(EncodingOverflow):
-            varint.encode_forward(-1)
+            packets.encode_forward(-1)
 
     def test_forced_length(self):
-        assert varint.encode_forward(37, length=2) == bytes([0x40, 0x25])
-        assert varint.decode_forward(varint.encode_forward(37, length=8)) == (37, 8)
+        assert packets.encode_forward(37, length=2) == bytes([0x40, 0x25])
+        assert packets.decode_forward(packets.encode_forward(37, length=8)) == (37, 8)
         with pytest.raises(EncodingOverflow):
-            varint.encode_forward(15293, length=1)
+            packets.encode_forward(15293, length=1)
 
 
 class TestReversed:
-    @pytest.mark.parametrize("value,encoded", REVERSED_VECTORS)
-    def test_encode_vectors(self, value, encoded):
-        assert varint.encode_reversed(value) == encoded
+    @pytest.mark.parametrize("value,encoded,codec", both_codecs(REVERSED_VECTORS))
+    def test_encode_vectors(self, value, encoded, codec):
+        assert codec.encode_reversed(value) == encoded
 
-    @pytest.mark.parametrize("value,encoded", REVERSED_VECTORS)
-    def test_decode_vectors(self, value, encoded):
-        assert varint.decode_reversed_backward(encoded, len(encoded)) == (
-            value,
-            len(encoded),
-        )
+    @pytest.mark.parametrize("value,encoded,codec", both_codecs(REVERSED_VECTORS))
+    def test_decode_vectors(self, value, encoded, codec):
+        assert codec.decode_reversed(encoded) == (value, len(encoded))
 
     def test_tag_sits_in_final_byte(self):
         for value, expect_len in BOUNDARY_LENGTHS:
-            enc = varint.encode_reversed(value)
+            enc = packets.encode_reversed(value)
             tag = {1: 0, 2: 1, 4: 2, 8: 3}[expect_len]
             assert enc[-1] & 0x03 == tag
 
     def test_decode_mid_buffer(self):
         # backward cursor semantics: last byte of the field at end-1
-        buf = varint.encode_reversed(15293) + b"\x99\x99"
-        assert varint.decode_reversed_backward(buf, 2) == (15293, 2)
+        buf = packets.encode_reversed(15293) + b"\x99\x99"
+        assert packets.decode_reversed_backward(buf, 2) == (15293, 2)
 
     def test_truncated(self):
         with pytest.raises(TruncatedVarInt):
-            varint.decode_reversed_backward(b"\xf5", 1)  # 2-byte class
+            packets.decode_reversed_backward(b"\xf5", 1)  # 2-byte class
         with pytest.raises(TruncatedVarInt):
-            varint.decode_reversed_backward(b"\x94", 0)  # cursor at zero
+            packets.decode_reversed_backward(b"\x94", 0)  # cursor at zero
         with pytest.raises(TruncatedVarInt):
-            varint.decode_reversed_backward(b"\x94", 2)  # cursor past end
+            packets.decode_reversed_backward(b"\x94", 2)  # cursor past end
 
     def test_overflow(self):
         with pytest.raises(EncodingOverflow):
-            varint.encode_reversed(1 << 62)
+            packets.encode_reversed(1 << 62)
         with pytest.raises(EncodingOverflow):
-            varint.encode_reversed(-5)
+            packets.encode_reversed(-5)
 
     def test_forced_length(self):
-        assert varint.encode_reversed(37, length=2) == bytes([0x00, 0x95])
-        enc = varint.encode_reversed(37, length=8)
-        assert varint.decode_reversed_backward(enc, 8) == (37, 8)
+        assert packets.encode_reversed(37, length=2) == bytes([0x00, 0x95])
+        enc = packets.encode_reversed(37, length=8)
+        assert packets.decode_reversed_backward(enc, 8) == (37, 8)
         with pytest.raises(EncodingOverflow):
-            varint.encode_reversed(15293, length=1)
+            packets.encode_reversed(15293, length=1)
 
 
 class TestBoundaries:
-    @pytest.mark.parametrize("value,length", BOUNDARY_LENGTHS)
-    def test_length_classes(self, value, length):
-        assert len(varint.encode_forward(value)) == length
-        assert len(varint.encode_reversed(value)) == length
-        assert varint.forward_length(value) == length
-        assert varint.reversed_length(value) == length
+    @pytest.mark.parametrize("value,length,codec", both_codecs(BOUNDARY_LENGTHS))
+    def test_length_classes(self, value, length, codec):
+        assert len(codec.encode_forward(value)) == length
+        assert len(codec.encode_reversed(value)) == length
+        assert wire.forward_length(value) == length
+        assert packets.reversed_length(value) == length
 
 
 class TestRoundTrip:
@@ -147,10 +195,10 @@ class TestRoundTrip:
         for bits in range(1, 62):
             values.append(rng.getrandbits(bits))
         for v in values:
-            fwd = varint.encode_forward(v)
-            assert varint.decode_forward(fwd) == (v, len(fwd))
-            rev = varint.encode_reversed(v)
-            assert varint.decode_reversed_backward(rev, len(rev)) == (v, len(rev))
+            fwd = packets.encode_forward(v)
+            assert packets.decode_forward(fwd) == (v, len(fwd))
+            rev = packets.encode_reversed(v)
+            assert packets.decode_reversed_backward(rev, len(rev)) == (v, len(rev))
 
     def test_same_length_class_both_codecs(self):
         rng = random.Random(7)
@@ -158,17 +206,17 @@ class TestRoundTrip:
             v = rng.getrandbits(rng.randrange(1, 63))
             if v >= 1 << 62:
                 v >>= 1
-            assert len(varint.encode_forward(v)) == len(varint.encode_reversed(v))
+            assert len(packets.encode_forward(v)) == len(packets.encode_reversed(v))
 
     def test_backward_walk_over_packed_fields(self):
         # serialize a field list, then parse it right to left
         rng = random.Random(99)
         values = [rng.getrandbits(rng.randrange(1, 62)) for _ in range(64)]
-        packed = b"".join(varint.encode_reversed(v) for v in values)
+        packed = b"".join(packets.encode_reversed(v) for v in values)
         cur = len(packed)
         seen = []
         while cur > 0:
-            v, n = varint.decode_reversed_backward(packed, cur)
+            v, n = packets.decode_reversed_backward(packed, cur)
             seen.append(v)
             cur -= n
         assert cur == 0

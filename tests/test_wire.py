@@ -8,18 +8,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revquic import varint, wire
-from revquic.errors import EncodingOverflow, MalformedFrame, TruncatedVarInt
-from revquic.varint import VARINT_MAX
+from revquic import wire
+from revquic.errors import EncodingOverflow, MalformedFrame
+from revquic.wire import VARINT_MAX
 
 from packets import (
+    STREAM_LEN,
     AckFrame,
     ConnectionCloseFrame,
     MaxStreamDataFrame,
     PaddingFrame,
     PingFrame,
     StreamFrame,
+    TruncatedVarInt,
     UnknownFrameType,
+    decode_forward,
+    decode_reversed_backward,
+    encode_forward,
+    encode_reversed,
     frame_bytes,
     parse_forward,
     parse_reversed,
@@ -61,15 +67,19 @@ class TestGoldenVectors:
         assert parse_reversed(bytes([0x41, 0x42, 0x21]), 1, 0) == [f]
 
     def test_stream_fields_both_layouts(self):
-        # stream id 64 and offset 2**14 need two- and four-byte varints
-        fwd = wire.stream_fields(64, 1 << 14, 3, True, True, False)
-        assert fwd == bytes.fromhex("0f" "4040" "80004000" "03")
-        rev = wire.stream_fields(64, 1 << 14, 3, True, True, True)
-        assert rev == bytes.fromhex("0c" "00010002" "0101" "0f")
+        # stream id 64 and offset 2**14 need two- and four-byte varints;
+        # stream_fields writes baseline's frame, which owns the rest
+        assert wire.stream_fields(64, 1 << 14, True) == bytes.fromhex("0d" "4040" "80004000")
+        # the LEN frames of both layouts, which only tests write, through _pack
+        f = StreamFrame(stream_id=64, offset=1 << 14, data=b"abc", fin=True, explicit_len=True)
+        assert frame_bytes(f, False) == bytes.fromhex("0f" "4040" "80004000" "03") + b"abc"
+        assert frame_bytes(f, True) == b"abc" + bytes.fromhex("0c" "00010002" "0101" "0f")
         for bad in (-1, 1 << 62):
+            with pytest.raises(EncodingOverflow):
+                wire.stream_fields(1, bad, False)
             for reverso in (False, True):
                 with pytest.raises(EncodingOverflow):
-                    wire.stream_fields(1, bad, 0, False, False, reverso)
+                    frame_bytes(StreamFrame(stream_id=1, offset=bad, data=b"", explicit_len=True), reverso)
 
     def test_ping_identical_in_both_modes(self):
         assert parse_forward(b"\x01") == parse_reversed(b"\x01") == [PingFrame()]
@@ -232,11 +242,11 @@ CODEC = settings(max_examples=300, deadline=None, database=None)
 
 
 def _field_by_field(t, values, reverso) -> bytes:
-    """Frame type t and its fields written one by one with the varint
-    module's encoders: the layouts as the module docstring states them."""
+    """Frame type t and its fields written one by one with the varint oracle's
+    encoders: the layouts as wire's docstring states them."""
     if reverso:
-        return b"".join(map(varint.encode_reversed, reversed(values))) + bytes((t,))
-    return bytes((t,)) + b"".join(map(varint.encode_forward, values))
+        return b"".join(map(encode_reversed, reversed(values))) + bytes((t,))
+    return bytes((t,)) + b"".join(map(encode_forward, values))
 
 
 def _raised(fn, *args):
@@ -326,7 +336,7 @@ class TestAckCodec:
 #
 # parse_forward and parse_reversed call the same decoders, so agreeing
 # with them cannot catch a wrong shortcut in a decoder. This oracle reads
-# an ack field by field with the varint module's decoders, from a copy
+# an ack field by field with the varint oracle's decoders, from a copy
 # of exactly the bytes the decoder may read.
 
 
@@ -336,7 +346,7 @@ def _oracle_forward(buf, pos: int, end: int):
     def take():
         nonlocal pos
         try:
-            v, n = varint.decode_forward(data, pos)
+            v, n = decode_forward(data, pos)
         except TruncatedVarInt:
             raise MalformedFrame("truncated varint") from None
         pos += n
@@ -356,7 +366,7 @@ def _oracle_reversed(buf, lo: int, end: int):
     def take():
         nonlocal cur
         try:
-            v, n = varint.decode_reversed_backward(data, cur)
+            v, n = decode_reversed_backward(data, cur)
         except TruncatedVarInt:
             raise MalformedFrame("truncated reversed varint") from None
         cur -= n
@@ -436,7 +446,7 @@ class TestAckOracle:
         )
 
 
-# --- the field readers against the varint module's decoders ---
+# --- the field readers against the varint oracle's decoders ---
 
 
 def _oracle_take_forward(buf, pos: int, end: int, k: int):
@@ -444,7 +454,7 @@ def _oracle_take_forward(buf, pos: int, end: int, k: int):
     vals = []
     for _ in range(k):
         try:
-            v, n = varint.decode_forward(data, pos)
+            v, n = decode_forward(data, pos)
         except TruncatedVarInt:
             raise MalformedFrame("truncated varint") from None
         vals.append(v)
@@ -458,7 +468,7 @@ def _oracle_take_reversed(buf, lo: int, end: int, k: int):
     vals = []
     for _ in range(k):
         try:
-            v, n = varint.decode_reversed_backward(data, cur)
+            v, n = decode_reversed_backward(data, cur)
         except TruncatedVarInt:
             raise MalformedFrame("truncated reversed varint") from None
         vals.append(v)
@@ -483,7 +493,7 @@ class TestFieldReaders:
         beyond the cut and before the start: each reader returns the
         oracle's values and position, or raises the oracle's message."""
         k = len(values)
-        fwd = b"".join(map(varint.encode_forward, values))
+        fwd = b"".join(map(encode_forward, values))
         for cut in range(len(fwd) + 1):
             buf = memoryview(before + fwd[:cut] + after)
             pos, end = len(before), len(before) + cut
@@ -491,7 +501,7 @@ class TestFieldReaders:
             assert got == _outcome(_oracle_take_forward, buf, pos, end, k)
         assert got == values + [end]
         # the reversed reader meets the last-written field first
-        rev = b"".join(map(varint.encode_reversed, reversed(values)))
+        rev = b"".join(map(encode_reversed, reversed(values)))
         for cut in range(len(rev) + 1):
             buf = memoryview(before + rev[len(rev) - cut :] + after)
             lo, end = len(before), len(before) + cut
@@ -505,21 +515,21 @@ class TestFieldReaders:
         """A stream frame of every OFF/LEN/FIN combination, cut at every
         byte, raises the message of the part the cut falls in."""
         for t in range(wire.TYPE_STREAM, wire.TYPE_STREAM + 8):
-            fields = [sid] + [offset] * bool(t & wire.STREAM_OFF) + [len(data)] * bool(t & wire.STREAM_LEN)
-            head = bytes([t]) + b"".join(map(varint.encode_forward, fields))
+            fields = [sid] + [offset] * bool(t & wire.STREAM_OFF) + [len(data)] * bool(t & STREAM_LEN)
+            head = bytes([t]) + b"".join(map(encode_forward, fields))
             blob = head + data
             for cut in range(1, len(blob) + 1):
                 if cut < len(head):
                     want = "MalformedFrame", "truncated varint"
-                elif cut < len(blob) and t & wire.STREAM_LEN:
+                elif cut < len(blob) and t & STREAM_LEN:
                     want = "MalformedFrame", "stream data extends past plaintext"
                 else:
                     want = None  # complete, or LEN absent: the frame owns the rest
                 assert _failure(parse_forward, blob[:cut]) == want
-            tail = b"".join(map(varint.encode_reversed, reversed(fields))) + bytes([t])
+            tail = b"".join(map(encode_reversed, reversed(fields))) + bytes([t])
             blob = data + tail
             for cut in range(1, len(blob) + 1):
-                if not t & wire.STREAM_LEN:
+                if not t & STREAM_LEN:
                     want = "UnknownFrameType", f"type 0x{t:02x}"  # only the anchor lacks LEN
                 elif cut < len(tail):
                     want = "MalformedFrame", "truncated reversed varint"
