@@ -104,9 +104,9 @@ def cmd_bench(args) -> int:
     writer.writerow(BENCH_COLUMNS)
     modes = _modes(args.mode)
     if args.sweep:
-        runs = harness.sweep_modes(modes=modes, repetitions=args.reps, seed=args.seed)
+        runs = harness.sweep_modes(modes=modes, repetitions=args.reps)
     else:
-        runs = [harness.bench_modes(args.packets, modes, repetitions=args.reps, seed=args.seed)]
+        runs = [harness.bench_modes(args.packets, modes, repetitions=args.reps)]
     for results in runs:
         for r in results:
             writer.writerow(_bench_row(r))
@@ -194,17 +194,19 @@ def _transfer_send(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
     start = time.monotonic()
     try:
         while not (conn.send_done() or conn.closed):
-            if time.monotonic() - start > deadline:
+            now = time.monotonic()
+            if now - start > deadline:
                 print("error: transfer did not complete before the deadline", file=sys.stderr)
                 return 1
+            # every pass, not only when nothing arrives: acks flowing for
+            # later packets must not hold back a lost one's retransmission
+            conn.on_timeout(now)
             while (n := conn.build_packet(out)) is not None:
                 sock.send(outv[:n])
             try:
                 conn.recv(inv[: sock.recv_into(inv)], appbuf)
-            except (TimeoutError, ConnectionRefusedError):
-                conn.on_timeout(time.monotonic())
-            except TransportError:
-                pass  # garbage from the network: drop
+            except (TimeoutError, ConnectionRefusedError, TransportError):
+                pass  # nothing arrived, or garbage from the network: drop
         # courtesy close, fire and forget
         conn.queue_close(0, b"done")
         if (n := conn.build_packet(out)) is not None:
@@ -242,19 +244,16 @@ def _transfer_recv(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
     carry = b""  # last 32 bytes seen so far: checksum candidate
     total = 0
     fin_seen = False
+    linger_until = 0.0  # set once the fin is read
     start = None
     peer = None
 
-    def flush_sends() -> None:
-        if peer is None:
-            return
-        while (n := conn.build_packet(out)) is not None:
-            sock.sendto(outv[:n], peer)
-
     try:
         with open(args.out, "wb") as f:
-            while not fin_seen:
-                if start is not None and time.monotonic() - start > deadline:
+            # after the fin, linger briefly so the sender's last
+            # retransmissions get their acks and it can observe completion
+            while not fin_seen or (not conn.closed and time.monotonic() < linger_until):
+                if not fin_seen and start is not None and time.monotonic() - start > deadline:
                     print("error: transfer did not complete before the deadline", file=sys.stderr)
                     return 1
                 try:
@@ -265,10 +264,8 @@ def _transfer_recv(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
                     if start is None:
                         start = time.monotonic()
                     conn.recv(bytearray(pkt), appbuf)
-                except TimeoutError:
-                    conn.on_timeout(time.monotonic())
-                except TransportError:
-                    pass
+                except (TimeoutError, TransportError):
+                    pass  # nothing arrived, or garbage: drop
                 for sid in conn.readable():
                     view, fin = conn.stream_recv(sid, appbuf)
                     body, carry = _split_checksum(carry, view)
@@ -279,20 +276,10 @@ def _transfer_recv(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
                     conn.stream_consumed(sid, len(view), appbuf)
                     if fin:
                         fin_seen = True
-                flush_sends()
-            # linger briefly so the sender's last retransmissions get
-            # their acks and it can observe completion
-            linger_until = time.monotonic() + 0.5
-            while time.monotonic() < linger_until:
-                try:
-                    pkt, addr = sock.recvfrom(2048)
-                    peer = addr
-                    conn.recv(bytearray(pkt), appbuf)
-                except (TimeoutError, TransportError):
-                    pass
-                flush_sends()
-                if conn.closed:
-                    break
+                        linger_until = time.monotonic() + 0.5
+                if peer is not None:
+                    while (n := conn.build_packet(out)) is not None:
+                        sock.sendto(outv[:n], peer)
     finally:
         sock.close()
     wall = (time.monotonic() - start) if start else 0.0
@@ -389,7 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--packets", type=int, default=10)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--sweep", action="store_true", help="buffered-length sweep")
-    p.add_argument("--seed", type=int, default=0, help="content seed for the prepared batch")
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("simulate", help="run a pipe-simulated transfer, CSV to stdout")

@@ -1,26 +1,27 @@
 """Connection state machine: send and receive pipelines in both modes.
 
-The receive pipeline is the measured artifact; each mode has one receive
-function. In reversed mode the header's stream id and offset are the one
-locator of a packet's stream data: the anchor frame is the data and one
-type byte, and the header, the AEAD's associated data, is authenticated
-with it. The receiver chooses the AEAD destination from the still
-unauthenticated header: a packet is opened straight into stream storage
-at the offset its header names, and recorded there without a copy, when
-its whole footprint fits a hole at or past the contiguous tail, in
-storage that already exists and short of any data received past it;
-anything else is opened in place in the datagram and its data copied
-once, to that same offset. A new stream's buffer is bound only once the
-tag verifies. Baseline mode opens in place in the datagram buffer,
-decodes forward, and copies validated stream data into storage; that
-reassembly copy is the cost the reversed layout removes. In both modes
-the receiver reads exactly the layout build_packet writes, at most one
-stream frame (baseline: OFF set, LEN absent; reverso: the anchor) beside
-at most one ack, one close and a padding run, where they lie and without
-frame objects; any other frame raises. A packet is decoded and checked
-in full before any of it applies, so one that raises leaves no state
-behind. A received close elicits no ack; the endpoint then drains,
-discarding what arrives and sending nothing (RFC 9000 §10.2.2).
+The receive pipeline is the measured artifact; one receive function,
+recv, reads both layouts. In reversed mode the header's stream id and
+offset are the one locator of a packet's stream data: the anchor frame
+is the data and one type byte, and the header, the AEAD's associated
+data, is authenticated with it. The receiver chooses the AEAD
+destination from the still unauthenticated header: a packet is opened
+straight into stream storage at the offset its header names, and
+recorded there without a copy, when its whole footprint fits a hole at
+or past the contiguous tail, in storage that already exists and short of
+any data received past it; anything else is opened in place in the
+datagram and its data copied once, to that same offset. A new stream's
+buffer is bound only once the tag verifies. Baseline mode opens in place
+in the datagram buffer, decodes forward, and copies validated stream
+data into storage; that reassembly copy is the cost the reversed layout
+removes. In both modes the receiver reads exactly the layout
+build_packet writes, at most one stream frame (baseline: OFF set, LEN
+absent; reverso: the anchor) beside at most one ack, one close and a
+padding run, where they lie and without frame objects; any other frame
+raises. A packet is decoded and checked in full before any of it
+applies, so one that raises leaves no state behind. A received close
+elicits no ack; the endpoint then drains, discarding what arrives and
+sending nothing (RFC 9000 §10.2.2).
 
 Reliability is deliberately minimal: fixed retransmission timeout, a
 fixed in-flight window, ack-every-data-packet. A stream's queued bytes
@@ -437,22 +438,24 @@ class Connection:
 
     # --- receiving ---
     #
-    # One receive function per mode, and one route through each. Each
-    # unprotects the header with header.unprotect, opens the AEAD with
-    # decrypt_into, and walks exactly the layout build_packet writes: at
-    # most one stream frame (baseline type 0x0C/0x0D, reverso's anchor
-    # 0x20/0x21), owning the rest of the plaintext, beside at most one
-    # ack, at most one close and a padding run. Each is read where it
-    # lies, without frame objects, because per-object interpreter cost
-    # dominates the per-packet budget. Any other frame (ping,
-    # max-stream-data, a stream frame with LEN or without OFF, or with
-    # fields in reverso, a second ack or stream frame, an unknown type)
-    # raises ProtocolViolation. The whole packet is decoded and checked,
-    # its ack by _check_ack, before any of it applies; then its stream
-    # data (recorded where it was opened when reverso opened it at its
-    # offset, placed in storage through _deliver otherwise), its ack
-    # through _on_ack, and its close, in that order. After a close, recv
-    # discards each datagram unread.
+    # One receive function for both modes, and one route through it.
+    # header.unprotect, the decrypt_into open, the ack and close apply
+    # and the packet-number update are the same code in both; only
+    # reverso's choice of AEAD destination, each layout's walk and its
+    # stream-data apply branch on the mode. Each walk reads exactly the
+    # layout build_packet writes: at most one stream frame (baseline type
+    # 0x0C/0x0D, reverso's anchor 0x20/0x21), owning the rest of the
+    # plaintext, beside at most one ack, at most one close and a padding
+    # run. Each is read where it lies, without frame objects, because
+    # per-object interpreter cost dominates the per-packet budget. Any
+    # other frame (ping, max-stream-data, a stream frame with LEN or
+    # without OFF, or with fields in reverso, a second ack or stream
+    # frame, an unknown type) raises ProtocolViolation. The whole packet
+    # is decoded and checked, its ack by _check_ack, before any of it
+    # applies; then its stream data (recorded where it was opened when
+    # reverso opened it at its offset, placed in storage through _deliver
+    # otherwise), its ack through _on_ack, and its close, in that order.
+    # After a close, recv discards each datagram unread.
 
     def recv(self, datagram, appbuf: AppRecvBufMap) -> int:
         """Process one datagram; returns bytes consumed from it.
@@ -470,204 +473,165 @@ class Connection:
         self._appbuf = appbuf
         buf = memoryview(datagram) if not isinstance(datagram, memoryview) else datagram
         blen = len(buf)
-        self._metrics.bytes_received += blen
+        m = self._metrics
+        m.bytes_received += blen
         if self.closed:
             return blen  # draining (RFC 9000 §10.2.2): discard unread
+        reverso = self.mode is WireMode.REVERSO
+        ks = self.recv_keys
         try:
-            if self.mode is WireMode.REVERSO:
-                pn = self._recv_reverso(buf, blen, appbuf)
-            else:
-                pn = self._recv_baseline(buf, blen, appbuf)
+            hdr_len, pn, sid, off = header.unprotect(buf, ks, self.largest_received_pn, reverso)
         except (MalformedHeader, PacketTooShortForSampling):
-            # raised only by header.unprotect, before anything applies
-            self._metrics.decrypt_failures += 1
+            m.decrypt_failures += 1  # as under another key
             return blen
+        # the plaintext is store[lo:hi]: in place over the ciphertext,
+        # aliased exactly, unless reverso opens it at its offset
+        store, lo, hi = buf, hdr_len, blen - TAG_LEN
+        at_off = False
+        if reverso:
+            # The header, which carries the whole offset, locates the
+            # stream data. Open at it when the whole footprint, trailer
+            # and a failed tag's garbage included, lies in a hole: at or
+            # past the tail, inside storage that exists (nothing grows
+            # before the tag verifies) and ending by the next received
+            # range
+            sbuf = appbuf.buffers.get(sid)  # never holds stream 0
+            staged = sbuf is None and sid != 0
+            if staged:
+                # the spare, bound through adopt once the packet checks out
+                sbuf = appbuf.spare or appbuf._materialize_spare()
+            if sbuf is not None and off >= sbuf.contiguous_offset:
+                at = off - sbuf.base_offset
+                pt_len = hi - lo
+                ends = sbuf.ends
+                at_off = at + pt_len <= len(sbuf.storage) and (
+                    not ends or off >= ends[-1]
+                    or off + pt_len <= sbuf.starts[bisect_right(ends, off)]
+                )
+                if at_off:
+                    store, lo, hi = sbuf.storage, at, at + pt_len
+        try:
+            ks._aead.decrypt_into(
+                (ks._iv_int ^ pn).to_bytes(12, "big"), buf[hdr_len:], buf[:hdr_len],
+                (sbuf.storage_view if at_off else buf)[lo:hi],
+            )
+        except InvalidTag:
+            m.decrypt_failures += 1
+            return blen
+
+        close = None
+        acked = False  # an ack decoded here that passed _check_ack
+        if reverso:
+            # Walk back from the end: a padding run, a close, an ack,
+            # then the anchor's type byte, after the stream data that
+            # starts the plaintext. The authenticated header locates
+            # that data.
+            cur = hi
+            t = store[cur - 1] if cur > lo else -1
+            if not t:
+                cur = wire.padding_start(store, lo, cur)
+                t = store[cur - 1] if cur > lo else -1
+            if t == 0x1C:  # connection close
+                code, reason, cur = wire.take_close_reversed(store, lo, cur - 1)
+                close = code, reason
+                t = store[cur - 1] if cur > lo else -1
+            if t == 0x02:  # ack
+                largest, _, ranges, cur = wire.take_ack_reversed(store, lo, cur - 1)
+                acked = self._check_ack(largest, ranges)
+                t = store[cur - 1] if cur > lo else -1
+            if t | 0x01 == _ANCHOR_FIN:
+                fin = t & 0x01
+                data_len = cur - 1 - lo
+                if at_off:
+                    # opened at its offset: record it there, no copy
+                    in_order = off == sbuf.contiguous_offset
+                    if sbuf.commit(off, off + data_len, fin):
+                        m.payload_bytes_zero_copy += data_len
+                        self.ack_pending.add(pn)
+                    if staged:
+                        appbuf.adopt(sid)
+                    if in_order:
+                        m.packets_in_order += 1
+                    else:
+                        m.packets_out_of_order += 1
+                else:
+                    if sid == 0:
+                        raise ProtocolViolation("stream frame in a control-only packet")
+                    if not self._deliver(appbuf, sid, off, store[lo : cur - 1], fin):
+                        self.ack_pending.add(pn)
+            elif t < 0:
+                if sid:
+                    raise ProtocolViolation("header names a stream but no anchor frame found")
+                m.packets_control_only += 1
+            else:
+                raise ProtocolViolation(f"frame type 0x{t:02x} outside the packet layout")
+        else:
+            # walk forward: an ack, a close, a padding run, then a
+            # stream frame that owns the rest
+            pos = lo
+            t = buf[pos] if hi > pos else -1
+            if t == 0x02:  # ack
+                largest, _, ranges, pos = wire.take_ack_forward(buf, pos + 1, hi)
+                acked = self._check_ack(largest, ranges)
+                t = buf[pos] if hi > pos else -1
+            if t == 0x1C:  # connection close
+                code, reason, pos = wire.take_close_forward(buf, pos + 1, hi)
+                close = code, reason
+                t = buf[pos] if hi > pos else -1
+            if not t:
+                pos = wire.padding_end(buf, pos, hi)
+                t = buf[pos] if hi > pos else -1
+            if t | 0x01 == 0x0D:
+                # the stream frame: stream id, then offset, then its
+                # data. Read inline, not through wire.take_forward: the
+                # call costs about 300 ns a packet (~700 ns inline,
+                # ~1 000 through it, on a 2-vCPU Xeon), 3 % of a ~10 us
+                # baseline packet, which would tilt the mode comparison
+                # toward reverso
+                pos += 1
+                if pos >= hi:
+                    raise MalformedFrame("truncated varint")
+                b = buf[pos]
+                n = _CLASS_LEN[b >> 6]
+                if pos + n > hi:
+                    raise MalformedFrame("truncated varint")
+                sid = (
+                    b & 0x3F if n == 1
+                    else int.from_bytes(buf[pos : pos + n], "big") & (_CLASS_MAX[b >> 6] - 1)
+                )
+                pos += n
+                if pos >= hi:
+                    raise MalformedFrame("truncated varint")
+                b = buf[pos]
+                n = _CLASS_LEN[b >> 6]
+                if pos + n > hi:
+                    raise MalformedFrame("truncated varint")
+                off = (
+                    b & 0x3F if n == 1
+                    else (b & 0x3F) << 8 | buf[pos + 1] if n == 2
+                    else int.from_bytes(buf[pos : pos + n], "big") & (_CLASS_MAX[b >> 6] - 1)
+                )
+                pos += n
+                sbuf = appbuf.buffers.get(sid)  # never holds stream 0
+                if sbuf is not None and off == sbuf.contiguous_offset:
+                    m.payload_bytes_copied += sbuf.place(off, buf[pos:hi], t & 0x01)
+                    m.packets_in_order += 1
+                    self.ack_pending.add(pn)
+                elif not self._deliver(appbuf, sid, off, buf[pos:hi], t & 0x01):
+                    self.ack_pending.add(pn)
+            elif t < 0:
+                m.packets_control_only += 1
+            else:
+                raise ProtocolViolation(f"frame type 0x{t:02x} outside the packet layout")
+        if acked:
+            self._on_ack(largest, ranges)
+        if close is not None:
+            self.closed = True
+            self.close_error = close
         # only a packet that applied moves the expansion reference
         if pn > self.largest_received_pn:
             self.largest_received_pn = pn
         return blen
-
-    def _recv_reverso(self, buf, blen: int, appbuf: AppRecvBufMap) -> int:
-        """The header locates the stream data and picks the AEAD
-        destination: a packet whose whole footprint fits a hole in its
-        stream's storage, the tail included, is opened straight at its
-        offset and recorded there without a copy; any other packet is
-        opened in place in the datagram and handed to _deliver at the
-        same offset. Returns the packet number once the packet has
-        applied, -1 when its tag fails."""
-        ks = self.recv_keys
-        hdr_len, pn, sid, off = header.unprotect(buf, ks, self.largest_received_pn, True)
-        pt_len = blen - hdr_len - TAG_LEN
-        sbuf = appbuf.buffers.get(sid)  # never holds stream 0
-        if sbuf is None and sid:
-            # staged; bound only once the packet checks out
-            sbuf = appbuf.spare or appbuf._materialize_spare()
-        # build_packet writes the whole offset into the header. Open at
-        # it when the whole footprint, trailer and a failed tag's garbage
-        # included, lies in a hole: at or past the tail, inside storage
-        # that exists (nothing grows before the tag verifies) and ending
-        # by the next received range
-        at_off = False
-        if sbuf is not None and off >= sbuf.contiguous_offset:
-            lo = off - sbuf.base_offset
-            hi = lo + pt_len
-            ends = sbuf.ends
-            at_off = hi <= len(sbuf.storage) and (
-                not ends or off >= ends[-1]
-                or off + pt_len <= sbuf.starts[bisect_right(ends, off)]
-            )
-        if at_off:
-            store = sbuf.storage
-            pt = sbuf.storage_view[lo:hi]
-        else:
-            # in place over the ciphertext, aliased exactly
-            store = pt = buf[hdr_len : hdr_len + pt_len]
-            lo, hi = 0, pt_len
-        try:
-            ks._aead.decrypt_into(
-                (ks._iv_int ^ pn).to_bytes(12, "big"), buf[hdr_len:], buf[:hdr_len], pt
-            )
-        except InvalidTag:
-            self._metrics.decrypt_failures += 1
-            return -1
-
-        # Walk back from the end: a padding run, a close, an ack, then
-        # the anchor's type byte, after the stream data that starts the
-        # plaintext. The authenticated header locates that data.
-        cur = hi
-        t = store[cur - 1] if cur > lo else -1
-        if not t:
-            cur = wire.padding_start(store, lo, cur)
-            t = store[cur - 1] if cur > lo else -1
-        close = None
-        if t == 0x1C:  # connection close
-            code, reason, cur = wire.take_close_reversed(store, lo, cur - 1)
-            close = code, reason
-            t = store[cur - 1] if cur > lo else -1
-        acked = False  # an ack decoded here that passed _check_ack
-        if t == 0x02:  # ack
-            largest, _, ranges, cur = wire.take_ack_reversed(store, lo, cur - 1)
-            acked = self._check_ack(largest, ranges)
-            t = store[cur - 1] if cur > lo else -1
-        m = self._metrics
-        if t | 0x01 == _ANCHOR_FIN:
-            fin = t & 0x01
-            data_len = cur - 1 - lo
-            if at_off:
-                in_order = off == sbuf.contiguous_offset
-                if sbuf.commit(off, off + data_len, fin):
-                    m.payload_bytes_zero_copy += data_len
-                    self.ack_pending.add(pn)
-                if sbuf is appbuf.spare:
-                    appbuf.spare = None
-                    appbuf.buffers[sid] = sbuf
-                if in_order:
-                    m.packets_in_order += 1
-                else:
-                    m.packets_out_of_order += 1
-            else:
-                if sid == 0:
-                    raise ProtocolViolation("stream frame in a control-only packet")
-                if not self._deliver(appbuf, sid, off, pt[:data_len], fin):
-                    self.ack_pending.add(pn)
-        elif t < 0:
-            # no stream data: a control-only packet
-            if sid:
-                raise ProtocolViolation("header names a stream but no anchor frame found")
-            m.packets_control_only += 1
-        else:
-            raise ProtocolViolation(f"frame type 0x{t:02x} outside the packet layout")
-        if acked:
-            self._on_ack(largest, ranges)
-        if close is not None:
-            self.closed = True
-            self.close_error = close
-        return pn
-
-    def _recv_baseline(self, buf, blen: int, appbuf: AppRecvBufMap) -> int:
-        """Opens in place in the datagram, decodes forward, and copies
-        the stream data into storage: the reassembly copy the reversed
-        layout removes. Returns the packet number once the packet has
-        applied, -1 when its tag fails."""
-        ks = self.recv_keys
-        hdr_len, pn, _, _ = header.unprotect(buf, ks, self.largest_received_pn, False)
-        m = self._metrics
-        end = blen - TAG_LEN
-        try:
-            # in place over the ciphertext, aliased exactly
-            ks._aead.decrypt_into(
-                (ks._iv_int ^ pn).to_bytes(12, "big"), buf[hdr_len:], buf[:hdr_len],
-                buf[hdr_len:end],
-            )
-        except InvalidTag:
-            m.decrypt_failures += 1
-            return -1
-
-        # walk forward: an ack, a close, a padding run, then a stream
-        # frame that owns the rest
-        pos = hdr_len
-        t = buf[pos] if end > pos else -1
-        acked = False  # an ack decoded here that passed _check_ack
-        if t == 0x02:  # ack
-            largest, _, ranges, pos = wire.take_ack_forward(buf, pos + 1, end)
-            acked = self._check_ack(largest, ranges)
-            t = buf[pos] if end > pos else -1
-        close = None
-        if t == 0x1C:  # connection close
-            code, reason, pos = wire.take_close_forward(buf, pos + 1, end)
-            close = code, reason
-            t = buf[pos] if end > pos else -1
-        if not t:
-            pos = wire.padding_end(buf, pos, end)
-            t = buf[pos] if end > pos else -1
-        if t | 0x01 == 0x0D:
-            # the stream frame: stream id, then offset, then its data.
-            # Read inline, not through wire.take_forward: the call costs
-            # about 300 ns a packet (~700 ns inline, ~1 000 through it, on
-            # a 2-vCPU Xeon), 3 % of a ~10 us baseline packet, which
-            # would tilt the mode comparison toward reverso
-            pos += 1
-            if pos >= end:
-                raise MalformedFrame("truncated varint")
-            b = buf[pos]
-            n = _CLASS_LEN[b >> 6]
-            if pos + n > end:
-                raise MalformedFrame("truncated varint")
-            sid = (
-                b & 0x3F if n == 1
-                else int.from_bytes(buf[pos : pos + n], "big") & (_CLASS_MAX[b >> 6] - 1)
-            )
-            pos += n
-            if pos >= end:
-                raise MalformedFrame("truncated varint")
-            b = buf[pos]
-            n = _CLASS_LEN[b >> 6]
-            if pos + n > end:
-                raise MalformedFrame("truncated varint")
-            offset = (
-                b & 0x3F if n == 1
-                else (b & 0x3F) << 8 | buf[pos + 1] if n == 2
-                else int.from_bytes(buf[pos : pos + n], "big") & (_CLASS_MAX[b >> 6] - 1)
-            )
-            pos += n
-            sbuf = appbuf.buffers.get(sid)  # never holds stream 0
-            if sbuf is not None and offset == sbuf.contiguous_offset:
-                m.payload_bytes_copied += sbuf.place(offset, buf[pos:end], t & 0x01)
-                m.packets_in_order += 1
-                self.ack_pending.add(pn)
-            elif not self._deliver(appbuf, sid, offset, buf[pos:end], t & 0x01):
-                self.ack_pending.add(pn)
-        elif t < 0:
-            # no stream data: a control-only packet
-            m.packets_control_only += 1
-        else:
-            raise ProtocolViolation(f"frame type 0x{t:02x} outside the packet layout")
-        if acked:
-            self._on_ack(largest, ranges)
-        if close is not None:
-            self.closed = True
-            self.close_error = close
-        return pn
 
     def _deliver(self, appbuf: AppRecvBufMap, sid: int, offset: int, data, fin) -> bool:
         """Place one authenticated stream fragment in its stream's

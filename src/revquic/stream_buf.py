@@ -283,7 +283,7 @@ class AppRecvBufMap:
         first sight; callers bind only authenticated stream ids."""
         buf = self.buffers.get(stream_id)
         if buf is None:
-            buf = self._materialize_spare()
+            buf = self.spare or self._materialize_spare()
             self.spare = None
             self.buffers[stream_id] = buf
         return buf

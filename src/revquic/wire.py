@@ -39,10 +39,10 @@ reverso's stream frame is the anchor's type byte. take_forward and
 take_reversed read k fields inside the bounds they are given; the ack
 decoders (take_ack_*) and the close decoders (take_close_*) read every
 field through them. The one reader
-outside them is Connection._recv_baseline's inline read of its stream
-frame's stream id and offset, inline on purpose: a call
-per packet would add about 3 % to that lane and tilt the mode
-comparison (the comment there has the numbers). An ack costs about what
+outside them is Connection.recv's inline read of baseline's stream
+frame's stream id and offset, inline on purpose: a call per packet
+would add about 3 % to that lane and tilt the mode comparison (the
+comment there has the numbers). An ack costs about what
 the header costs: each ack decoder first reads the ack's bytes nearest
 its type byte, at most 8, as one integer and peels a one-range ack
 (delay 0, gap 0, the ack build_packet sends whenever the numbers it

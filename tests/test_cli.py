@@ -6,14 +6,15 @@ import io
 import socket
 import threading
 import time
+import types
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revquic import cli, crypto
+from revquic import cli, crypto, endpoint
 from revquic.cli import BENCH_COLUMNS, SIMULATE_COLUMNS, main
-from revquic.endpoint import Connection, Role
+from revquic.endpoint import MAX_DATAGRAM, Connection, Role
 from revquic.errors import ProtocolViolation
 from revquic.mode import WireMode
 from revquic.stream_buf import WINDOW, AppRecvBufMap
@@ -108,6 +109,52 @@ class TestSimulateCommand:
         assert stable == [c for i, c in enumerate(rows2[0]) if i not in (2, 3)]
 
 
+class _DropOneLink:
+    """A connected UDP socket stand-in for transfer send. Each datagram
+    goes straight to an in-process receiver, except the drop-th, which
+    is lost; recv_into returns the receiver's ack for all it was handed
+    since the last call, and times out when it owes none, so acks flow
+    for as long as the sender sends."""
+
+    def __init__(self, mode: WireMode, drop: int) -> None:
+        self.receiver = Connection(mode, Role.SERVER, bytes.fromhex(SECRET_HEX))
+        self.appbuf = AppRecvBufMap()
+        self.drop = drop
+        self.sent = 0
+        self.out = bytearray(MAX_DATAGRAM)
+        # after each datagram the receiver got: stream 1's contiguous
+        # offset, and whether its final size has arrived
+        self.seen: list[tuple[int, bool]] = []
+
+    def __call__(self, family, kind):  # socket.socket(AF_INET, SOCK_DGRAM)
+        return self
+
+    def connect(self, addr) -> None:
+        pass
+
+    def settimeout(self, timeout) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+    def send(self, data) -> int:
+        self.sent += 1
+        if self.sent - 1 != self.drop:
+            self.receiver.recv(bytearray(data), self.appbuf)
+            sbuf = self.appbuf.get(1)
+            if sbuf is not None:
+                self.seen.append((sbuf.contiguous_offset, sbuf.fin_offset is not None))
+        return len(data)
+
+    def recv_into(self, buf) -> int:
+        n = self.receiver.build_packet(self.out)
+        if n is None:
+            raise TimeoutError
+        buf[:n] = self.out[:n]
+        return n
+
+
 class TestTransferCommand:
     def loopback(self, mode, payload, tmp_path, capsys):
         src = tmp_path / f"src-{mode}"
@@ -175,6 +222,28 @@ class TestTransferCommand:
                 data += part
         assert bytes(data) + carry == stream
         assert carry == stream[-32:]
+
+    @pytest.mark.parametrize("mode", ["baseline", "reverso"])
+    def test_send_retransmits_while_acks_flow(self, mode, tmp_path, capsys, monkeypatch):
+        """A datagram lost early is sent again once its timeout passes,
+        while acks for later datagrams still arrive: before the sender
+        builds its last fresh fragment, not after the whole file."""
+        monkeypatch.setattr(endpoint, "DEFAULT_RTO", 0.001)
+        link = _DropOneLink(WireMode(mode), drop=1)
+        monkeypatch.setattr(
+            cli, "socket",
+            types.SimpleNamespace(socket=link, AF_INET=socket.AF_INET, SOCK_DGRAM=socket.SOCK_DGRAM),
+        )
+        src = tmp_path / "src"
+        src.write_bytes(bytes(range(256)) * 4096)  # 1 MiB
+        argv = ["transfer", "send", "--peer", "127.0.0.1:9", "--file", str(src),
+                "--secret", SECRET_HEX, "--mode", mode]
+        rc, _, _ = run_cli(argv, capsys)
+        assert rc == 0
+        first_end = link.seen[0][0]  # the tail before the lost datagram's span
+        refill = next(i for i, (tail, _) in enumerate(link.seen) if tail > first_end)
+        assert not link.seen[refill][1], "the lost span came back only after the fin"
+        assert link.seen[-1] == (src.stat().st_size + 32, True)
 
     def test_checksum_mismatch_exits_nonzero(self, tmp_path, capsys):
         port = free_port()

@@ -1,5 +1,7 @@
 """The documents describe the tree as it is."""
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -15,3 +17,41 @@ def test_readme_layout_names_every_module():
     modules = sorted(p.name for p in (ROOT / "src" / "revquic").glob("*.py") if p.name != "__init__.py")
     assert sorted(listed) == modules
     assert len(listed) == len(set(listed))
+
+
+def _program_names() -> dict:
+    """Every module of revquic and every name at the top of one: the
+    heads a dotted name in the documents can start from."""
+    import revquic
+
+    modules = {
+        info.name: importlib.import_module(f"revquic.{info.name}")
+        for info in pkgutil.iter_modules(revquic.__path__)
+    }
+    names = dict(modules)
+    for mod in modules.values():
+        for key, value in vars(mod).items():
+            names.setdefault(key, value)
+    return names
+
+
+def test_dotted_program_names_resolve():
+    """Every backticked dotted name in README.md and docs/wire-format.md
+    that starts from a program name (`Connection.recv`, `wire.ack_fields`)
+    still names something; a module's own file (`wire.py`) counts."""
+    names = _program_names()
+    stale = []
+    for doc in ("README.md", "docs/wire-format.md"):
+        for dotted in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", (ROOT / doc).read_text()):
+            head, *attrs = dotted.split(".")
+            if head not in names:
+                continue
+            if attrs == ["py"] and (ROOT / "src" / "revquic" / dotted).is_file():
+                continue
+            obj = names[head]
+            for attr in attrs:
+                if not hasattr(obj, attr):
+                    stale.append(f"{doc}: {dotted}")
+                    break
+                obj = getattr(obj, attr)
+    assert stale == []
