@@ -430,9 +430,16 @@ class Connection:
         return total
 
     def on_timeout(self, now: float) -> None:
-        """Re-queue the spans of packets unacked past the timeout."""
-        expired = [pn for pn, (sent, _) in self.unacked.items() if now - sent >= self.rto]
-        for pn in sorted(expired):
+        """Re-queue the spans of packets unacked past the timeout, oldest
+        first. now must never decrease over calls of build_packet and
+        on_timeout: send times then rise along unacked, filled in packet
+        number order, so the walk stops at the first packet not expired."""
+        expired = []
+        for pn, (sent, _) in self.unacked.items():
+            if now - sent < self.rto:
+                break
+            expired.append(pn)
+        for pn in expired:
             self._retransmit.append(self.unacked.pop(pn)[1])
             self._metrics.retransmissions += 1
 
@@ -701,12 +708,15 @@ class Connection:
     # --- application surface ---
 
     def readable(self) -> list[int]:
+        """Streams with bytes to read, or whose final size is reached but
+        not consumed (a fin after the last read; consuming frees storage)."""
         if self._appbuf is None:
             return []
         return [
             sid
             for sid, sbuf in self._appbuf.buffers.items()
             if sbuf.contiguous_offset > sbuf.consumed_offset
+            or sbuf.fin_offset == sbuf.consumed_offset and sbuf.storage
         ]
 
     def stream_recv(self, stream_id: int, appbuf: AppRecvBufMap):

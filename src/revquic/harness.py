@@ -197,21 +197,20 @@ def run_transfer(
             active = True
         for sid in receiver.readable():
             view, _fin = receiver.stream_recv(sid, appbuf)
-            if len(view):
-                recv_hash[sid].update(view)
-                consumed[sid] += len(view)
-                receiver.stream_consumed(sid, len(view), appbuf)
-                active = True
+            recv_hash[sid].update(view)
+            consumed[sid] += len(view)
+            # a fin alone reads empty; its consume releases the storage
+            receiver.stream_consumed(sid, len(view), appbuf)
+            active = True
         if receiver_done() and sender.send_done():
             break
         if active:
             t += TICK
         else:
-            # idle: jump straight to the earliest retransmission deadline
-            deadline = min(
-                (sent + sender.rto for sent, _ in sender.unacked.values()),
-                default=t + TICK,
-            )
+            # idle: jump straight to the earliest retransmission deadline,
+            # the oldest packet's, as unacked is in send order
+            oldest = next(iter(sender.unacked.values()), None)
+            deadline = oldest[0] + sender.rto if oldest else t + TICK
             t = max(deadline, t + TICK)
         if t > STALL_LIMIT:
             raise AssertionError(f"transfer stalled at virtual t={t:.3f}")

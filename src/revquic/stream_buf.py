@@ -28,6 +28,9 @@ moved). Until then a packet past the capacity opens in the datagram and
 is copied. Every new stream's first storage is zero-filled before its
 first packet can open into it, so this size sets the cost of first
 contact and the memory each stream holds whether it uses it or not.
+Storage changes size only in ensure_room; consume releases it once the
+final size is consumed, and Connection.readable lists a stream whose fin
+came after every byte was read, so that consume (of 0 bytes) comes too.
 
 Buffer recycling: the map keeps one spare buffer. The receiver opens a
 new stream's first packet into it and binds it to the stream id only
@@ -69,7 +72,7 @@ class StreamRecvBuffer:
         # sorted; touching ranges merge, so none touches another or the tail
         self.starts: list[int] = []
         self.ends: list[int] = []
-        self.grows = 0  # storage reallocations, summed by AppRecvBufMap
+        self.grows = 0  # storage growths, summed by AppRecvBufMap
         self.bytes_moved = 0  # bytes ensure_room moved to index 0, grown or slid
 
     def ensure_room(self, end_index: int) -> int:
@@ -221,17 +224,13 @@ class StreamRecvBuffer:
             )
         self.consumed_offset += n
         # slide the window start only when nothing unconsumed or pending
-        # remains (those bytes move only in ensure_room); then grown
-        # storage shrinks back, and a finished stream's is released
+        # remains (those bytes move only in ensure_room); storage keeps
+        # its size, except that a finished stream's is released
         if self.consumed_offset == self.contiguous_offset and not self.starts:
             self.base_offset = self.consumed_offset
             if self.fin_offset == self.consumed_offset:
                 self.storage = bytearray()
                 self.storage_view = memoryview(self.storage)
-            elif len(self.storage) > self.initial_capacity:
-                self.storage = bytearray(self.initial_capacity)
-                self.storage_view = memoryview(self.storage)
-                self.grows += 1
 
 
 class AppRecvBufMap:
@@ -247,35 +246,26 @@ class AppRecvBufMap:
         self.default_capacity = default_capacity
         self.buffers: dict[int, StreamRecvBuffer] = {}
         self.spare: StreamRecvBuffer | None = StreamRecvBuffer(default_capacity)
-        self._created = 1
 
     @property
     def allocations(self) -> int:
-        """Buffers created plus every storage reallocation among them.
-
-        Reallocation is counted where it happens, in ensure_room and
-        consume, so every receive lane of both modes reports it alike.
-        """
-        return self._created + sum(b.grows for b in self._held())
+        """Buffers created, each bound or the spare as none is dropped,
+        plus the growths ensure_room counted among them (a spare never
+        grows), so every receive lane of both modes reports them alike."""
+        buffers = self.buffers.values()
+        return len(buffers) + (self.spare is not None) + sum(b.grows for b in buffers)
 
     @property
     def bytes_moved(self) -> int:
-        """Bytes copied by every storage reallocation, summed as
-        allocations sums them: what buffer growth moves beside the
+        """Bytes copied by every storage growth or slide, summed as
+        allocations sums them: what making room moves beside the
         protocol's own copies."""
-        return sum(b.bytes_moved for b in self._held())
-
-    def _held(self) -> list[StreamRecvBuffer]:
-        held = list(self.buffers.values())
-        if self.spare is not None:
-            held.append(self.spare)
-        return held
+        return sum(b.bytes_moved for b in self.buffers.values())
 
     def _materialize_spare(self) -> StreamRecvBuffer:
         spare = self.spare
         if spare is None:
             spare = self.spare = StreamRecvBuffer(self.default_capacity)
-            self._created += 1
         return spare
 
     def adopt(self, stream_id: int) -> StreamRecvBuffer:

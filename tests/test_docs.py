@@ -3,6 +3,7 @@
 import importlib
 import pkgutil
 import re
+import tokenize
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,23 +36,49 @@ def _program_names() -> dict:
     return names
 
 
+_STATEMENT_START = {tokenize.ENCODING, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT}
+
+
+def _prose(path: Path) -> str:
+    """The comments and docstrings of a Python file: every comment, and
+    every string that stands as a statement of its own."""
+    parts, prev = [], tokenize.ENCODING
+    with path.open("rb") as f:
+        for tok in tokenize.tokenize(f.readline):
+            if tok.type == tokenize.COMMENT or tok.type == tokenize.STRING and prev in _STATEMENT_START:
+                parts.append(tok.string)
+            if tok.type not in (tokenize.NL, tokenize.COMMENT):
+                prev = tok.type
+    return "\n".join(parts)
+
+
 def test_dotted_program_names_resolve():
-    """Every backticked dotted name in README.md and docs/wire-format.md
-    that starts from a program name (`Connection.recv`, `wire.ack_fields`)
-    still names something; a module's own file (`wire.py`) counts."""
+    """Every dotted name that starts from a program name
+    (`Connection.recv`, `wire.ack_fields`) still names something: those
+    backticked in README.md and docs/wire-format.md, and any in the
+    comments and docstrings of src/revquic/ and demos/. A module's own
+    file (`wire.py`) counts."""
+    found = [
+        (doc, dotted)
+        for doc in ("README.md", "docs/wire-format.md")
+        for dotted in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", (ROOT / doc).read_text())
+    ]
+    for path in sorted([*(ROOT / "src" / "revquic").glob("*.py"), *(ROOT / "demos").glob("*.py")]):
+        for dotted in re.findall(r"(?<![\w.])([A-Za-z_]\w*(?:\.\w+)+)", _prose(path)):
+            found.append((str(path.relative_to(ROOT)), dotted))
     names = _program_names()
-    stale = []
-    for doc in ("README.md", "docs/wire-format.md"):
-        for dotted in re.findall(r"`([A-Za-z_]\w*(?:\.\w+)+)`", (ROOT / doc).read_text()):
-            head, *attrs = dotted.split(".")
-            if head not in names:
-                continue
-            if attrs == ["py"] and (ROOT / "src" / "revquic" / dotted).is_file():
-                continue
-            obj = names[head]
-            for attr in attrs:
-                if not hasattr(obj, attr):
-                    stale.append(f"{doc}: {dotted}")
-                    break
-                obj = getattr(obj, attr)
-    assert stale == []
+    checked, stale = 0, []
+    for where, dotted in found:
+        head, *attrs = dotted.split(".")
+        if head not in names:
+            continue
+        checked += 1
+        if attrs == ["py"] and (ROOT / "src" / "revquic" / dotted).is_file():
+            continue
+        obj = names[head]
+        for attr in attrs:
+            if not hasattr(obj, attr):
+                stale.append(f"{where}: {dotted}")
+                break
+            obj = getattr(obj, attr)
+    assert checked and stale == []

@@ -384,6 +384,33 @@ class TestLossAndReordering:
             grams.append(bytes(out[:n]))
         return grams
 
+    def test_timeout_requeues_the_expired_oldest_in_order(self):
+        # a full window sent 1 ms apart, of which only the oldest k expire
+        client, _ = pair(WireMode.REVERSO)
+        client.stream_send(1, bytes(SEND_WINDOW * MAX_DATAGRAM))
+        out = bytearray(MAX_DATAGRAM)
+        for i in range(SEND_WINDOW):
+            assert client.build_packet(out, now=i * 1e-3) is not None
+        assert len(client.unacked) == SEND_WINDOW
+        pns = list(client.unacked)
+        spans = [span for _, span in client.unacked.values()]
+        walked = []
+
+        class Walked(dict):
+            def items(self):
+                for item in super().items():
+                    walked.append(item[0])
+                    yield item
+
+        k = 5
+        client.unacked = Walked(client.unacked)
+        client.on_timeout((k - 0.5) * 1e-3 + client.rto)
+        assert list(client._retransmit) == spans[:k]
+        assert list(client.unacked) == pns[k:]
+        assert client.metrics().retransmissions == k
+        # the walk stops at the first packet still inside the timeout
+        assert walked == pns[: k + 1]
+
     def test_retransmission_reuses_offset(self):
         client, server = pair(WireMode.REVERSO)
         sbuf = AppRecvBufMap()

@@ -593,18 +593,24 @@ class TestSpanAndConsume:
         assert buf.place(600, b"b" * 100, False) == 100
         assert bytes(buf.readable_span()[0]) == b"a" * 100 + b"b" * 100 + b"r" * 100
 
-    def test_grown_storage_shrinks_once_emptied(self):
+    def test_grown_storage_is_kept_once_emptied(self):
         buf = StreamRecvBuffer(1024)
         buf.place(1500, b"r" * 100, False)
         assert (len(buf.storage), buf.bytes_moved) == (2048, 0)  # nothing received below
+        storage = buf.storage
         buf.place(0, b"a" * 1500, False)
-        buf.consume(1000)
-        assert len(buf.storage) == 2048  # bytes remain unconsumed
-        buf.consume(600)
-        # the shrink reallocates but moves nothing
-        assert (len(buf.storage), buf.base_offset, buf.grows, buf.bytes_moved) == (1024, 1600, 2, 0)
-        assert buf.place(1600, b"n" * 10, False) == 10
-        assert bytes(buf.readable_span()[0]) == b"n" * 10
+        buf.consume(1600)
+        # emptied: the grown storage stays, its window now at consumed_offset
+        assert (len(buf.storage), buf.base_offset, buf.grows, buf.bytes_moved) == (2048, 1600, 1, 0)
+        assert buf.storage is storage
+        # a second gap of the same size fits: no reallocation, nothing moved
+        assert buf.place(3100, b"s" * 100, True) == 100
+        assert buf.place(1600, b"n" * 1500, False) == 1500
+        assert buf.storage is storage and (buf.grows, buf.bytes_moved) == (1, 0)
+        assert bytes(buf.readable_span()[0]) == b"n" * 1500 + b"s" * 100
+        # consuming the final size still releases it
+        buf.consume(1600)
+        assert (len(buf.storage), buf.base_offset, buf.grows) == (0, 3200, 1)
 
     def test_finished_stream_releases_storage(self):
         buf = StreamRecvBuffer(1024)
@@ -645,6 +651,24 @@ class TestSpanAndConsume:
         with pytest.raises(FinalSizeError):
             r.send(4, 500, b"x")
         assert state() == before
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_fin_after_drain_is_reported_once(self, mode):
+        # RFC 9000 3.2: the application learns when the final size is
+        # reached, also when the fin comes after it read every byte
+        r = Receiver(mode)
+        r.send(4, 0, b"a" * 100)
+        r.conn.stream_consumed(4, 100, r.appbuf)
+        assert r.conn.readable() == []
+        r.send(4, 100, b"", fin=True)
+        assert r.conn.readable() == [4]
+        view, fin = r.conn.stream_recv(4, r.appbuf)
+        assert (len(view), fin) == (0, True)
+        # the consume of nothing releases the storage; the stream is not listed again
+        r.conn.stream_consumed(4, 0, r.appbuf)
+        assert (len(r.appbuf.get(4).storage), r.conn.readable()) == (0, [])
+        r.send(4, 100, b"", fin=True)  # the fin alone, again
+        assert (len(r.appbuf.get(4).storage), r.conn.readable()) == (0, [])
 
 
 class TestGrowthMeter:
