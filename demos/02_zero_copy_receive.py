@@ -24,6 +24,7 @@ def pump(mode: WireMode) -> None:
     client = Connection(mode, Role.CLIENT, SECRET)
     server = Connection(mode, Role.SERVER, SECRET)
     appbuf = AppRecvBufMap()
+    client_appbuf = AppRecvBufMap(default_capacity=4096)  # receives acks alone
     payload = os.urandom(SIZE)
     client.stream_send(1, payload, fin=True)
 
@@ -41,7 +42,7 @@ def pump(mode: WireMode) -> None:
             server.stream_consumed(sid, len(view), appbuf)
             done = done or fin
         while (n := server.build_packet(out)) is not None:
-            client.recv(bytearray(out[:n]), appbuf)
+            client.recv(bytearray(out[:n]), client_appbuf)
 
     assert bytes(received) == payload
     m = server.metrics()

@@ -19,6 +19,7 @@ import hashlib
 import socket
 import sys
 import time
+from dataclasses import fields, replace
 
 from . import harness
 from .endpoint import MAX_DATAGRAM, Connection, Role
@@ -29,45 +30,31 @@ from .stream_buf import AppRecvBufMap
 from . import header as header_mod
 from . import crypto
 
-BENCH_COLUMNS = (
-    "mode",
-    "scenario",
-    "bytes",
-    "median_ns",
-    "p5_ns",
-    "p95_ns",
-    "throughput_MBps",
-    "copied_bytes",
-    "zero_copy_bytes",
+# bench's CSV: each column, the BatchResult attribute it prints, and
+# the digits a float there is rounded to (None: printed as it is)
+_BENCH_TABLE = (
+    ("mode", "mode", None),
+    ("scenario", "scenario", None),
+    ("bytes", "bytes_per_rep", None),
+    ("median_ns", "median_ns", 1),
+    ("p5_ns", "p5_ns", 1),
+    ("p95_ns", "p95_ns", 1),
+    ("throughput_MBps", "throughput_mbps", 3),
+    ("copied_bytes", "copied_bytes", None),
+    ("zero_copy_bytes", "zero_copy_bytes", None),
 )
+BENCH_COLUMNS = tuple(column for column, _, _ in _BENCH_TABLE)
 
-SIMULATE_COLUMNS = (
-    "mode",
-    "bytes_transferred",
-    "wall_time",
-    "throughput",
-    "payload_bytes_copied",
-    "payload_bytes_zero_copy",
-    "ordered_ratio",
-    "decrypt_failures",
-    "retransmissions",
-    "bytes_moved",
-)
+SIMULATE_COLUMNS = tuple(f.name for f in fields(TransferReport))
 
 _RECV_TIMEOUT = 0.05
+_TRANSFER_DEADLINE = 120.0  # seconds a transfer may take
 
 
 def _bench_row(r: harness.BatchResult) -> list:
     return [
-        r.mode,
-        r.scenario,
-        r.bytes_per_rep,
-        round(r.median_ns, 1),
-        round(r.p5_ns, 1),
-        round(r.p95_ns, 1),
-        round(r.throughput_mbps, 3),
-        r.copied_bytes,
-        r.zero_copy_bytes,
+        getattr(r, attr) if digits is None else round(getattr(r, attr), digits)
+        for _, attr, digits in _BENCH_TABLE
     ]
 
 
@@ -77,21 +64,23 @@ def _ratio_row(base: harness.BatchResult, rev: harness.BatchResult) -> list:
     reversed median times (>1 means faster) and its interval over the
     bootstrap rounds both modes share, and throughput_MBps holds the
     throughput ratio."""
-    ratio = base.median_ns / rev.median_ns if rev.median_ns else 0.0
     lo, hi = harness.interval(
         [b / r if r else 0.0 for b, r in zip(base.round_medians, rev.round_medians)]
     )
-    tp_ratio = rev.throughput_mbps / base.throughput_mbps if base.throughput_mbps else 0.0
+    ratios = replace(
+        base,
+        mode="ratio",
+        median_ns=base.median_ns / rev.median_ns if rev.median_ns else 0.0,
+        p5_ns=lo,
+        p95_ns=hi,
+        throughput_mbps=rev.throughput_mbps / base.throughput_mbps if base.throughput_mbps else 0.0,
+        copied_bytes=0,
+        zero_copy_bytes=0,
+    )
+    # every rounded column holds a ratio here, to 4 digits
     return [
-        "ratio",
-        base.scenario,
-        base.bytes_per_rep,
-        round(ratio, 4),
-        round(lo, 4),
-        round(hi, 4),
-        round(tp_ratio, 4),
-        0,
-        0,
+        getattr(ratios, attr) if digits is None else round(getattr(ratios, attr), 4)
+        for _, attr, digits in _BENCH_TABLE
     ]
 
 
@@ -117,16 +106,8 @@ def cmd_bench(args) -> int:
 
 def _report_row(r: TransferReport) -> list:
     return [
-        r.mode,
-        r.bytes_transferred,
-        round(r.wall_time, 6),
-        round(r.throughput, 1),
-        r.payload_bytes_copied,
-        r.payload_bytes_zero_copy,
-        round(r.ordered_ratio, 6),
-        r.decrypt_failures,
-        r.retransmissions,
-        r.bytes_moved,
+        round(getattr(r, f.name), f.metadata["digits"]) if f.metadata else getattr(r, f.name)
+        for f in fields(r)
     ]
 
 
@@ -174,7 +155,7 @@ def cmd_transfer(args) -> int:
     return _transfer_recv(mode, secret, args)
 
 
-def _transfer_send(mode: WireMode, secret: bytes, args, deadline: float = 120.0) -> int:
+def _transfer_send(mode: WireMode, secret: bytes, args) -> int:
     with open(args.file, "rb") as f:
         payload = f.read()
     digest = hashlib.sha256(payload).digest()
@@ -195,7 +176,7 @@ def _transfer_send(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
     try:
         while not (conn.send_done() or conn.closed):
             now = time.monotonic()
-            if now - start > deadline:
+            if now - start > _TRANSFER_DEADLINE:
                 print("error: transfer did not complete before the deadline", file=sys.stderr)
                 return 1
             # every pass, not only when nothing arrives: acks flowing for
@@ -232,7 +213,7 @@ def _split_checksum(carry: bytes, view) -> tuple[tuple, bytes]:
     return (joined[:-32],), joined[-32:]
 
 
-def _transfer_recv(mode: WireMode, secret: bytes, args, deadline: float = 120.0) -> int:
+def _transfer_recv(mode: WireMode, secret: bytes, args) -> int:
     conn = Connection(mode, Role.SERVER, secret)
     appbuf = AppRecvBufMap()
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -253,7 +234,7 @@ def _transfer_recv(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
             # after the fin, linger briefly so the sender's last
             # retransmissions get their acks and it can observe completion
             while not fin_seen or (not conn.closed and time.monotonic() < linger_until):
-                if not fin_seen and start is not None and time.monotonic() - start > deadline:
+                if not fin_seen and start is not None and time.monotonic() - start > _TRANSFER_DEADLINE:
                     print("error: transfer did not complete before the deadline", file=sys.stderr)
                     return 1
                 try:
@@ -285,14 +266,12 @@ def _transfer_recv(mode: WireMode, secret: bytes, args, deadline: float = 120.0)
     wall = (time.monotonic() - start) if start else 0.0
     ok = fin_seen and len(carry) == 32 and hasher.digest() == carry
     m = conn.metrics()
-    data_packets = m.packets_in_order + m.packets_out_of_order + m.packets_spurious
-    ratio = m.packets_in_order / data_packets if data_packets else 1.0
     if wall > 0:
         print(f"received {total} bytes in {wall:.3f}s ({total / wall / 1e6:.1f} MB/s)")
     else:
         print(f"received {total} bytes")
     print(f"  mode={mode.value} copied={m.payload_bytes_copied} zero_copy={m.payload_bytes_zero_copy}")
-    print(f"  ordered_ratio={ratio:.4f} decrypt_failures={m.decrypt_failures} retransmissions={m.retransmissions}")
+    print(f"  ordered_ratio={m.ordered_ratio:.4f} decrypt_failures={m.decrypt_failures} spurious={m.packets_spurious}")
     print(f"  checksum {'OK' if ok else 'MISMATCH'}")
     return 0 if ok else 1
 

@@ -63,7 +63,7 @@ from .wire import _CLASS_LEN, _CLASS_MAX
 
 MAX_DATAGRAM = 1350
 SEND_WINDOW = 64  # packets in flight
-DEFAULT_RTO = 0.25
+DEFAULT_RTO = 0.25  # seconds a packet stays unacked before it is sent again
 
 # the last stream offset reverso's header can carry: build_packet
 # truncates offset + 1 against 0 into 4 bytes
@@ -115,6 +115,13 @@ class Metrics:
     retransmissions: int = 0
     bytes_sent: int = 0
     bytes_received: int = 0
+
+    @property
+    def ordered_ratio(self) -> float:
+        """The share of data packets that arrived at their stream's
+        contiguous offset; 1.0 when none arrived."""
+        data = self.packets_in_order + self.packets_out_of_order + self.packets_spurious
+        return self.packets_in_order / data if data else 1.0
 
 
 @dataclass
@@ -186,7 +193,6 @@ class Connection:
         self.send_streams: dict[int, _SendStream] = {}
         self.unacked: dict[int, tuple[float, _Span]] = {}  # pn -> (sent, span)
         self.ack_pending: set[int] = set()
-        self.rto = DEFAULT_RTO
         self.closed = False
         self.close_error: tuple[int, bytes] | None = None
         self._metrics = Metrics()
@@ -436,7 +442,7 @@ class Connection:
         number order, so the walk stops at the first packet not expired."""
         expired = []
         for pn, (sent, _) in self.unacked.items():
-            if now - sent < self.rto:
+            if now - sent < DEFAULT_RTO:
                 break
             expired.append(pn)
         for pn in expired:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
 from .crypto import derive_keys
-from .endpoint import MAX_DATAGRAM, Connection, Role
+from .endpoint import DEFAULT_RTO, MAX_DATAGRAM, Connection, Role
 from .mode import WireMode
 from .stream_buf import DEFAULT_CAPACITY, AppRecvBufMap
 
@@ -56,13 +56,17 @@ class PipeConfig:
 
 @dataclass
 class TransferReport:
+    """One simulated transfer; simulate's CSV prints it as a row, one
+    column per field, in field order, a field with digits in its
+    metadata rounded to that many."""
+
     mode: str
     bytes_transferred: int
-    wall_time: float
-    throughput: float  # bytes per second, wall clock
+    wall_time: float = field(metadata={"digits": 6})
+    throughput: float = field(metadata={"digits": 1})  # bytes per second, wall clock
     payload_bytes_copied: int
     payload_bytes_zero_copy: int
-    ordered_ratio: float
+    ordered_ratio: float = field(metadata={"digits": 6})
     decrypt_failures: int
     retransmissions: int
     bytes_moved: int  # the receiver's storage growth copies, beside the meter
@@ -210,7 +214,7 @@ def run_transfer(
             # idle: jump straight to the earliest retransmission deadline,
             # the oldest packet's, as unacked is in send order
             oldest = next(iter(sender.unacked.values()), None)
-            deadline = oldest[0] + sender.rto if oldest else t + TICK
+            deadline = oldest[0] + DEFAULT_RTO if oldest else t + TICK
             t = max(deadline, t + TICK)
         if t > STALL_LIMIT:
             raise AssertionError(f"transfer stalled at virtual t={t:.3f}")
@@ -221,7 +225,6 @@ def run_transfer(
 
     wall = time.perf_counter() - start
     m = receiver.metrics()
-    data_packets = m.packets_in_order + m.packets_out_of_order + m.packets_spurious
     return TransferReport(
         mode=mode.value,
         bytes_transferred=sum(sizes.values()),
@@ -229,7 +232,7 @@ def run_transfer(
         throughput=sum(sizes.values()) / wall if wall > 0 else 0.0,
         payload_bytes_copied=m.payload_bytes_copied,
         payload_bytes_zero_copy=m.payload_bytes_zero_copy,
-        ordered_ratio=m.packets_in_order / data_packets if data_packets else 1.0,
+        ordered_ratio=m.ordered_ratio,
         decrypt_failures=m.decrypt_failures,
         retransmissions=sender.metrics().retransmissions,
         bytes_moved=appbuf.bytes_moved,

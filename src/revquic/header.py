@@ -105,7 +105,8 @@ def _hdr_geometry(reverso: bool):
     receive path free of recomputing them packet by packet.
     """
     rows = []
-    for fl in range(32):
+    # baseline's table is indexed by the pn-length bits alone
+    for fl in range(32 if reverso else 4):
         pn_len = (fl & 0x03) + 1
         sid_len = ((fl >> 3) & 0x03) + 1
         lead = pn_len + sid_len

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import re
 import socket
 import threading
 import time
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from revquic import cli, crypto, endpoint
+from revquic import cli, crypto, endpoint, harness
 from revquic.cli import BENCH_COLUMNS, SIMULATE_COLUMNS, main
 from revquic.endpoint import MAX_DATAGRAM, Connection, Role
 from revquic.errors import ProtocolViolation
@@ -67,6 +68,17 @@ class TestBenchCommand:
         assert int(rows[0][7]) == 0  # no copies on the hot path
         assert int(rows[0][8]) > 0
 
+    def test_rows_round_to_their_digits(self):
+        """A mode row rounds its times to 0.1 ns and its throughput to
+        3 digits; the ratio row rounds every ratio to 4."""
+        base = harness.BatchResult("baseline", "batch-2", 2700, 3, 12345.6789, 12000.04, 13000.96,
+                                   109.12345, 2642, 0, round_medians=[12000.0, 12345.0, 13000.0])
+        rev = harness.BatchResult("reverso", "batch-2", 2698, 3, 10000.0, 9500.55, 11000.45,
+                                  134.87654, 0, 2640, round_medians=[10000.0, 9000.0, 11000.0])
+        assert cli._bench_row(base) == ["baseline", "batch-2", 2700, 12345.7, 12000.0, 13001.0, 109.123, 2642, 0]
+        assert cli._bench_row(rev) == ["reverso", "batch-2", 2698, 10000.0, 9500.5, 11000.5, 134.877, 0, 2640]
+        assert cli._ratio_row(base, rev) == ["ratio", "batch-2", 2700, 1.2346, 1.1818, 1.3717, 1.236, 0, 0]
+
     def test_sweep_covers_every_length(self, capsys):
         rc, out, _ = run_cli(["bench", "--sweep", "--mode", "baseline", "--reps", "2"], capsys)
         assert rc == 0
@@ -98,6 +110,11 @@ class TestSimulateCommand:
         base, rev = rows
         assert int(base[5]) == 0  # baseline never commits zero-copy
         assert int(rev[5]) > 0
+
+    def test_row_rounds_to_its_digits(self):
+        """wall_time and ordered_ratio to 6 digits, throughput to 1."""
+        r = harness.TransferReport("reverso", 1048576, 0.123456789, 8493465.4321, 0, 1048576, 0.98765432, 0, 3, 65536)
+        assert cli._report_row(r) == ["reverso", 1048576, 0.123457, 8493465.4, 0, 1048576, 0.987654, 0, 3, 65536]
 
     def test_deterministic_apart_from_wall_time(self, capsys):
         argv = ["simulate", "--size", "131072", "--mode", "reverso", "--reorder", "0.05", "--seed", "9"]
@@ -153,6 +170,35 @@ class _DropOneLink:
             raise TimeoutError
         buf[:n] = self.out[:n]
         return n
+
+
+class _ReplayLink:
+    """A bound UDP socket stand-in for transfer recv: recvfrom hands
+    out the given datagrams in order, then times out; what the receiver
+    sends goes nowhere."""
+
+    def __init__(self, datagrams) -> None:
+        self.datagrams = list(datagrams)
+
+    def __call__(self, family, kind):  # socket.socket(AF_INET, SOCK_DGRAM)
+        return self
+
+    def bind(self, addr) -> None:
+        pass
+
+    def settimeout(self, timeout) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+    def recvfrom(self, n):
+        if not self.datagrams:
+            raise TimeoutError
+        return self.datagrams.pop(0), ("127.0.0.1", 9)
+
+    def sendto(self, data, addr) -> int:
+        return len(data)
 
 
 class TestTransferCommand:
@@ -244,6 +290,34 @@ class TestTransferCommand:
         refill = next(i for i, (tail, _) in enumerate(link.seen) if tail > first_end)
         assert not link.seen[refill][1], "the lost span came back only after the fin"
         assert link.seen[-1] == (src.stat().st_size + 32, True)
+
+    @pytest.mark.parametrize("mode", ["baseline", "reverso"])
+    def test_recv_reports_spurious_packets(self, mode, tmp_path, capsys, monkeypatch):
+        """recv's summary counts the packets it dropped as already
+        received: here the first data datagram, which arrives twice."""
+        payload = bytes(range(256)) * 16  # 4 KiB: several datagrams
+        sender = Connection(WireMode(mode), Role.CLIENT, bytes.fromhex(SECRET_HEX))
+        sender.stream_send(1, payload)
+        sender.stream_send(1, hashlib.sha256(payload).digest(), fin=True)
+        out = bytearray(MAX_DATAGRAM)
+        datagrams = []
+        while (n := sender.build_packet(out)) is not None:
+            datagrams.append(bytes(out[:n]))
+        sender.queue_close(0, b"done")  # ends recv's linger
+        datagrams.append(bytes(out[: sender.build_packet(out)]))
+        link = _ReplayLink([datagrams[0], *datagrams])
+        monkeypatch.setattr(
+            cli, "socket",
+            types.SimpleNamespace(socket=link, AF_INET=socket.AF_INET, SOCK_DGRAM=socket.SOCK_DGRAM),
+        )
+        dst = tmp_path / "dst"
+        argv = ["transfer", "recv", "--listen", "127.0.0.1:9", "--out", str(dst),
+                "--secret", SECRET_HEX, "--mode", mode]
+        rc, said, _ = run_cli(argv, capsys)
+        assert rc == 0 and "checksum OK" in said
+        assert dst.read_bytes() == payload
+        assert re.findall(r" spurious=(\d+)", said) == ["1"]
+        assert sum(map(int, re.findall(r"(?:copied|zero_copy)=(\d+)", said))) == len(payload) + 32
 
     def test_checksum_mismatch_exits_nonzero(self, tmp_path, capsys):
         port = free_port()

@@ -20,6 +20,15 @@ def test_readme_layout_names_every_module():
     assert len(listed) == len(set(listed))
 
 
+def test_readme_schemas_are_the_csv_headers():
+    """README's two Schema: lines, bench's then simulate's, are the
+    headers those commands print."""
+    from revquic.cli import BENCH_COLUMNS, SIMULATE_COLUMNS
+
+    schemas = re.findall(r"^Schema: `(.*)`$", (ROOT / "README.md").read_text(), re.M)
+    assert schemas == [",".join(BENCH_COLUMNS), ",".join(SIMULATE_COLUMNS)]
+
+
 def _program_names() -> dict:
     """Every module of revquic and every name at the top of one: the
     heads a dotted name in the documents can start from."""

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from revquic import crypto, header, wire
-from revquic.endpoint import MAX_DATAGRAM, SEND_WINDOW, Connection, Role
+from revquic.endpoint import DEFAULT_RTO, MAX_DATAGRAM, SEND_WINDOW, Connection, Role
 from revquic.errors import (
     BufferTooSmall,
     MalformedFrame,
@@ -404,7 +404,7 @@ class TestLossAndReordering:
 
         k = 5
         client.unacked = Walked(client.unacked)
-        client.on_timeout((k - 0.5) * 1e-3 + client.rto)
+        client.on_timeout((k - 0.5) * 1e-3 + DEFAULT_RTO)
         assert list(client._retransmit) == spans[:k]
         assert list(client.unacked) == pns[k:]
         assert client.metrics().retransmissions == k
