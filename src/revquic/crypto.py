@@ -44,7 +44,7 @@ class KeySchedule:
         # serves every mask; constructing one per packet costs ~10x.
         hp = Cipher(algorithms.AES(self.hp_key), modes.ECB()).encryptor()
         object.__setattr__(self, "_hp", hp)
-        object.__setattr__(self, "_iv_int", int.from_bytes(self.payload_iv, "big"))
+        object.__setattr__(self, "_iv_int", int.from_bytes(self.payload_iv))
 
 
 def derive_keys(shared_secret: bytes, label: str) -> KeySchedule:
@@ -72,18 +72,17 @@ def derive_keys(shared_secret: bytes, label: str) -> KeySchedule:
 # offset field is sized the same way, from offset + 1 against 0, and
 # then holds the whole offset.
 
+# bytes by the bit length of the distance: 0-7 bits fit one byte's
+# half-window, 8-15 two, 16-23 three, 24-31 four
+_TRUNC_LEN = tuple((bits >> 3) + 1 for bits in range(32))
+
+
 def truncated_len(full: int, reference: int) -> int:
-    """Fewest low-order bytes (1..4) of full recoverable near reference:
-    the half-window of that size must exceed full - reference. More
-    than 2**31 ahead cannot be represented."""
-    # unrolled: the sender sizes two fields of every packet with this
-    span = full - reference
-    if span < 0x80:
-        return 1
-    if span < 0x8000:
-        return 2
-    if span < 0x800000:
-        return 3
-    if span < 0x80000000:
-        return 4
-    raise TruncationRangeError(f"{full} is more than 2**31 ahead of {reference}")
+    """Fewest low-order bytes (1..4) of full recoverable near reference,
+    full >= reference: the half-window of that size must exceed full -
+    reference. 2**31 or more ahead cannot be represented."""
+    # one lookup: the sender sizes two fields of every packet with this
+    try:
+        return _TRUNC_LEN[(full - reference).bit_length()]
+    except IndexError:
+        raise TruncationRangeError(f"{full} is more than 2**31 ahead of {reference}") from None

@@ -90,6 +90,8 @@ _ANCHOR_FIN = wire.TYPE_ANCHOR | wire.STREAM_FIN
 
 # the padding source: a packet pads its plaintext to at most MIN_PLAINTEXT
 _ZEROS = memoryview(bytes(header.MIN_PLAINTEXT))
+# a send stream's view before its first span, of no piece
+_NO_VIEW = memoryview(b"")
 
 # a send buffer drops its acked pieces once this many bytes per span then
 # in flight have been sent: the scan of those spans costs a fixed share
@@ -141,11 +143,14 @@ class _SendStream:
     fin_sent: bool = False
     frame_cost: int = 0  # fragment budget spent on the frame, fixed per stream
     sid_len: int = 0  # reverso: header.wire_sid_length(stream_id)
+    view: memoryview = _NO_VIEW  # of the piece the last span read in part
 
     def span(self, offset: int, n: int):
-        """The n queued bytes from stream offset offset: a view of the
-        piece that holds them, or, for a span that crosses pieces, the
-        join of its parts."""
+        """The n queued bytes from stream offset offset: the piece that
+        holds them when they are all of it, else a slice of the view of
+        that piece, or, for a span that crosses pieces, the join of its
+        parts. The stream keeps one view, of the last piece read in part,
+        so a run of spans through one piece builds one view."""
         lo = offset - self.base_offset
         pieces = iter(self.pieces)
         for p in pieces:
@@ -155,7 +160,12 @@ class _SendStream:
         else:
             return b""  # a fin alone, past every queued byte
         if lo + n <= len(p):
-            return memoryview(p)[lo : lo + n]
+            if n == len(p):
+                return p
+            view = self.view
+            if view.obj is not p:
+                view = self.view = memoryview(p)
+            return view[lo : lo + n]
         parts = [memoryview(p)[lo:]]
         n -= len(p) - lo
         for p in pieces:
@@ -175,6 +185,7 @@ class Connection:
         keys: tuple[crypto.KeySchedule, crypto.KeySchedule] | None = None,
     ) -> None:
         self.mode = mode
+        self._reverso = mode is WireMode.REVERSO  # the mode test, made once
         self.role = role
         if keys is not None:
             # precomputed (send, recv) schedules; benchmark repetitions
@@ -210,7 +221,7 @@ class Connection:
         if ss is None:
             # the type byte, then the stream id's varint (baseline) or the
             # header's wire stream id and offset reserve (reverso)
-            if self.mode is WireMode.REVERSO:
+            if self._reverso:
                 sid_len = header.wire_sid_length(stream_id)
                 ss = _SendStream(stream_id, frame_cost=1 + sid_len + _OFF_RESERVE, sid_len=sid_len)
             else:
@@ -220,7 +231,7 @@ class Connection:
         if ss.fin_queued:
             raise SendAfterFin(f"stream {stream_id} already finished")
         end = ss.base_offset + ss.size + len(data)
-        if self.mode is WireMode.REVERSO and end > MAX_REVERSO_OFFSET:
+        if self._reverso and end > MAX_REVERSO_OFFSET:
             raise TruncationRangeError(f"stream {stream_id} would end past offset {MAX_REVERSO_OFFSET}")
         if data:
             # copied once, bytes included, so the send buffer owns what it
@@ -237,7 +248,7 @@ class Connection:
     def queue_close(self, error_code: int = 0, reason: bytes = b"") -> None:
         """Queue a close for the next packet; BufferTooSmall, queueing
         nothing, if it would not fit there beside the largest ack."""
-        reverso = self.mode is WireMode.REVERSO
+        reverso = self._reverso
         close = wire.close_fields(error_code, reason, reverso)
         # reverso's header adds a one-byte stream id and offset
         if len(close) > _CLOSE_ROOM - 2 * reverso:
@@ -252,7 +263,7 @@ class Connection:
         if len(self.unacked) >= SEND_WINDOW:
             return None
         room = _ROOM - overhead
-        baseline = self.mode is WireMode.BASELINE
+        reverso = self._reverso
         rr = self._rr
         for _ in range(len(rr)):
             ss = rr[0]
@@ -263,7 +274,7 @@ class Connection:
                 continue
             # baseline's offset varint is the one part that grows
             budget = room - ss.frame_cost
-            if baseline:
+            if not reverso:
                 budget -= wire.forward_length(offset)
             if budget <= 0:
                 continue
@@ -297,6 +308,7 @@ class Connection:
             del pieces[:i]
             ss.size -= base - ss.base_offset
             ss.base_offset = base
+            ss.view = _NO_VIEW  # holds no dropped piece
         # nothing more can go before a fragment reaches the first piece's end
         ss.release_at = max(
             ss.next_offset + _RELEASE_PER_SPAN * (len(self.unacked) + 1),
@@ -357,7 +369,7 @@ class Connection:
             return None  # draining (RFC 9000 §10.2.2): a received close ends sending
         if now is None:
             now = time.monotonic()
-        reverso = self.mode is WireMode.REVERSO
+        reverso = self._reverso
 
         ack = close = None
         ctrl_len = 0
@@ -425,7 +437,7 @@ class Connection:
             view[pos + len(fields) : end] = data
         ks = self.send_keys
         ks._aead.encrypt_into(
-            (ks._iv_int ^ pn).to_bytes(12, "big"), view[hdr_len:end], hdr.to_bytes(hdr_len, "big"),
+            (ks._iv_int ^ pn).to_bytes(12), view[hdr_len:end], hdr.to_bytes(hdr_len),
             view[hdr_len:total],
         )
         header.protect(view, ks, hdr, hdr_len, reverso)
@@ -490,7 +502,7 @@ class Connection:
         m.bytes_received += blen
         if self.closed:
             return blen  # draining (RFC 9000 §10.2.2): discard unread
-        reverso = self.mode is WireMode.REVERSO
+        reverso = self._reverso
         ks = self.recv_keys
         try:
             hdr_len, pn, sid, off = header.unprotect(buf, ks, self.largest_received_pn, reverso)
@@ -525,7 +537,7 @@ class Connection:
                     store, lo, hi = sbuf.storage, at, at + pt_len
         try:
             ks._aead.decrypt_into(
-                (ks._iv_int ^ pn).to_bytes(12, "big"), buf[hdr_len:], buf[:hdr_len],
+                (ks._iv_int ^ pn).to_bytes(12), buf[hdr_len:], buf[:hdr_len],
                 (sbuf.storage_view if at_off else buf)[lo:hi],
             )
         except InvalidTag:
@@ -597,10 +609,11 @@ class Connection:
             if t | 0x01 == 0x0D:
                 # the stream frame: stream id, then offset, then its
                 # data. Read inline, not through wire.take_forward: the
-                # call costs about 300 ns a packet (~700 ns inline,
-                # ~1 000 through it, on a 2-vCPU Xeon), 3 % of a ~10 us
-                # baseline packet, which would tilt the mode comparison
-                # toward reverso
+                # call adds about 300 ns a packet (600-620 ns inline,
+                # 900-930 through it, for a 1-byte stream id and a
+                # 4-byte offset, CPython 3.11 on a 2-vCPU Xeon), 5 % of a
+                # ~5.8 us baseline packet, which would tilt the mode
+                # comparison toward reverso
                 pos += 1
                 if pos >= hi:
                     raise MalformedFrame("truncated varint")
@@ -610,7 +623,7 @@ class Connection:
                     raise MalformedFrame("truncated varint")
                 sid = (
                     b & 0x3F if n == 1
-                    else int.from_bytes(buf[pos : pos + n], "big") & (_CLASS_MAX[b >> 6] - 1)
+                    else int.from_bytes(buf[pos : pos + n]) & (_CLASS_MAX[b >> 6] - 1)
                 )
                 pos += n
                 if pos >= hi:
@@ -622,7 +635,7 @@ class Connection:
                 off = (
                     b & 0x3F if n == 1
                     else (b & 0x3F) << 8 | buf[pos + 1] if n == 2
-                    else int.from_bytes(buf[pos : pos + n], "big") & (_CLASS_MAX[b >> 6] - 1)
+                    else int.from_bytes(buf[pos : pos + n]) & (_CLASS_MAX[b >> 6] - 1)
                 )
                 pos += n
                 sbuf = appbuf.buffers.get(sid)  # never holds stream 0

@@ -70,6 +70,7 @@ class TransferReport:
     decrypt_failures: int
     retransmissions: int
     bytes_moved: int  # the receiver's storage growth copies, beside the meter
+    allocations: int  # the receiver's storage buffers created and grown
 
 
 @dataclass
@@ -236,6 +237,7 @@ def run_transfer(
         decrypt_failures=m.decrypt_failures,
         retransmissions=sender.metrics().retransmissions,
         bytes_moved=appbuf.bytes_moved,
+        allocations=appbuf.allocations,
     )
 
 

@@ -134,20 +134,29 @@ class StreamRecvBuffer:
         if offset == tail:
             self.contiguous_offset = end
         elif offset < end:
-            self._record_hole(offset, end, bisect_right(self.ends, offset))
+            self._record_hole(offset, end)
         return True
 
-    def _record_hole(self, offset: int, end: int, k: int) -> None:
+    def _record_hole(self, offset: int, end: int, k: int | None = None) -> None:
         """Record [offset, end), written into a hole at or past the tail,
-        non-empty; k = bisect_right(ends, offset), the next range's index."""
-        starts, ends = self.starts, self.ends
+        non-empty; k = bisect_right(ends, offset), the next range's index,
+        found here when the caller has not."""
+        ends = self.ends
+        if ends and ends[-1] == offset:
+            # extends the highest range, none past it: under loss, the
+            # common case, and it needs no search
+            ends[-1] = end
+            return
+        starts = self.starts
+        if k is None:
+            k = bisect_right(ends, offset)
         if k < len(starts) and starts[k] == end:  # joins the range past it
             end = ends[k]
             del starts[k], ends[k]
         if offset == self.contiguous_offset:
             self.contiguous_offset = end
         elif k and ends[k - 1] == offset:
-            ends[k - 1] = end  # under loss, mostly extends the highest range
+            ends[k - 1] = end
         else:
             starts.insert(k, offset)
             ends.insert(k, end)

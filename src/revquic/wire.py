@@ -34,14 +34,15 @@ lengths _CLASS_LEN.
 
 There is one encoder per frame type and one varint reader per layout.
 The encoders state each layout once for both orders through _pack:
-stream_fields (baseline's stream frame), ack_fields and close_fields;
-reverso's stream frame is the anchor's type byte. take_forward and
+ack_fields and close_fields. stream_fields (baseline's stream frame) and
+ack_fields' one-range ack are each one formula; reverso's stream frame
+is the anchor's type byte. take_forward and
 take_reversed read k fields inside the bounds they are given; the ack
 decoders (take_ack_*) and the close decoders (take_close_*) read every
 field through them. The one reader
 outside them is Connection.recv's inline read of baseline's stream
 frame's stream id and offset, inline on purpose: a call per packet
-would add about 3 % to that lane and tilt the mode comparison (the
+would add about 5 % to that lane and tilt the mode comparison (the
 comment there has the numbers). An ack costs about what
 the header costs: each ack decoder first reads the ack's bytes nearest
 its type byte, at most 8, as one integer and peels a one-range ack
@@ -110,7 +111,7 @@ def _pack(t: int, values, reverso: bool) -> bytes:
         n += k
     if reverso:
         acc, n = acc << 8 | t, n + 1
-    return acc.to_bytes(n, "big")
+    return acc.to_bytes(n)
 
 
 def stream_fields(stream_id: int, offset: int, fin) -> bytes:
@@ -118,8 +119,16 @@ def stream_fields(stream_id: int, offset: int, fin) -> bytes:
     stream-frame encoder: type with OFF and without LEN, stream id,
     offset; the data follows and owns the rest of the plaintext. The
     reversed layout's stream data is the anchor instead, which has no
-    fields."""
-    return _pack(TYPE_STREAM | STREAM_OFF | (STREAM_FIN if fin else 0), (stream_id, offset), False)
+    fields. One formula, as ack_fields' one-range ack: the type, then
+    the stream id and the offset by their tags, written with one
+    to_bytes."""
+    if stream_id < 0 or offset < 0:
+        raise EncodingOverflow(f"{min(stream_id, offset)} exceeds 62-bit varint range")
+    a = _length_class(stream_id)
+    b = _length_class(offset)
+    n, m = _CLASS_LEN[a] << 3, _CLASS_LEN[b] << 3
+    acc = ((TYPE_STREAM | STREAM_OFF | (STREAM_FIN if fin else 0)) << n | a << (n - 2) | stream_id) << m
+    return (acc | b << (m - 2) | offset).to_bytes(((n + m) >> 3) + 1)
 
 
 def ack_fields(largest: int, delay: int, ranges, reverso: bool) -> bytes:
@@ -142,7 +151,7 @@ def ack_fields(largest: int, delay: int, ranges, reverso: bool) -> bytes:
                 acc = (((length << 2 | b) << 24 | 0x000400) << n | largest << 2 | a) << 8 | TYPE_ACK
             else:
                 acc = ((TYPE_ACK << n | a << (n - 2) | largest) << 24 | 0x000100) << m | b << (m - 2) | length
-            return acc.to_bytes(((n + m) >> 3) + 4, "big")
+            return acc.to_bytes(((n + m) >> 3) + 4)
     values = [largest, delay, len(ranges)]
     for gap, length in ranges:
         values += gap, length
@@ -171,7 +180,7 @@ def take_forward(buf, pos: int, end: int, k: int) -> list[int]:
         if pos + n > end:
             raise MalformedFrame("truncated varint")
         vals.append(
-            b & 0x3F if n == 1 else int.from_bytes(buf[pos : pos + n], "big") & (_CLASS_MAX[b >> 6] - 1)
+            b & 0x3F if n == 1 else int.from_bytes(buf[pos : pos + n]) & (_CLASS_MAX[b >> 6] - 1)
         )
         pos += n
     vals.append(pos)
@@ -190,7 +199,7 @@ def take_reversed(buf, lo: int, end: int, k: int) -> list[int]:
         n = _CLASS_LEN[b & 0x03]
         if end - n < lo:
             raise MalformedFrame("truncated reversed varint")
-        vals.append(b >> 2 if n == 1 else int.from_bytes(buf[end - n : end], "big") >> 2)
+        vals.append(b >> 2 if n == 1 else int.from_bytes(buf[end - n : end]) >> 2)
         end -= n
     vals.append(end)
     return vals
@@ -208,7 +217,7 @@ def take_ack_forward(buf, pos: int, end: int) -> tuple[int, int, list[tuple[int,
     its tag. Any other ack, or one cut short, is read field by field."""
     w = end - pos if end - pos < 8 else 8
     if w > 4:
-        x = int.from_bytes(buf[pos : pos + w], "big")
+        x = int.from_bytes(buf[pos : pos + w])
         tag = x >> ((w << 3) - 2)
         n = _CLASS_LEN[tag]
         s = (w - n - 3) << 3  # bits below delay, count and gap
@@ -239,7 +248,7 @@ def take_ack_reversed(buf, lo: int, end: int) -> tuple[int, int, list[tuple[int,
     its tag. Any other ack, or one cut short, is read field by field."""
     w = end - lo if end - lo < 8 else 8
     if w > 4:
-        x = int.from_bytes(buf[end - w : end], "big")
+        x = int.from_bytes(buf[end - w : end])
         n = _CLASS_LEN[x & 0x03] << 3
         if (x >> n) & 0xFFFFFF == 0x000400:
             y = x >> (n + 24)

@@ -10,12 +10,13 @@ import csv
 import io
 import random
 import socket
+import sys
 import threading
 import time
 import zlib
 
 from revquic import cli, crypto, harness, header, wire
-from revquic.endpoint import MAX_REVERSO_OFFSET, Connection, Role
+from revquic.endpoint import MAX_DATAGRAM, MAX_REVERSO_OFFSET, Connection, Role
 from revquic.errors import MalformedFrame, ProtocolViolation
 from revquic.harness import PipeConfig, run_transfer
 from revquic.mode import WireMode
@@ -101,6 +102,56 @@ def test_criterion_3_relative_throughput(capsys):
         f"baseline={base_tp:.1f}MB/s reverso={rev_tp:.1f}MB/s "
         f"ratio={ratio_row['median_ns']} ci=[{ratio_row['p5_ns']},{ratio_row['p95_ns']}] "
         f"disjoint={disjoint} runtime={elapsed:.1f}s",
+    )
+
+
+def opcodes_executed(fn, *args):
+    """(bytecodes executed, result) of fn(*args): every opcode of fn and
+    of each Python function it calls, counted through sys.settrace's
+    opcode events, so the count is exact and free of timing noise."""
+    count = 0
+
+    def opcode(frame, event, arg):
+        nonlocal count
+        if event == "opcode":
+            count += 1
+        return opcode
+
+    def call(frame, event, arg):
+        frame.f_trace_opcodes = True
+        return opcode
+
+    outer = sys.gettrace()
+    sys.settrace(call)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(outer)
+    return count, result
+
+
+def test_criterion_3_bytecode_count():
+    """C3's lead without its timing noise: the bytecodes that one
+    in-order recv of a full data packet executes, and the build_packet
+    that wrote it, in each mode."""
+    recv, send = {}, {}
+    for mode in WireMode:
+        sender = Connection(mode, Role.CLIENT, b"\x33" * 32)
+        receiver = Connection(mode, Role.SERVER, b"\x33" * 32)
+        appbuf = AppRecvBufMap()
+        sender.stream_send(1, bytes(4 * MAX_DATAGRAM))
+        out = bytearray(MAX_DATAGRAM)
+        # first contact binds the stream's buffer: not the steady state
+        receiver.recv(bytearray(out[: sender.build_packet(out, 0.0)]), appbuf)
+        send[mode], n = opcodes_executed(sender.build_packet, out, 0.0)
+        recv[mode], _ = opcodes_executed(receiver.recv, bytearray(out[:n]), appbuf)
+        assert receiver.metrics().packets_in_order == 2
+    base, rev = WireMode.BASELINE, WireMode.REVERSO
+    check(
+        "C3 bytecode count",
+        recv[rev] < recv[base],
+        f"recv baseline={recv[base]} reverso={recv[rev]} "
+        f"build_packet baseline={send[base]} reverso={send[rev]}",
     )
 
 

@@ -113,8 +113,8 @@ class TestSimulateCommand:
 
     def test_row_rounds_to_its_digits(self):
         """wall_time and ordered_ratio to 6 digits, throughput to 1."""
-        r = harness.TransferReport("reverso", 1048576, 0.123456789, 8493465.4321, 0, 1048576, 0.98765432, 0, 3, 65536)
-        assert cli._report_row(r) == ["reverso", 1048576, 0.123457, 8493465.4, 0, 1048576, 0.987654, 0, 3, 65536]
+        r = harness.TransferReport("reverso", 1048576, 0.123456789, 8493465.4321, 0, 1048576, 0.98765432, 0, 3, 65536, 2)
+        assert cli._report_row(r) == ["reverso", 1048576, 0.123457, 8493465.4, 0, 1048576, 0.987654, 0, 3, 65536, 2]
 
     def test_deterministic_apart_from_wall_time(self, capsys):
         argv = ["simulate", "--size", "131072", "--mode", "reverso", "--reorder", "0.05", "--seed", "9"]

@@ -180,6 +180,11 @@ def unprotect_pn(truncated: int, n: int, reference: int, reverso: bool, cipherte
     return header.unprotect(packet, HP_KS, reference, reverso)[1]
 
 
+def reference_truncated_len(full: int, reference: int) -> int:
+    """The fewest bytes whose half-window exceeds full - reference."""
+    return next(n for n in (1, 2, 3, 4) if full - reference < 1 << (8 * n - 1))
+
+
 def pn_field(pn: int, n: int) -> bytes:
     """The n-byte packet-number field pack_header writes for pn."""
     return header.pack_header(False, pn, n).to_bytes(header.PN_OFFSET + n, "big")[header.PN_OFFSET :]
@@ -214,8 +219,19 @@ class TestTruncatedInts:
         for _ in range(5000):
             ref = rng.getrandbits(40)
             full = ref + rng.getrandbits(30)
-            want = next(n for n in (1, 2, 3, 4) if full - ref < 1 << (8 * n - 1))
-            assert crypto.truncated_len(full, ref) == want
+            assert crypto.truncated_len(full, ref) == reference_truncated_len(full, ref)
+
+    def test_truncated_len_every_bit_length(self):
+        """The bit-length lookup agrees with the reference at both ends
+        of every distance of 0 to 31 bits, and refuses 2**31 on."""
+        for bits in range(32):
+            for span in {(1 << bits) - 1, 1 << bits >> 1}:  # the largest and the smallest
+                assert span.bit_length() == bits
+                for ref in (0, 12345, (1 << 40) + 7):
+                    assert crypto.truncated_len(ref + span, ref) == reference_truncated_len(ref + span, ref)
+        for span in (1 << 31, (1 << 31) + 1, 1 << 32, 1 << 62):
+            with pytest.raises(TruncationRangeError):
+                crypto.truncated_len(span + 9, 9)
 
     def test_round_trip_property(self):
         # forward distances spanning every size truncated_len picks
@@ -235,6 +251,25 @@ class TestTruncatedInts:
             ref = rng.getrandbits(rng.choice((8, 16, 30, 61)))
             t = rng.getrandbits(8 * n)
             assert unprotect_pn(t, n, ref, i % 2 == 1) == oracle_expand(t.to_bytes(n, "big"), ref)
+
+    @pytest.mark.parametrize("reverso", [False, True], ids=["baseline", "reverso"])
+    def test_expand_next_number(self, reverso):
+        """A field holding the low bytes of one past the largest received,
+        the common case unprotect answers without the candidate tests,
+        at every width: references at 0, at each window's edges and at
+        the top of the range agree with the oracle, and below 2**62 the
+        answer is that next number."""
+        refs = {0, (1 << 62) - 2, (1 << 62) - 1}
+        for n in (1, 2, 3, 4):
+            win = 1 << (8 * n)
+            refs |= {win // 2 - 1, win // 2, win - 2, win - 1, win, 2 * win - 1}
+        for n in (1, 2, 3, 4):
+            for ref in sorted(refs):
+                t = (ref + 1) & ((1 << (8 * n)) - 1)
+                got = unprotect_pn(t, n, ref, reverso)
+                assert got == oracle_expand(t.to_bytes(n, "big"), ref)
+                if ref + 1 < 1 << 62:
+                    assert got == ref + 1
 
     def test_expand_never_negative_and_capped(self):
         for ref in (0, 1, (1 << 62) - 2, (1 << 62) - 1):

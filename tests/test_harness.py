@@ -221,12 +221,12 @@ class TestRunTransfer:
 # 1 MiB on 8 streams through reorder 0.1, loss 0.02 and duplication 0.01:
 # (seed, mode) -> every TransferReport field but wall_time and throughput
 LOSSY_COUNTERS = {
-    (0, "baseline"): (1048576, 1048576, 0, 0.4482758620689655, 0, 17, 0),
-    (0, "reverso"): (1048576, 22355, 1026221, 0.4482758620689655, 0, 17, 0),
-    (1, "baseline"): (1048576, 1048576, 0, 0.4427570093457944, 0, 67, 0),
-    (1, "reverso"): (1048576, 18410, 1030166, 0.4427570093457944, 0, 67, 0),
-    (2, "baseline"): (1048576, 1048576, 0, 0.38242574257425743, 0, 18, 0),
-    (2, "reverso"): (1048576, 22355, 1026221, 0.38242574257425743, 0, 18, 0),
+    (0, "baseline"): (1048576, 1048576, 0, 0.4482758620689655, 0, 17, 0, 8),
+    (0, "reverso"): (1048576, 22355, 1026221, 0.4482758620689655, 0, 17, 0, 8),
+    (1, "baseline"): (1048576, 1048576, 0, 0.4427570093457944, 0, 67, 0, 8),
+    (1, "reverso"): (1048576, 18410, 1030166, 0.4427570093457944, 0, 67, 0, 8),
+    (2, "baseline"): (1048576, 1048576, 0, 0.38242574257425743, 0, 18, 0, 8),
+    (2, "reverso"): (1048576, 22355, 1026221, 0.38242574257425743, 0, 18, 0, 8),
 }
 
 
@@ -237,7 +237,7 @@ def test_lossy_counters_pinned(seed, mode):
     cfg = PipeConfig(seed=seed, reorder_prob=0.1, loss_prob=0.02, duplicate_prob=0.01)
     r = run_transfer(WireMode(mode), 1 << 20, 8, cfg)
     got = (r.bytes_transferred, r.payload_bytes_copied, r.payload_bytes_zero_copy,
-           r.ordered_ratio, r.decrypt_failures, r.retransmissions, r.bytes_moved)
+           r.ordered_ratio, r.decrypt_failures, r.retransmissions, r.bytes_moved, r.allocations)
     assert (r.mode, got) == (mode, LOSSY_COUNTERS[seed, mode])
 
 

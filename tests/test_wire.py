@@ -81,6 +81,16 @@ class TestGoldenVectors:
                 with pytest.raises(EncodingOverflow):
                     frame_bytes(StreamFrame(stream_id=1, offset=bad, data=b"", explicit_len=True), reverso)
 
+    def test_stream_fields_formula_matches_pack(self):
+        """The one-formula encoder writes what the field-by-field _pack
+        writes, at every varint class edge of both fields."""
+        edges = [0, 1, 0x3F, 0x40, 0x3FFF, 0x4000, 0x3FFFFFFF, 0x40000000, wire.VARINT_MAX]
+        for sid in edges:
+            for off in edges:
+                for fin in (False, True):
+                    t = wire.TYPE_STREAM | wire.STREAM_OFF | (wire.STREAM_FIN if fin else 0)
+                    assert wire.stream_fields(sid, off, fin) == wire._pack(t, (sid, off), False)
+
     def test_ping_identical_in_both_modes(self):
         assert parse_forward(b"\x01") == parse_reversed(b"\x01") == [PingFrame()]
 
