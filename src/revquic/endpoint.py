@@ -496,7 +496,7 @@ class Connection:
         garbage when the tag check fails.
         """
         self._appbuf = appbuf
-        buf = memoryview(datagram) if not isinstance(datagram, memoryview) else datagram
+        buf = memoryview(datagram)
         blen = len(buf)
         m = self._metrics
         m.bytes_received += blen
@@ -512,7 +512,6 @@ class Connection:
         # the plaintext is store[lo:hi]: in place over the ciphertext,
         # aliased exactly, unless reverso opens it at its offset
         store, lo, hi = buf, hdr_len, blen - TAG_LEN
-        at_off = False
         if reverso:
             # The header, which carries the whole offset, locates the
             # stream data. Open at it when the whole footprint, trailer
@@ -524,21 +523,20 @@ class Connection:
             staged = sbuf is None and sid != 0
             if staged:
                 # the spare, bound through adopt once the packet checks out
-                sbuf = appbuf.spare or appbuf._materialize_spare()
+                sbuf = appbuf._materialize_spare()
             if sbuf is not None and off >= sbuf.contiguous_offset:
                 at = off - sbuf.base_offset
                 pt_len = hi - lo
                 ends = sbuf.ends
-                at_off = at + pt_len <= len(sbuf.storage) and (
+                if at + pt_len <= len(sbuf.storage) and (
                     not ends or off >= ends[-1]
                     or off + pt_len <= sbuf.starts[bisect_right(ends, off)]
-                )
-                if at_off:
+                ):
                     store, lo, hi = sbuf.storage, at, at + pt_len
         try:
             ks._aead.decrypt_into(
                 (ks._iv_int ^ pn).to_bytes(12), buf[hdr_len:], buf[:hdr_len],
-                (sbuf.storage_view if at_off else buf)[lo:hi],
+                store[lo:hi],
             )
         except InvalidTag:
             m.decrypt_failures += 1
@@ -567,7 +565,7 @@ class Connection:
             if t | 0x01 == _ANCHOR_FIN:
                 fin = t & 0x01
                 data_len = cur - 1 - lo
-                if at_off:
+                if store is not buf:
                     # opened at its offset: record it there, no copy
                     in_order = off == sbuf.contiguous_offset
                     if sbuf.commit(off, off + data_len, fin):
@@ -690,10 +688,9 @@ class Connection:
         than closing keeps perfbench's replays working, which feed a
         capture's datagrams, acks included, to a fresh receiver that has
         sent nothing."""
-        if len(ranges) == 1:  # one range, the common case
-            span = ranges[0][0] + ranges[0][1]
-        else:
-            span = sum(gap + length for gap, length in ranges)
+        span = 0
+        for gap, length in ranges:
+            span += gap + length
         if span > largest + 1:
             raise MalformedFrame(f"ack ranges reach {largest + 1 - span}, below packet number 0")
         return largest < self.next_pn

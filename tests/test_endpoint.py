@@ -1,6 +1,7 @@
 """Connection send/receive pipelines in both wire modes."""
 
 import random
+import tracemalloc
 import zlib
 from dataclasses import replace
 
@@ -983,6 +984,76 @@ class TestAckValidation:
         server.recv(seal(mode, C2S, 0, layout(mode, None, [ack(302, (0, 1), (1, wide))])), sbuf)
         assert sorted(server.unacked) == [0, 1, 301]
         assert server.largest_peer_acked == 302
+
+
+def peak_allocated(fn, *args) -> int:
+    """The most bytes fn(*args) held allocated at once, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestNoPayloadSizedAllocation:
+    """The copy meter describes what the process does: a packet's stream
+    data moves by views and is written once, so no step allocates a
+    buffer the size of the payload (as a bytearray slice assignment from
+    a view does, copying its source into a hidden temporary). Each case
+    takes the peak of one call carrying 1 300 B of stream data, less the
+    peak of the same call with 100 B: a payload-sized temporary adds
+    about the 1 200 B difference, fixed per-call objects add nothing."""
+
+    SMALL, LARGE = 100, 1300
+    BOUND = 600  # well under the 1 200-byte difference a temporary adds
+
+    @staticmethod
+    def recv_case(mode, lane, n):
+        """A receiver, the datagram and its buffers for one recv of n
+        bytes of stream data on the lane: in order at the offset, out of
+        order into a hole, or the gap filler whose data reaches the range
+        past it (copied in both modes)."""
+        client, server = pair(mode)
+        appbuf = AppRecvBufMap()
+        out = bytearray(MAX_DATAGRAM)
+        grams = []
+        for _ in range(3):
+            client.stream_send(1, b"d" * n)
+            grams.append(bytearray(out[: client.build_packet(out, 0.0)]))
+        server.recv(grams[0], appbuf)  # first contact binds the stream
+        if lane == "gap":
+            server.recv(grams[2], appbuf)
+        return server, grams[2] if lane == "hole" else grams[1], appbuf
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    @pytest.mark.parametrize("lane", ["in-order", "hole", "gap"])
+    def test_recv(self, mode, lane):
+        zero_copy = mode is WireMode.REVERSO and lane != "gap"
+        peaks = []
+        for n in (self.SMALL, self.SMALL, self.LARGE):  # the first warms caches
+            server, gram, appbuf = self.recv_case(mode, lane, n)
+            before = server.metrics()
+            peaks.append(peak_allocated(server.recv, gram, appbuf))
+            after = server.metrics()
+            moved = (
+                after.payload_bytes_zero_copy - before.payload_bytes_zero_copy,
+                after.payload_bytes_copied - before.payload_bytes_copied,
+            )
+            assert moved == ((n, 0) if zero_copy else (0, n))  # the lane named
+        assert peaks[2] - peaks[1] < self.BOUND, peaks
+
+    @pytest.mark.parametrize("mode", list(WireMode), ids=lambda m: m.value)
+    def test_build_packet(self, mode):
+        peaks = []
+        for n in (self.SMALL, self.SMALL, self.LARGE):
+            client, _ = pair(mode)
+            out = bytearray(MAX_DATAGRAM)
+            client.stream_send(1, b"d" * n)
+            client.build_packet(out, 0.0)  # the stream's first packet
+            client.stream_send(1, b"d" * n)
+            peaks.append(peak_allocated(client.build_packet, out, 0.0))
+        assert peaks[2] - peaks[1] < self.BOUND, peaks
 
 
 def stored(appbuf):
