@@ -1,7 +1,7 @@
 """Command-line front end: benchmarks, simulation, transfer, inspection.
 
 Benchmark and simulation output is CSV on stdout for external plotting;
-the transfer demo moves a real file over UDP with a trailing checksum;
+the transfer demo moves a real file over UDP, its SHA-256 leading it;
 inspect reads a single hex-dumped datagram through the receiver and
 prints what it applied.
 
@@ -160,8 +160,8 @@ def _transfer_send(mode: WireMode, secret: bytes, args) -> int:
         payload = f.read()
     digest = hashlib.sha256(payload).digest()
     conn = Connection(mode, Role.CLIENT, secret)
-    conn.stream_send(1, payload, fin=False)
-    conn.stream_send(1, digest, fin=True)
+    conn.stream_send(1, digest)
+    conn.stream_send(1, payload, fin=True)
     appbuf = AppRecvBufMap(default_capacity=4096)
 
     sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
@@ -201,18 +201,6 @@ def _transfer_send(mode: WireMode, secret: bytes, args) -> int:
     return 0
 
 
-def _split_checksum(carry: bytes, view) -> tuple[tuple, bytes]:
-    """Split the bytes read so far, carry then view, into file data and
-    the last 32 bytes, which may be the checksum. Returns (data parts,
-    new carry); the data is view itself where it can be, so only the
-    carry, at most 32 bytes, is copied."""
-    n = len(view)
-    if n >= 32:
-        return (carry, view[: n - 32]), bytes(view[n - 32 :])
-    joined = carry + bytes(view)
-    return (joined[:-32],), joined[-32:]
-
-
 def _transfer_recv(mode: WireMode, secret: bytes, args) -> int:
     conn = Connection(mode, Role.SERVER, secret)
     appbuf = AppRecvBufMap()
@@ -222,7 +210,7 @@ def _transfer_recv(mode: WireMode, secret: bytes, args) -> int:
     out = bytearray(MAX_DATAGRAM)
     outv = memoryview(out)
     hasher = hashlib.sha256()
-    carry = b""  # last 32 bytes seen so far: checksum candidate
+    digest = b""  # the stream's first 32 bytes: the file's SHA-256
     total = 0
     fin_seen = False
     linger_until = 0.0  # set once the fin is read
@@ -249,12 +237,15 @@ def _transfer_recv(mode: WireMode, secret: bytes, args) -> int:
                     pass  # nothing arrived, or garbage: drop
                 for sid in conn.readable():
                     view, fin = conn.stream_recv(sid, appbuf)
-                    body, carry = _split_checksum(carry, view)
-                    for part in body:
-                        f.write(part)
-                        hasher.update(part)
-                        total += len(part)
-                    conn.stream_consumed(sid, len(view), appbuf)
+                    n = len(view)
+                    if len(digest) < 32:
+                        head = 32 - len(digest)
+                        digest += view[:head]
+                        view = view[head:]
+                    f.write(view)
+                    hasher.update(view)
+                    total += len(view)
+                    conn.stream_consumed(sid, n, appbuf)
                     if fin:
                         fin_seen = True
                         linger_until = time.monotonic() + 0.5
@@ -264,7 +255,7 @@ def _transfer_recv(mode: WireMode, secret: bytes, args) -> int:
     finally:
         sock.close()
     wall = (time.monotonic() - start) if start else 0.0
-    ok = fin_seen and len(carry) == 32 and hasher.digest() == carry
+    ok = fin_seen and hasher.digest() == digest
     m = conn.metrics()
     if wall > 0:
         print(f"received {total} bytes in {wall:.3f}s ({total / wall / 1e6:.1f} MB/s)")

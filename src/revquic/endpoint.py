@@ -520,8 +520,7 @@ class Connection:
             # before the tag verifies) and ending by the next received
             # range
             sbuf = appbuf.buffers.get(sid)  # never holds stream 0
-            staged = sbuf is None and sid != 0
-            if staged:
+            if sbuf is None and sid:
                 # the spare, bound through adopt once the packet checks out
                 sbuf = appbuf._materialize_spare()
             if sbuf is not None and off >= sbuf.contiguous_offset:
@@ -571,7 +570,7 @@ class Connection:
                     if sbuf.commit(off, off + data_len, fin):
                         m.payload_bytes_zero_copy += data_len
                         self.ack_pending.add(pn)
-                    if staged:
+                    if sbuf is appbuf.spare:  # adopt clears the spare it binds
                         appbuf.adopt(sid)
                     if in_order:
                         m.packets_in_order += 1

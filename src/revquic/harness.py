@@ -23,7 +23,6 @@ import time
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-from .crypto import derive_keys
 from .endpoint import DEFAULT_RTO, MAX_DATAGRAM, Connection, Role
 from .mode import WireMode
 from .stream_buf import DEFAULT_CAPACITY, AppRecvBufMap
@@ -264,11 +263,9 @@ class _PreparedBatch:
         self.bytes_per_rep = sum(len(p) for p in self.pristine)
         # storage that holds the whole batch, so no repetition times growth
         self.capacity = max(DEFAULT_CAPACITY, self.bytes_per_rep)
-        # both directions derived once; receivers are rebuilt per rep
-        self.recv_keys = (
-            derive_keys(_HARNESS_SECRET, "s2c"),
-            derive_keys(_HARNESS_SECRET, "c2s"),
-        )
+        # a receiver's keys, derived once; receivers are rebuilt per rep
+        rx = Connection(mode, Role.SERVER, _HARNESS_SECRET)
+        self.recv_keys = rx.send_keys, rx.recv_keys
 
     def fresh_receiver(self):
         conn = Connection(self.mode, Role.SERVER, _HARNESS_SECRET, keys=self.recv_keys)

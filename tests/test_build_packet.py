@@ -28,6 +28,7 @@ from packets import (
     parse_forward,
     parse_reversed,
 )
+from test_acceptance import opcodes_executed
 from test_send_buffer import span_data
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "build_packet_golden.txt"
@@ -267,6 +268,21 @@ def test_reverso_fragment_budget_and_worst_case_retransmission():
     conn.next_pn = 1 << 28  # nothing acked: the packet number needs 4 bytes
     conn._retransmit.append(span)
     assert conn.build_packet(out, now=1.0) == MAX_DATAGRAM
+
+
+def test_reverso_sender_runs_no_more_bytecodes():
+    """The paper's sender claim, without timing noise: one steady-state
+    full data build_packet, set up as C3's bytecode count sets it up,
+    executes no more bytecodes in reverso than in baseline."""
+    count = {}
+    for mode in MODES:
+        sender = Connection(mode, Role.CLIENT, b"\x33" * 32)
+        sender.stream_send(1, bytes(4 * MAX_DATAGRAM))
+        out = bytearray(MAX_DATAGRAM)
+        sender.build_packet(out, 0.0)  # the first packet: not the steady state
+        count[mode], n = opcodes_executed(sender.build_packet, out, 0.0)
+        assert n > MAX_DATAGRAM - 8  # full but for header bytes it did not need
+    assert count[WireMode.REVERSO] <= count[WireMode.BASELINE], count
 
 
 @pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)

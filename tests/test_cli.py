@@ -10,8 +10,6 @@ import time
 import types
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from revquic import cli, crypto, endpoint, harness
 from revquic.cli import BENCH_COLUMNS, SIMULATE_COLUMNS, main
@@ -254,21 +252,6 @@ class TestTransferCommand:
             assert rc_box == {"recv": 0, "send": 0}
             assert dst.read_bytes() == payload
 
-    @settings(max_examples=200, deadline=None, database=None)
-    @given(stream=st.binary(max_size=200), cuts=st.lists(st.integers(0, 200), max_size=12))
-    def test_split_checksum_keeps_the_last_32_bytes(self, stream, cuts):
-        """However the stream arrives in reads, the data parts are every
-        byte but the last 32, in order, and the carry is those 32."""
-        bounds = sorted({c % (len(stream) + 1) for c in cuts} | {0, len(stream)})
-        carry, data = b"", bytearray()
-        for lo, hi in zip(bounds, bounds[1:]):
-            parts, carry = cli._split_checksum(carry, memoryview(stream)[lo:hi])
-            assert len(carry) <= 32
-            for part in parts:
-                data += part
-        assert bytes(data) + carry == stream
-        assert carry == stream[-32:]
-
     @pytest.mark.parametrize("mode", ["baseline", "reverso"])
     def test_send_retransmits_while_acks_flow(self, mode, tmp_path, capsys, monkeypatch):
         """A datagram lost early is sent again once its timeout passes,
@@ -297,15 +280,56 @@ class TestTransferCommand:
         received: here the first data datagram, which arrives twice."""
         payload = bytes(range(256)) * 16  # 4 KiB: several datagrams
         sender = Connection(WireMode(mode), Role.CLIENT, bytes.fromhex(SECRET_HEX))
-        sender.stream_send(1, payload)
-        sender.stream_send(1, hashlib.sha256(payload).digest(), fin=True)
+        sender.stream_send(1, hashlib.sha256(payload).digest())
+        sender.stream_send(1, payload, fin=True)
+        datagrams = self.sent_with_close(sender)
+        rc, said, got = self.receive([datagrams[0], *datagrams], mode, tmp_path, capsys, monkeypatch)
+        assert rc == 0 and "checksum OK" in said
+        assert got == payload
+        assert re.findall(r" spurious=(\d+)", said) == ["1"]
+        assert sum(map(int, re.findall(r"(?:copied|zero_copy)=(\d+)", said))) == len(payload) + 32
+
+    @pytest.mark.parametrize("size", [0, 1, 5000])
+    @pytest.mark.parametrize("mode", ["baseline", "reverso"])
+    def test_recv_takes_a_digest_split_across_reads(self, mode, size, tmp_path, capsys, monkeypatch):
+        """The digest that leads the stream may arrive over two reads:
+        here the first datagram carries 10 of its 32 bytes, and every
+        byte after the 32 is the file's."""
+        payload = (bytes(range(256)) * 20)[:size]
+        digest = hashlib.sha256(payload).digest()
+        sender = Connection(WireMode(mode), Role.CLIENT, bytes.fromhex(SECRET_HEX))
+        sender.stream_send(1, digest[:10])
+        out = bytearray(MAX_DATAGRAM)
+        first = bytes(out[: sender.build_packet(out)])
+        sender.stream_send(1, digest[10:])
+        sender.stream_send(1, payload, fin=True)
+        datagrams = [first, *self.sent_with_close(sender)]
+        receiver = Connection(WireMode(mode), Role.SERVER, bytes.fromhex(SECRET_HEX))
+        appbuf = AppRecvBufMap()
+        receiver.recv(bytearray(first), appbuf)
+        assert appbuf.get(1).contiguous_offset == 10  # the first read holds 10 bytes
+        rc, said, got = self.receive(datagrams, mode, tmp_path, capsys, monkeypatch)
+        assert rc == 0 and "checksum OK" in said
+        assert got == payload
+        assert f"received {size} bytes" in said
+
+    @staticmethod
+    def sent_with_close(sender) -> list[bytes]:
+        """Every datagram the sender builds for what it has queued,
+        then a close, which ends recv's linger."""
         out = bytearray(MAX_DATAGRAM)
         datagrams = []
         while (n := sender.build_packet(out)) is not None:
             datagrams.append(bytes(out[:n]))
-        sender.queue_close(0, b"done")  # ends recv's linger
+        sender.queue_close(0, b"done")
         datagrams.append(bytes(out[: sender.build_packet(out)]))
-        link = _ReplayLink([datagrams[0], *datagrams])
+        return datagrams
+
+    @staticmethod
+    def receive(datagrams, mode, tmp_path, capsys, monkeypatch):
+        """transfer recv fed the datagrams through a _ReplayLink: its
+        exit code, what it printed, and the file it wrote."""
+        link = _ReplayLink(datagrams)
         monkeypatch.setattr(
             cli, "socket",
             types.SimpleNamespace(socket=link, AF_INET=socket.AF_INET, SOCK_DGRAM=socket.SOCK_DGRAM),
@@ -314,10 +338,7 @@ class TestTransferCommand:
         argv = ["transfer", "recv", "--listen", "127.0.0.1:9", "--out", str(dst),
                 "--secret", SECRET_HEX, "--mode", mode]
         rc, said, _ = run_cli(argv, capsys)
-        assert rc == 0 and "checksum OK" in said
-        assert dst.read_bytes() == payload
-        assert re.findall(r" spurious=(\d+)", said) == ["1"]
-        assert sum(map(int, re.findall(r"(?:copied|zero_copy)=(\d+)", said))) == len(payload) + 32
+        return rc, said, dst.read_bytes()
 
     def test_checksum_mismatch_exits_nonzero(self, tmp_path, capsys):
         port = free_port()
@@ -345,10 +366,10 @@ class TestTransferCommand:
         t.start()
         time.sleep(0.05)
 
-        # a sender that appends a wrong trailing checksum
+        # a sender whose stream leads with a wrong checksum
         conn = Connection(WireMode.REVERSO, Role.CLIENT, bytes.fromhex(SECRET_HEX))
-        conn.stream_send(1, payload, fin=False)
-        conn.stream_send(1, b"\x00" * 32, fin=True)
+        conn.stream_send(1, b"\x00" * 32)
+        conn.stream_send(1, payload, fin=True)
         appbuf = AppRecvBufMap(default_capacity=4096)
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         sock.connect(("127.0.0.1", port))
